@@ -15,18 +15,36 @@ Boundary conditions: u = 0 at the centre (strongly), and at the surface the
 Robin condition du/dchi = alpha u with alpha = q(R) - 2/R < 0.
 
 The discretisation is a node-centred second-order finite-volume scheme on a
-uniform chi grid with velocity-Verlet time stepping.  The surface node owns a
-half cell, which makes the semi-discrete energy
+uniform chi grid.  The surface node owns a half cell, which makes the
+semi-discrete energy
 
     E = 1/2 sum mass v^2 w + 1/2 sum flux_half (Du)^2/dchi
         - 1/2 sum V u^2 w - 1/2 flux_B alpha u_B^2
 
-an exact invariant (all four terms are nonnegative); the time stepper then
-conserves it to O(dt^2) uniformly.  ``reconstruct`` maps a displacement field
-to the remaining linearized metric and matter fields, and
-``constraint_residual`` measures how well a state satisfies the linearized
-mass constraint; its meaningful norm is over a fixed interior fraction, since
-chi-stencils lose accuracy at the centre where r0 ~ chi^(1/3).
+an exact invariant (all four terms are nonnegative).  The spatial operator
+d2u/dt2 = A u is tridiagonal and constant in time, so
+``WaveCoefficients.bands`` builds A once, in LAPACK banded layout, straight
+from the flux-form coefficients (row 0, the pinned centre, is zero).  It is
+the only copy of the operator: ``acceleration`` applies it, and the inverse
+iteration of ``modes.mode_to_initial_data`` slices it.  A is self-adjoint in
+the energy weights mass * w, which makes max dt^2 mu over its spectrum -mu
+the exact stability margin of the stepper (stable below 4).
+
+``evolve`` integrates with velocity Verlet, written in kick-drift (leapfrog)
+form on dt^2-scaled bands in preallocated buffers: it carries
+w = dt v(t + dt/2), each step is u += w, w += dt^2 A u, and the full-step
+velocity v = (w - dt^2 A u / 2)/dt is rebuilt only where it is needed (at
+sample steps and at the end).  The time stepper conserves the energy to
+O(dt^2) uniformly.
+
+Near the centre the shell coordinate degenerates (r0 ~ chi^(1/3)), so mode
+frequencies on the chi grid converge at first order in dchi, not second;
+``test_period_discretisation_first_order`` pins this.
+
+``reconstruct`` maps a displacement field to the remaining linearized metric
+and matter fields, and ``constraint_residual`` measures how well a state
+satisfies the linearized mass constraint; its meaningful norm is over a fixed
+interior fraction, since chi-stencils lose accuracy at the centre.
 """
 
 from __future__ import annotations
@@ -37,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .background import BackgroundProfile, _readonly
 from .errors import CflViolationError, DomainError, InstabilityError
@@ -72,22 +90,68 @@ class WaveCoefficients:
     flux_surface: float
     alpha: float
     cmax: float
+    # derived in __post_init__, so dataclasses.replace rebuilds it
+    bands: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bands", _readonly(_operator_bands(self)))
 
     @property
     def B(self) -> float:
         return float(self.chi[-1])
 
 
+def _operator_bands(c: WaveCoefficients) -> np.ndarray:
+    """The operator A of d2u/dt2 = A u in LAPACK (1, 1) banded layout.
+
+    ``ab[0, j] = A[j-1, j]``, ``ab[1, j] = A[j, j]``, ``ab[2, j] = A[j+1, j]``.
+    Interior rows are (flux_half difference + V u)/mass; the surface row
+    closes the half cell with the Robin flux flux_B alpha u_B.  Row 0 (the
+    pinned centre) is zero.
+    """
+    n = c.n_chi
+    k = c.flux_half / (c.dchi * c.dchi)  # couplings across the n - 1 half cells
+    ab = np.zeros((3, n))
+    inv_m = 1.0 / c.mass[1:-1]
+    ab[0, 2:] = k[1:] * inv_m                       # A[i, i+1], 1 <= i <= n-2
+    ab[2, :-2] = k[:-1] * inv_m                     # A[i, i-1], 1 <= i <= n-2
+    ab[1, 1:-1] = (c.V[1:-1] - k[1:] - k[:-1]) * inv_m
+    two_m = 2.0 / c.mass[-1]
+    ab[2, -2] = k[-1] * two_m                       # A[n-1, n-2]
+    ab[1, -1] = (c.flux_surface * c.alpha / c.dchi - k[-1]) * two_m + c.V[-1] / c.mass[-1]
+    return ab
+
+
 def _invert_chi(chi_spline: CubicSpline, targets: np.ndarray, R: float) -> np.ndarray:
-    out = np.empty_like(targets)
-    lo = 0.0
-    for i, t in enumerate(targets):
-        if t <= 0.0:
-            out[i] = 0.0
-            lo = 0.0
-            continue
-        out[i] = brentq(lambda r: chi_spline(r) - t, lo, R, xtol=1e-15, rtol=8.9e-16)
-        lo = max(0.0, out[i] - 1e-12)
+    """Radii r in [0, R] with chi(r) = target, for all targets at once.
+
+    Newton on the spline, safeguarded by bisection inside a bracket that
+    starts as the knot interval holding the target.  Targets at or below 0
+    map to 0, targets at or above chi(R) to R.
+    """
+    knots = chi_spline.x
+    values = chi_spline(knots)
+    out = np.where(targets <= 0.0, 0.0, R)
+    inside = (targets > 0.0) & (targets < values[-1])
+    t = targets[inside]
+    k = np.clip(np.searchsorted(values, t, side="right") - 1, 0, len(knots) - 2)
+    lo, hi = knots[k], knots[k + 1]
+    r = lo + (hi - lo) * (t - values[k]) / (values[k + 1] - values[k])
+    chi_prime = chi_spline.derivative()
+    for _ in range(60):
+        f = chi_spline(r) - t
+        below = f < 0.0
+        lo = np.where(below, r, lo)
+        hi = np.where(below, hi, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = r - f / chi_prime(r)
+        ok = (newton > lo) & (newton < hi)
+        r_next = np.where(f == 0.0, r, np.where(ok, newton, 0.5 * (lo + hi)))
+        done = np.all(np.abs(r_next - r) <= 4.0 * np.finfo(float).eps * r)
+        r = r_next
+        if done:
+            break
+    out[inside] = r
     return out
 
 
@@ -205,16 +269,10 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
 
 def acceleration(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
     """Spatial operator: (d/dchi(flux du/dchi) + V u)/mass with both BCs."""
-    dchi = coeffs.dchi
-    D = coeffs.flux_half * np.diff(u) / dchi
-    acc = np.empty_like(u)
-    acc[0] = 0.0
-    acc[1:-1] = (D[1:] - D[:-1]) / (dchi * coeffs.mass[1:-1]) + (
-        coeffs.V[1:-1] / coeffs.mass[1:-1]
-    ) * u[1:-1]
-    acc[-1] = (2.0 / (dchi * coeffs.mass[-1])) * (
-        coeffs.flux_surface * coeffs.alpha * u[-1] - D[-1]
-    ) + (coeffs.V[-1] / coeffs.mass[-1]) * u[-1]
+    ab = coeffs.bands
+    acc = ab[1] * u
+    acc[1:] += ab[2, :-1] * u[:-1]
+    acc[:-1] += ab[0, 1:] * u[1:]
     return acc
 
 
@@ -230,6 +288,20 @@ def discrete_energy(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> f
     potential = -0.5 * float(np.sum(coeffs.V * u * u * wgt))
     surface = -0.5 * coeffs.flux_surface * coeffs.alpha * u[-1] ** 2
     return kinetic + gradient + potential + surface
+
+
+def max_operator_eigenvalue(coeffs: WaveCoefficients) -> float:
+    """Largest mu in the spectrum -mu of A on the free nodes 1..n-1.
+
+    A is self-adjoint in the energy weights W, so W^(1/2) A W^(-1/2) is a
+    symmetric tridiagonal matrix with the diagonal of A and off-diagonal
+    sqrt(A[i, i+1] A[i+1, i]); one selected eigenvalue costs O(n_chi).
+    """
+    ab = coeffs.bands
+    diag = -ab[1, 1:]
+    off = -np.sqrt(ab[0, 2:] * ab[2, 1:-1])
+    top = len(diag) - 1
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(top, top))[0])
 
 
 def energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> dict[str, float]:
@@ -303,9 +375,17 @@ def evolve(
 ) -> EvolutionResult:
     """Velocity-Verlet evolution for duration T (landing on T exactly).
 
-    The time step is the CFL step shrunk so that n_steps * dt == T.  Raises
-    ``InstabilityError`` if the discrete energy grows past
-    ``instability_factor`` times its initial value at any sample point.
+    The time step is the CFL step shrunk so that n_steps * dt == T.  The
+    scheme runs in kick-drift form on the dt^2-scaled bands of A with
+    w = dt v(t + dt/2): each step is u += w, then w += dt^2 A u, in
+    preallocated buffers.  The full-step velocity
+    v = (w - dt^2 A u / 2)/dt is rebuilt only at the sample steps (every
+    ``n_steps // samples`` steps, and the last), where the energy, the
+    norms and the constraint residual are recorded; ``probe_values`` holds
+    the surface displacement after every step.  Raises ``InstabilityError``
+    at the first sample where the discrete energy is non-finite or above
+    ``instability_factor`` times its initial value.  ``provenance`` records
+    ``max_dt2_mu``, the exact stability margin (stable below 4).
     """
     if T <= 0.0:
         raise DomainError(f"evolution duration must be positive, got {T}")
@@ -330,30 +410,45 @@ def evolve(
     probe = np.empty(n_steps + 1)
     probe[0] = u[-1]
 
-    a = acceleration(coeffs, u)
-    for step in range(1, n_steps + 1):
-        v += 0.5 * dt * a
-        u += dt * v
-        u[0] = 0.0
-        a = acceleration(coeffs, u)
-        v += 0.5 * dt * a
-        v[0] = 0.0
-        probe[step] = u[-1]
-        if step % stride == 0 or step == n_steps:
-            e = discrete_energy(coeffs, u, v)
-            times.append(step * dt)
-            energies.append(e)
-            for k, val in energy_norms(coeffs, u, v).items():
-                norm_series[k].append(val)
-            residuals.append(residual_norm(coeffs, u))
-            if e0 > 0.0 and (not math.isfinite(e) or e > instability_factor * e0):
-                raise InstabilityError(
-                    f"discrete energy grew by {e / e0:.3g} at t={step * dt:.6g}",
-                    step=step,
-                    energy_ratio=e / e0,
-                )
-            if progress is not None:
-                progress(step, n_steps)
+    dt2 = dt * dt
+    scaled = dt2 * coeffs.bands
+    up, diag, low = scaled[0, 1:], scaled[1], scaled[2, :-1]
+    kick = np.empty_like(u)  # dt^2 A u at the current step
+    part = np.empty(len(u) - 1)
+    u_head, u_tail = u[:-1], u[1:]
+    kick_head, kick_tail = kick[:-1], kick[1:]
+    w = dt * v + 0.5 * dt2 * acceleration(coeffs, u)
+    add, mul = np.add, np.multiply
+
+    sample_steps = list(range(stride, n_steps + 1, stride))
+    if sample_steps[-1] != n_steps:
+        sample_steps.append(n_steps)
+    step = 0
+    for sample_step in sample_steps:
+        for step in range(step + 1, sample_step + 1):
+            add(u, w, out=u)
+            mul(diag, u, out=kick)
+            mul(low, u_head, out=part)
+            add(kick_tail, part, out=kick_tail)
+            mul(up, u_tail, out=part)
+            add(kick_head, part, out=kick_head)
+            add(w, kick, out=w)
+            probe[step] = u[-1]
+        v = (w - 0.5 * kick) / dt
+        e = discrete_energy(coeffs, u, v)
+        times.append(step * dt)
+        energies.append(e)
+        for k, val in energy_norms(coeffs, u, v).items():
+            norm_series[k].append(val)
+        residuals.append(residual_norm(coeffs, u))
+        if e0 > 0.0 and (not math.isfinite(e) or e > instability_factor * e0):
+            raise InstabilityError(
+                f"discrete energy grew by {e / e0:.3g} at t={step * dt:.6g}",
+                step=step,
+                energy_ratio=e / e0,
+            )
+        if progress is not None:
+            progress(step, n_steps)
 
     return EvolutionResult(
         dt=dt,
@@ -367,7 +462,11 @@ def evolve(
         probe_times=_readonly(dt * np.arange(n_steps + 1)),
         probe_values=_readonly(probe),
         initial_energy=e0,
-        provenance={"cfl": cfl, "samples": samples},
+        provenance={
+            "cfl": cfl,
+            "samples": samples,
+            "max_dt2_mu": dt2 * max_operator_eigenvalue(coeffs),
+        },
     )
 
 

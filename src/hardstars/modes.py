@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .background import BackgroundProfile, _readonly
 from .errors import ConvergenceError, DomainError
-from .evolution import WaveCoefficients, acceleration, potential_bracket
+from .evolution import WaveCoefficients, potential_bracket
 from .numerics import derivative_uniform, scan_sign_changes, second_derivative_uniform
 
 FOUR_PI = 4.0 * math.pi
@@ -299,46 +299,18 @@ def apply_H1(profile: BackgroundProfile, h: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------- evolution bridge
 
 
-def _wave_operator_bands(coeffs: WaveCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the (tridiagonal) discrete wave operator L = -acceleration.
-
-    Returns (lower, diag, upper) indexed by node: L[i, i-1], L[i, i],
-    L[i, i+1].  Recovered from three comb probes; row 0 is the pinned
-    centre and comes back all zero.
-    """
-    n = coeffs.n_chi
-    resp = []
-    for j in range(3):
-        e = np.zeros(n)
-        e[j::3] = 1.0
-        resp.append(-acceleration(coeffs, e))
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    for i in range(n):
-        diag[i] = resp[i % 3][i]
-        if i >= 1:
-            lower[i] = resp[(i - 1) % 3][i]
-        if i <= n - 2:
-            upper[i] = resp[(i + 1) % 3][i]
-    return lower, diag, upper
-
-
 def _discrete_eigen_shape(coeffs: WaveCoefficients, lam: float,
                           seed: np.ndarray, sweeps: int = 2) -> np.ndarray:
     """Eigenvector of the discrete wave operator nearest ``lam``.
 
-    Two inverse-iteration solves of the shifted tridiagonal system on the
-    nodes 1..n-1 (node 0 is pinned); the result keeps the seed's value at
-    the seed's peak so amplitude conventions survive.
+    Two inverse-iteration solves of the shifted tridiagonal system
+    -A - lam on the nodes 1..n-1 (node 0 is pinned), whose banded form is
+    a column slice of ``coeffs.bands``; the result keeps the seed's value
+    at the seed's peak so amplitude conventions survive.
     """
-    lower, diag, upper = _wave_operator_bands(coeffs)
     n = coeffs.n_chi
-    m = n - 1
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[1 : n - 1]
-    ab[1, :] = diag[1:] - lam
-    ab[2, : m - 1] = lower[2:]
+    ab = -coeffs.bands[:, 1:]
+    ab[1] -= lam
     w = np.asarray(seed[1:], dtype=float).copy()
     for _ in range(sweeps):
         w = solve_banded((1, 1), ab, w)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh
 
 from hardstars.background import (
     BackgroundProfile,
@@ -16,6 +17,7 @@ from hardstars.background import (
     build_star,
     derive_metric_fields,
 )
+from hardstars.cli import EXIT_OK, main
 from hardstars.errors import CflViolationError, DomainError, InstabilityError
 from hardstars.evolution import (
     acceleration,
@@ -32,6 +34,49 @@ from hardstars.evolution import (
 from family_oracle import DeformedFamily
 
 FOUR_PI = 4.0 * math.pi
+
+
+def _flux_form_acceleration(coeffs, u):
+    # the operator written out in flux form, independent of coeffs.bands
+    dchi = coeffs.dchi
+    D = coeffs.flux_half * np.diff(u) / dchi
+    acc = np.empty_like(u)
+    acc[0] = 0.0
+    acc[1:-1] = (D[1:] - D[:-1]) / (dchi * coeffs.mass[1:-1]) + (
+        coeffs.V[1:-1] / coeffs.mass[1:-1]
+    ) * u[1:-1]
+    acc[-1] = (2.0 / (dchi * coeffs.mass[-1])) * (
+        coeffs.flux_surface * coeffs.alpha * u[-1] - D[-1]
+    ) + (coeffs.V[-1] / coeffs.mass[-1]) * u[-1]
+    return acc
+
+
+def _reference_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
+    """Velocity Verlet as a plain per-step loop on the flux-form operator;
+    the oracle for ``evolve``.  Returns (u, v, probe, energies, n_steps)."""
+    dt_cfl = cfl_timestep(coeffs, cfl)
+    n_steps = max(1, math.ceil(T / dt_cfl))
+    dt = T / n_steps
+    u = np.array(u0, dtype=float)
+    v = np.array(v0, dtype=float)
+    u[0] = 0.0
+    v[0] = 0.0
+    stride = max(1, n_steps // max(1, samples))
+    energies = [discrete_energy(coeffs, u, v)]
+    probe = np.empty(n_steps + 1)
+    probe[0] = u[-1]
+    a = _flux_form_acceleration(coeffs, u)
+    for step in range(1, n_steps + 1):
+        v += 0.5 * dt * a
+        u += dt * v
+        u[0] = 0.0
+        a = _flux_form_acceleration(coeffs, u)
+        v += 0.5 * dt * a
+        v[0] = 0.0
+        probe[step] = u[-1]
+        if step % stride == 0 or step == n_steps:
+            energies.append(discrete_energy(coeffs, u, v))
+    return u, v, probe, np.array(energies), n_steps
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +161,21 @@ def test_uniform_density_potential_limit(flat_coeffs):
     assert np.all(err <= 60.0 * c.r0[sel] ** 2 + 1e-8)
 
 
+def test_chi_inversion_at_small_radius(star_r002):
+    # chi(R) from the spline rounds just below B here; the surface node
+    # must still land on R and every other node on its root
+    c = assemble_coefficients(star_r002, n_chi=1000)
+    chi_sp = CubicSpline(star_r002.r, star_r002.chi)
+    assert c.r0[-1] == star_r002.R
+    assert np.all(np.diff(c.r0) > 0.0)
+    assert np.max(np.abs(chi_sp(c.r0[:-1]) - c.chi[:-1])) <= 1e-12
+    assert np.max(np.abs(chi_sp(c.r0_half) - (c.chi[:-1] + 0.5 * c.dchi))) <= 1e-12
+
+
+def test_evolve_cli_at_small_radius(tmp_path):
+    assert main(["evolve", "--R", "0.02", "--T", "1", "--output-dir", str(tmp_path)]) == EXIT_OK
+
+
 def test_coefficient_grid_too_small(star_r005):
     with pytest.raises(DomainError):
         assemble_coefficients(star_r005, n_chi=8)
@@ -144,6 +204,52 @@ def test_semi_discrete_energy_identity(co):
         t4 = -co.flux_surface * co.alpha * u[-1] * v[-1]
         scale = abs(t1) + abs(t2) + abs(t3) + abs(t4)
         assert abs(t1 + t2 + t3 + t4) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("which", ["co", "flat_coeffs"])
+def test_bands_match_flux_form(which, request):
+    c = request.getfixturevalue(which)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        u = rng.standard_normal(c.n_chi)
+        ref = _flux_form_acceleration(c, u)
+        got = acceleration(c, u)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # the surface Robin row on its own scale
+        assert abs(got[-1] - ref[-1]) <= 1e-14 * abs(ref[-1])
+        assert got[0] == 0.0
+
+
+def test_stability_margin_matches_dense_spectrum(star_r005):
+    c = assemble_coefficients(star_r005, n_chi=41)
+    n = c.n_chi
+    # probe the flux-form operator column by column on the free nodes
+    A = np.column_stack([_flux_form_acceleration(c, e)[1:] for e in np.eye(n)[1:]])
+    W = c.mass[1:] * c.dchi
+    W[-1] *= 0.5  # the surface node owns half a cell
+    K = -W[:, None] * A
+    mu = eigh(0.5 * (K + K.T), np.diag(W), eigvals_only=True)
+    u0, v0 = gaussian_pulse(c)
+    res = evolve(c, u0, v0, T=0.01, cfl=0.4, samples=2)
+    assert res.provenance["max_dt2_mu"] == pytest.approx(res.dt**2 * mu[-1], rel=1e-10)
+    assert 0.0 < res.provenance["max_dt2_mu"] < 4.0
+
+
+def test_evolve_matches_reference_loop(star_r005, co):
+    u0, v0 = gaussian_pulse(co)
+    T = 10.0 * star_r005.R
+    res = evolve(co, u0, v0, T=T, cfl=0.4, samples=40)
+    u, v, probe, energies, n_steps = _reference_evolve(co, u0, v0, T, cfl=0.4, samples=40)
+    assert res.n_steps == n_steps
+    assert len(res.energies) == len(energies)
+
+    def rel(a, b):
+        return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+    assert rel(res.u, u) <= 1e-9
+    assert rel(res.v, v) <= 1e-9
+    assert rel(res.probe_values, probe) <= 1e-9
+    assert rel(res.energies, energies) <= 1e-9
 
 
 def test_energy_pieces_nonnegative(co):
