@@ -27,8 +27,10 @@ d2u/dt2 = A u is tridiagonal and constant in time, so
 from the flux-form coefficients (row 0, the pinned centre, is zero).  It is
 the only copy of the operator: ``acceleration`` applies it, and the inverse
 iteration of ``modes.mode_to_initial_data`` slices it.  A is self-adjoint in
-the energy weights mass * w, which makes max dt^2 mu over its spectrum -mu
-the exact stability margin of the stepper (stable below 4).
+the energy weights mass * w, so ``operator_eigenvalues`` reads any index
+range of its spectrum -mu in O(n_chi) memory: max dt^2 mu is the exact
+stability margin of the stepper (stable below 4), and the lowest mu seed the
+brackets of ``modes.find_modes``.
 
 ``evolve`` integrates with velocity Verlet, written in kick-drift (leapfrog)
 form on dt^2-scaled bands in preallocated buffers: it carries
@@ -57,11 +59,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .background import BackgroundProfile, _readonly
+from .background import FOUR_PI, BackgroundProfile, _readonly
 from .errors import CflViolationError, DomainError, InstabilityError
 from .numerics import cumulative_simpson_uniform, derivative_uniform
-
-FOUR_PI = 4.0 * math.pi
 
 
 # ------------------------------------------------------------- coefficients
@@ -290,18 +290,20 @@ def discrete_energy(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> f
     return kinetic + gradient + potential + surface
 
 
-def max_operator_eigenvalue(coeffs: WaveCoefficients) -> float:
-    """Largest mu in the spectrum -mu of A on the free nodes 1..n-1.
+def operator_eigenvalues(coeffs: WaveCoefficients, first: int, last: int) -> np.ndarray:
+    """Eigenvalues ``first``..``last`` (0-based, ascending) of the spectrum -mu
+    of A on the free nodes 1..n-1.
 
     A is self-adjoint in the energy weights W, so W^(1/2) A W^(-1/2) is a
     symmetric tridiagonal matrix with the diagonal of A and off-diagonal
-    sqrt(A[i, i+1] A[i+1, i]); one selected eigenvalue costs O(n_chi).
+    sqrt(A[i, i+1] A[i+1, i]); a selected index range costs O(n_chi) memory.
+    Index n_chi - 2 is the top of the spectrum, which sets the stability
+    margin of ``evolve``; the lowest indices seed ``modes.find_modes``.
     """
     ab = coeffs.bands
     diag = -ab[1, 1:]
     off = -np.sqrt(ab[0, 2:] * ab[2, 1:-1])
-    top = len(diag) - 1
-    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(top, top))[0])
+    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(first, last))
 
 
 def energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> dict[str, float]:
@@ -450,6 +452,7 @@ def evolve(
         if progress is not None:
             progress(step, n_steps)
 
+    top = coeffs.n_chi - 2  # index of the largest eigenvalue
     return EvolutionResult(
         dt=dt,
         n_steps=n_steps,
@@ -465,7 +468,7 @@ def evolve(
         provenance={
             "cfl": cfl,
             "samples": samples,
-            "max_dt2_mu": dt2 * max_operator_eigenvalue(coeffs),
+            "max_dt2_mu": dt2 * float(operator_eigenvalues(coeffs, top, top)[0]),
         },
     )
 

@@ -15,8 +15,14 @@ the admissible x = sqrt(lambda) R approach the roots of
 
     sin x (x^2 - 2) + 2 x cos x = 0            (x1 = 2.0815759778181...)
 
-``find_modes`` scans the shooting defect in x and refines each sign change;
-every sign change is an eigenvalue (the defect is analytic in lambda).
+``shooting_defect`` integrates the regular solution outward (RK45 on a
+right-hand side evaluated in plain floats from the background spline) and
+returns h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are
+exactly the eigenvalues.  ``find_modes`` brackets them from the discrete
+spectrum of the wave operator on the chi grid (``evolution``), whose j-th
+eigenvalue belongs to the j-th mode by Sturm ordering: the lowest
+eigenvalues on two grids, extrapolated in the grid spacing, centre one
+bracket per mode, and ``brentq`` on the shooting defect refines it.
 ``apply_H0``/``apply_H1`` split the radial operator into its flat Bessel part
 and the stellar correction, which shrinks like R^2.
 """
@@ -32,15 +38,26 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .background import BackgroundProfile, _readonly
+from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight
 from .errors import ConvergenceError, DomainError
-from .evolution import WaveCoefficients, potential_bracket
+from .evolution import (
+    WaveCoefficients,
+    assemble_coefficients,
+    operator_eigenvalues,
+    potential_bracket,
+)
 from .numerics import derivative_uniform, scan_sign_changes, second_derivative_uniform
-
-FOUR_PI = 4.0 * math.pi
 
 #: First admissible x = sqrt(lambda) R in the zero-size limit.
 X1_LIMIT = 2.0815759778181
+
+#: What ``shooting_defect`` returns when the integration fails.
+DEFECT_SENTINEL = 1e30
+
+#: Shells of the coarser of the two chi grids whose discrete spectra seed
+#: the brackets of ``find_modes`` (the finer grid has twice as many); past
+#: 24 modes the grids grow to keep ten shells per eigenvalue.
+SEED_N_CHI = 250
 
 
 def spherical_j1(x):
@@ -63,8 +80,8 @@ def spherical_j1(x):
 
 
 def dispersion_function(x, R: float = 0.0):
-    """Surface-condition defect of the small-star model: its zeros seed the
-    shooting windows.  At R = 0 it reduces to sin x (x^2-2) + 2x cos x
+    """Surface-condition defect of the small-star model, whose zeros give the
+    flat-operator eigenvalues.  At R = 0 it reduces to sin x (x^2-2) + 2x cos x
     (up to a factor x^2)."""
     x = np.asarray(x, dtype=float)
     return (2.0 - 8.0 * math.pi * R * R) * (-spherical_j1(x)) + np.sin(x)
@@ -87,38 +104,56 @@ def dispersion_roots(n_roots: int, R: float = 0.0) -> list[float]:
 
 
 class _RadialOperator:
-    """Coefficient evaluator alpha1, alpha2, U from background splines."""
+    """Coefficients alpha1, alpha2, U of the radial problem.
+
+    Both background fields come from one two-column spline of (rho, m/r^3) on
+    the uniform profile grid.  ``coefficients`` evaluates it on arrays;
+    ``coefficients_at`` evaluates one radius in plain floats by reading the
+    spline's cubic pieces at the interval int(r/dr) directly, which is what
+    the shooting right-hand side needs.  Both hand the fields to
+    ``potential_bracket``, whose lapse gradient q also supplies the
+    equilibrium slope (rho'/n^2 = -q).
+    """
 
     def __init__(self, profile: BackgroundProfile):
         profile.require_metric()
-        self.profile = profile
-        self._rho = CubicSpline(profile.r, profile.rho)
-        self._mor3 = CubicSpline(profile.r, profile.m_over_r3)
+        self._spline = CubicSpline(profile.r, np.column_stack([profile.rho, profile.m_over_r3]))
+        # one row per interval: left knot, then the cubic pieces of rho and
+        # m/r^3, highest power first
+        pieces = self._spline.c.transpose(1, 2, 0).reshape(-1, 8)
+        self._pieces = np.column_stack([profile.r[:-1], pieces])
+        self._inv_dr = 1.0 / profile.dr
+        self._last = len(pieces) - 1
         R = profile.R
-        M = profile.M_total
-        n_R = math.sqrt(2.0 * profile.rho[-1] - 1.0)
-        root = math.sqrt(1.0 - 2.0 * M / R)
-        w_R = FOUR_PI * R * R * n_R / root
-        q_R = float((profile.m_over_r3[-1] * R + FOUR_PI * R * (profile.rho[-1] - 1.0))
-                    / (1.0 - 2.0 * M / R))
-        self.kappa = w_R * (q_R - 2.0 / R)
+        _, q_R = potential_bracket(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))
+        self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
 
     def coefficients(self, r):
-        rho = self._rho(r)
-        mor3 = self._mor3(r)
-        n2 = 2.0 * rho - 1.0
-        D = 1.0 - 2.0 * mor3 * r * r
-        bracket, _ = potential_bracket(np.asarray(r, dtype=float), rho, mor3)
-        U = -bracket / n2
-        alpha2 = D / n2
-        rho_eq_slope = -n2 * (FOUR_PI * r * (rho - 1.0) + mor3 * r) / D
-        alpha1 = alpha2 * (2.0 / r + rho_eq_slope / n2 + (FOUR_PI * r * rho - mor3 * r) / D)
-        return alpha1, alpha2, U
+        r = np.asarray(r, dtype=float)
+        fields = self._spline(r)
+        return _radial_coefficients(r, fields[..., 0], fields[..., 1])
+
+    def coefficients_at(self, r: float) -> tuple[float, float, float]:
+        i = min(int(r * self._inv_dr), self._last)
+        x0, a3, a2, a1, a0, b3, b2, b1, b0 = self._pieces[i].tolist()
+        t = r - x0
+        rho = ((a3 * t + a2) * t + a1) * t + a0
+        mor3 = ((b3 * t + b2) * t + b1) * t + b0
+        return _radial_coefficients(r, rho, mor3)
 
     def rhs(self, r, y, lam):
-        h, hp = y
-        alpha1, alpha2, U = self.coefficients(r)
+        h, hp = y.tolist()
+        alpha1, alpha2, U = self.coefficients_at(float(r))
         return [hp, (-alpha1 * hp + (U - lam) * h) / alpha2]
+
+
+def _radial_coefficients(r, rho, mor3):
+    bracket, q = potential_bracket(r, rho, mor3)
+    n2 = 2.0 * rho - 1.0
+    D = 1.0 - 2.0 * mor3 * r * r
+    alpha2 = D / n2
+    alpha1 = alpha2 * (2.0 / r - q + (FOUR_PI * r * rho - mor3 * r) / D)
+    return alpha1, alpha2, -bracket / n2
 
 
 def _series_start(lam: float, r_s: float) -> tuple[float, float]:
@@ -128,26 +163,60 @@ def _series_start(lam: float, r_s: float) -> tuple[float, float]:
     return h, hp
 
 
+class _Severable:
+    """Forwarder to ``fn`` that is cut when its ``with`` block ends.
+
+    ``solve_ivp`` and ``brentq`` keep the callable they are given in objects
+    that refer to themselves (scipy's solver object stores a closure over
+    itself; brentq's NaN guard is a closure over itself), so it lingers in
+    cyclic garbage until a full collection.  Handing them a forwarder that
+    is cut afterwards keeps that garbage from holding the operator's tables
+    and the background profile meanwhile.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fn = None
+
+
+def _integrate(profile: BackgroundProfile, op: _RadialOperator, lam: float, **options):
+    """RK45 ``solve_ivp`` of the regular solution at ``lam`` from the series
+    start at 1e-4 R out to R."""
+    R = profile.R
+    r_s = 1e-4 * R
+    with _Severable(op.rhs) as rhs:
+        return solve_ivp(rhs, (r_s, R), _series_start(lam, r_s), args=(lam,), method="RK45",
+                         rtol=1e-10, atol=1e-10 * R, **options)
+
+
 def shooting_defect(profile: BackgroundProfile, lam: float,
                     operator: _RadialOperator | None = None) -> float:
     """h'(R) - kappa h(R) for the regular solution at trial eigenvalue lam.
 
     Analytic in lam, so its sign changes are exactly the eigenvalues.
-    Returns a clipped sentinel if the integration fails.
+    Returns ``DEFECT_SENTINEL`` if the integration fails and clips to
+    +-``DEFECT_SENTINEL`` otherwise, so a caller must treat a value of that
+    magnitude as no value at all.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    R = profile.R
-    r_s = 1e-4 * R
-    y0 = _series_start(lam, r_s)
     try:
-        sol = solve_ivp(op.rhs, (r_s, R), y0, args=(lam,), method="RK45",
-                        rtol=1e-10, atol=1e-10 * R, dense_output=False)
+        sol = _integrate(profile, op, lam, dense_output=False)
         if not sol.success:
-            return 1e30
+            return DEFECT_SENTINEL
         h, hp = sol.y[0][-1], sol.y[1][-1]
-        return float(np.clip(hp - op.kappa * h, -1e30, 1e30))
-    except (ValueError, FloatingPointError):
-        return 1e30
+        return float(np.clip(hp - op.kappa * h, -DEFECT_SENTINEL, DEFECT_SENTINEL))
+    except (ValueError, FloatingPointError, ZeroDivisionError):
+        return DEFECT_SENTINEL
 
 
 @dataclass(frozen=True)
@@ -158,6 +227,8 @@ class Mode:
     x: float                  # sqrt(lambda) R
     h: np.ndarray             # eigenfunction on profile.r
     defect: float             # shooting defect at the converged eigenvalue
+    # True when the first bracket of find_modes held no sign change of the
+    # defect and had to be widened
     rescanned: bool = False
 
     @property
@@ -177,12 +248,7 @@ def eigenfunction(profile: BackgroundProfile, lam: float,
     dividing by a removes the O(r^2) bias a single-node ratio would keep.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    R = profile.R
-    r_s = 1e-4 * R
-    y0 = _series_start(lam, r_s)
-    r_eval = profile.r[1:]
-    sol = solve_ivp(op.rhs, (r_s, R), y0, args=(lam,), method="RK45",
-                    rtol=1e-10, atol=1e-10 * R, t_eval=r_eval)
+    sol = _integrate(profile, op, lam, t_eval=profile.r[1:])
     if not sol.success:
         raise ConvergenceError(f"eigenfunction integration failed at lam={lam}")
     h = np.empty(profile.grid_n)
@@ -194,59 +260,87 @@ def eigenfunction(profile: BackgroundProfile, lam: float,
     return _readonly(h / coef[0])
 
 
-def find_modes(profile: BackgroundProfile, n_modes: int = 3,
-               scan_step: float = 0.02, window: float = 0.45) -> list[Mode]:
-    """Locate the lowest ``n_modes`` eigenvalues by scanning the defect in x.
+def _discrete_x(profile: BackgroundProfile, count: int) -> tuple[list[float], list[float]]:
+    """x = sqrt(mu) R of the lowest ``count`` eigenvalues of the discrete wave
+    operator, Richardson-extrapolated from two chi grids, and the shift
+    |x_2n - x_n| between the grids.
 
-    Each dispersion root seeds a window of half-width ``window`` in
-    x = sqrt(lambda) R; the defect is sign-scanned there and the crossing
-    closest to the seed is refined.  If a window comes up empty, or the
-    resulting roots are spaced anomalously (off the organ-pipe spacing pi by
-    more than half), the whole range is rescanned at quarter step.
+    The discrete error is first order in dchi (the shell coordinate
+    degenerates at the centre), so the extrapolation uses the exact dchi
+    ratio of the two grids.
+    """
+    n = max(SEED_N_CHI, 10 * count)
+    xs, dchis = [], []
+    for n_chi in (n, 2 * n):
+        coeffs = assemble_coefficients(profile, n_chi=n_chi)
+        xs.append(np.sqrt(operator_eigenvalues(coeffs, 0, count - 1)) * profile.R)
+        dchis.append(coeffs.dchi)
+    shift = xs[1] - xs[0]
+    return (xs[1] + shift / (dchis[0] / dchis[1] - 1.0)).tolist(), np.abs(shift).tolist()
+
+
+def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
+    """Locate the lowest ``n_modes`` eigenvalues: bracket each from the
+    discrete spectrum, then refine it by shooting.
+
+    The wave operator on the chi grid is a Sturm-Liouville discretisation of
+    the same problem, so its j-th eigenvalue belongs to the j-th mode.  Its
+    lowest eigenvalues on two grids (``SEED_N_CHI`` shells and twice that),
+    extrapolated in dchi, give an estimate x_j and an error scale
+    d_j = |x_2n - x_n|.  Mode j is bracketed at x_j +- 4 d_j; while the
+    shooting defect does not change sign between two real end values (below
+    ``DEFECT_SENTINEL`` in magnitude), the half-width doubles
+    (``Mode.rescanned`` records that it did).  A bracket that reaches a
+    neighbouring estimate x_(j-1) or x_(j+1) (or 0) raises
+    ``ConvergenceError``.  ``brentq`` then refines the sign change.
     """
     op = _RadialOperator(profile)
     R = profile.R
-    seeds = dispersion_roots(n_modes, R)
+    x_est, shift = _discrete_x(profile, n_modes + 1)
 
     def defect_at_x(x: float) -> float:
         return shooting_defect(profile, (x / R) ** 2, op)
 
-    def refine(lo, hi):
-        return brentq(defect_at_x, lo, hi, xtol=1e-12, rtol=8.9e-16)
-
-    def collect(lo, hi, step):
-        grid = np.arange(lo, hi, step)
-        return scan_sign_changes(defect_at_x, grid)
-
-    roots_x: list[float] = []
-    rescanned = False
-    for seed in seeds:
-        cands = [refine(lo, hi) for lo, hi in collect(seed - window, seed + window, scan_step)]
-        cands = [c for c in cands if all(abs(c - r) > 1e-8 for r in roots_x)]
-        if cands:
-            roots_x.append(min(cands, key=lambda c: abs(c - seed)))
-    spacings = np.diff(roots_x)
-    if len(roots_x) < n_modes or (len(spacings) and np.any(np.abs(spacings - math.pi) > 0.5 * math.pi)):
-        rescanned = True
-        x_lo = 0.5 * seeds[0]
-        x_hi = seeds[-1] + 0.6 * math.pi
-        brackets = collect(x_lo, x_hi, scan_step / 4.0)
-        roots_x = [refine(lo, hi) for lo, hi in brackets]
-    if len(roots_x) < n_modes:
-        raise ConvergenceError(f"found only {len(roots_x)} modes of {n_modes}")
     modes = []
-    for x in roots_x[:n_modes]:
-        lam = (x / R) ** 2
-        modes.append(
-            Mode(
-                eigenvalue=lam,
-                x=x,
-                h=eigenfunction(profile, lam, op),
-                defect=shooting_defect(profile, lam, op),
-                rescanned=rescanned,
+    with _Severable(defect_at_x) as defect:
+        for j in range(n_modes):
+            lo, hi, widened = _sign_bracket(defect, j, x_est, shift[j])
+            x = brentq(defect, lo, hi, xtol=1e-12, rtol=8.9e-16)
+            lam = (x / R) ** 2
+            modes.append(
+                Mode(
+                    eigenvalue=lam,
+                    x=x,
+                    h=eigenfunction(profile, lam, op),
+                    defect=shooting_defect(profile, lam, op),
+                    rescanned=widened,
+                )
             )
-        )
     return modes
+
+
+def _sign_bracket(defect, j: int, x_est: list[float], shift: float) -> tuple[float, float, bool]:
+    """Bracket [lo, hi] of mode j about x_est[j] with real defect values of
+    opposite sign, starting at half-width 4 * shift and doubling; the flag
+    says whether it had to widen."""
+    floor = x_est[j - 1] if j else 0.0
+    ceiling = x_est[j + 1]
+    half = 4.0 * shift
+    widened = False
+    while True:
+        lo, hi = x_est[j] - half, x_est[j] + half
+        if lo <= floor or hi >= ceiling:
+            raise ConvergenceError(
+                f"mode {j + 1}: no sign change of the shooting defect between real "
+                f"values in x = {x_est[j]:.6g} +- {half:.3g} short of the "
+                f"neighbouring discrete eigenvalues"
+            )
+        f_lo, f_hi = defect(lo), defect(hi)
+        real = abs(f_lo) < DEFECT_SENTINEL and abs(f_hi) < DEFECT_SENTINEL
+        if real and (f_lo < 0.0) != (f_hi < 0.0):
+            return lo, hi, widened
+        half *= 2.0
+        widened = True
 
 
 # ------------------------------------------------------- operator splitting

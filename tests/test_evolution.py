@@ -28,6 +28,7 @@ from hardstars.evolution import (
     energy_norms,
     evolve,
     gaussian_pulse,
+    operator_eigenvalues,
     reconstruct,
     residual_norm,
 )
@@ -233,6 +234,8 @@ def test_stability_margin_matches_dense_spectrum(star_r005):
     res = evolve(c, u0, v0, T=0.01, cfl=0.4, samples=2)
     assert res.provenance["max_dt2_mu"] == pytest.approx(res.dt**2 * mu[-1], rel=1e-10)
     assert 0.0 < res.provenance["max_dt2_mu"] < 4.0
+    # the bottom of the same spectrum, which seeds the mode brackets
+    assert operator_eigenvalues(c, 0, 2) == pytest.approx(mu[:3], rel=1e-10)
 
 
 def test_evolve_matches_reference_loop(star_r005, co):

@@ -4,15 +4,19 @@ operator splitting that connects them."""
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from hardstars.errors import DomainError
+from hardstars import StarParameters, build_star, modes
+from hardstars.errors import ConvergenceError, DomainError
 from hardstars.evolution import assemble_coefficients, evolve
 from hardstars.modes import (
     X1_LIMIT,
+    _RadialOperator,
     apply_H,
     apply_H0,
     apply_H1,
@@ -24,6 +28,7 @@ from hardstars.modes import (
     shooting_defect,
     spherical_j1,
 )
+from hardstars.numerics import scan_sign_changes
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -36,6 +41,47 @@ FLAT_ROOTS = (
 @pytest.fixture(scope="module")
 def modes_r005(star_r005):
     return find_modes(star_r005, n_modes=3)
+
+
+def _window_scan_x(profile, n_modes, scan_step=0.02, window=0.45):
+    """Reference mode locator by dispersion-window scans, independent of the
+    discrete spectrum that seeds ``find_modes``.
+
+    Each small-star dispersion root seeds a window of half-width ``window``
+    in x; the shooting defect is sign-scanned there and the crossing closest
+    to the seed is refined.  An empty window, or spacings off the organ-pipe
+    spacing pi by more than half, triggers a quarter-step rescan.
+    """
+    op = _RadialOperator(profile)
+    R = profile.R
+    seeds = dispersion_roots(n_modes, R)
+
+    def defect_at_x(x):
+        return shooting_defect(profile, (x / R) ** 2, op)
+
+    def refine(lo, hi):
+        return brentq(defect_at_x, lo, hi, xtol=1e-12, rtol=8.9e-16)
+
+    def collect(lo, hi, step):
+        return scan_sign_changes(defect_at_x, np.arange(lo, hi, step))
+
+    roots_x = []
+    for seed in seeds:
+        cands = [refine(lo, hi) for lo, hi in collect(seed - window, seed + window, scan_step)]
+        cands = [c for c in cands if all(abs(c - r) > 1e-8 for r in roots_x)]
+        if cands:
+            roots_x.append(min(cands, key=lambda c: abs(c - seed)))
+    spacings = np.diff(roots_x)
+    if len(roots_x) < n_modes or np.any(np.abs(spacings - math.pi) > 0.5 * math.pi):
+        brackets = collect(0.5 * seeds[0], seeds[-1] + 0.6 * math.pi, scan_step / 4.0)
+        roots_x = [refine(lo, hi) for lo, hi in brackets]
+    assert len(roots_x) >= n_modes
+    return roots_x[:n_modes]
+
+
+@pytest.fixture(scope="module")
+def star_r019_shooting():
+    return build_star(StarParameters(R=0.19, grid_n=2001), solver="shooting")
 
 
 # ----------------------------------------------------------- special function
@@ -162,6 +208,66 @@ def test_defect_sign_change_brackets_mode(star_r005, modes_r005):
     lo = shooting_defect(star_r005, 0.98 * lam)
     hi = shooting_defect(star_r005, 1.02 * lam)
     assert lo * hi < 0.0
+
+
+def test_find_modes_matches_window_scan(star_r005, modes_r005):
+    want = _window_scan_x(star_r005, 3)
+    for m, w in zip(modes_r005, want):
+        assert m.x == pytest.approx(w, abs=1e-10)
+
+
+def test_float_path_coefficients_match_array_path(star_r005):
+    op = _RadialOperator(star_r005)
+    R = star_r005.R
+    rng = np.random.default_rng(29)
+    radii = np.concatenate([
+        R * np.exp(rng.uniform(math.log(1e-4), 0.0, 50)),  # dense near the centre
+        rng.uniform(1e-4 * R, R, 48),
+        [star_r005.r[1000], R],                             # a knot and the surface
+    ])
+    ref = np.array(op.coefficients(radii))
+    got = np.array([op.coefficients_at(float(r)) for r in radii]).T
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_find_modes_rejects_sentinel_bracket(star_r005, monkeypatch):
+    # integration "fails" above x = 5.6, between modes 1 and 2, where the
+    # defect just below is negative: the jump from there to the +sentinel is
+    # not a sign change, so mode 2 has no bracket
+    R = star_r005.R
+    lam_fail = (5.6 / R) ** 2
+    assert shooting_defect(star_r005, 0.999 * lam_fail) < 0.0
+    real = modes.solve_ivp
+
+    def failing(fun, t_span, y0, args=(), **kwargs):
+        if args[0] > lam_fail:
+            return SimpleNamespace(success=False)
+        return real(fun, t_span, y0, args=args, **kwargs)
+
+    monkeypatch.setattr(modes, "solve_ivp", failing)
+    with pytest.raises(ConvergenceError):
+        find_modes(star_r005, n_modes=2)
+
+
+def test_find_modes_widens_a_missed_bracket(star_r005, modes_r005, monkeypatch):
+    # an estimate 0.05 off with a tiny grid shift: the first bracket holds
+    # no sign change, and doubling its half-width must still reach the root
+    monkeypatch.setattr(modes, "_discrete_x", lambda profile, count: ([2.15, 5.95], [1e-4, 1e-4]))
+    got = find_modes(star_r005, n_modes=1)[0]
+    assert got.rescanned
+    assert got.x == pytest.approx(modes_r005[0].x, abs=1e-10)
+
+
+def test_shooting_star_modes_pinned(star_r019_shooting):
+    # R=0.19 lies beyond the picard regime; values from the window scan
+    got = find_modes(star_r019_shooting, n_modes=3)
+    want = (2.1023465029875608, 5.213018177293235, 8.041635421167658)
+    for j, (m, w) in enumerate(zip(got, want)):
+        assert m.x == pytest.approx(w, abs=1e-9)
+        assert abs(m.defect) <= 1e-10
+        # Sturm ordering: mode j has j - 1 interior nodes
+        h = m.h[1:]
+        assert int(np.sum(h[:-1] * h[1:] < 0.0)) == j
 
 
 def test_defect_extreme_argument_is_finite(star_r005):
