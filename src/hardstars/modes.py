@@ -210,7 +210,7 @@ def shooting_defect(profile: BackgroundProfile, lam: float,
     """
     op = operator if operator is not None else _RadialOperator(profile)
     try:
-        sol = _integrate(profile, op, lam, dense_output=False)
+        sol = _integrate(profile, op, lam)
         if not sol.success:
             return DEFECT_SENTINEL
         h, hp = sol.y[0][-1], sol.y[1][-1]
