@@ -23,6 +23,10 @@ profile with the metric and mass-coordinate data used downstream: the
 particle coordinate chi, the lapse-related potentials psi and omega, and the
 Jacobian dr/dchi.  Ratios such as m/r^3 that are 0/0 at the centre are stored
 with their analytic limits so no consumer ever divides by zero.
+
+``metric_terms(r, rho, m/r^3)`` is the only place that forms the pointwise
+quantities every layer builds on: n^2 = 2 rho - 1, D = 1 - 2m/r and the lapse
+gradient q; the equilibrium slope is -n^2 q and dchi/dr = 4 pi r^2 n/sqrt(D).
 """
 
 from __future__ import annotations
@@ -317,6 +321,24 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     return _pack_profile(params, r, m, rho, m_over_r3, provenance)
 
 
+def metric_terms(r, rho, m_over_r3):
+    """n^2 = 2 rho - 1, D = 1 - 2m/r and the lapse gradient
+    q = dpsi/dr = (m/r^2 + 4 pi r (rho - 1))/D at r; plain arithmetic, so it
+    takes the floats of the shooting right-hand side as well as arrays."""
+    n2 = 2.0 * rho - 1.0
+    D = 1.0 - 2.0 * m_over_r3 * r * r
+    q = (m_over_r3 * r + FOUR_PI * r * (rho - 1.0)) / D
+    return n2, D, q
+
+
+def _chi_jacobians(r, n2, D):
+    """dchi/dr = 4 pi r^2 n/sqrt(D), 0 at the centre, and dr/dchi, +inf there."""
+    w = FOUR_PI * r * r * np.sqrt(n2) / np.sqrt(D)
+    drdchi = np.where(w > 0.0, 1.0 / np.maximum(w, 1e-300), np.inf)
+    drdchi[0] = np.inf
+    return w, drdchi
+
+
 def derive_metric_fields(profile: BackgroundProfile) -> BackgroundProfile:
     """Complete a solved profile with metric and particle-coordinate data.
 
@@ -327,24 +349,20 @@ def derive_metric_fields(profile: BackgroundProfile) -> BackgroundProfile:
     """
     r, m, rho = profile.r, profile.m, profile.rho
     dr = profile.dr
-    two_m_over_r = 2.0 * profile.m_over_r3 * r * r
-    if np.any(two_m_over_r >= 1.0):
+    n2, D, q = metric_terms(r, rho, profile.m_over_r3)
+    if np.any(D <= 0.0):
         raise DomainError("profile contains a trapped shell (2m/r >= 1)")
     if np.any(rho < 1.0 - 1e-9):
         raise DomainError("profile density below the stiff floor")
 
-    n = np.sqrt(2.0 * rho - 1.0)
+    n = np.sqrt(n2)
     psi = -np.log(n)
-    root = np.sqrt(1.0 - two_m_over_r)
-    w = FOUR_PI * r * r * n / root  # dchi/dr, vanishes at the centre
+    w, drdchi = _chi_jacobians(r, n2, D)
     chi = cumulative_simpson_uniform(w, dr)
     with np.errstate(divide="ignore"):
-        drdchi = np.where(w > 0.0, 1.0 / np.maximum(w, 1e-300), np.inf)
-        drdchi[0] = np.inf
         omega = -np.log(FOUR_PI * r * r * n)
         omega[0] = np.inf
-    # hydrostatic potential gradient dpsi/dr, regular (vanishing) at r = 0
-    q = (profile.m_over_r3 * r + FOUR_PI * r * (rho - 1.0)) / (1.0 - two_m_over_r)
+    # hydrostatic potential gradient dpsi/dr times dr/dchi
     dpsidchi = q * np.where(np.isfinite(drdchi), drdchi, 0.0)
     dpsidchi[0] = np.inf
 
@@ -363,17 +381,13 @@ def derive_metric_fields(profile: BackgroundProfile) -> BackgroundProfile:
 
 def psi_radial_gradient(profile: BackgroundProfile) -> np.ndarray:
     """dpsi/dr on the grid: (m/r^2 + 4 pi r (rho-1)) / (1 - 2m/r); 0 at the centre."""
-    r = profile.r
-    two_m_over_r = 2.0 * profile.m_over_r3 * r * r
-    return (profile.m_over_r3 * r + FOUR_PI * r * (profile.rho - 1.0)) / (1.0 - two_m_over_r)
+    return metric_terms(profile.r, profile.rho, profile.m_over_r3)[2]
 
 
 def chi_weight(profile: BackgroundProfile) -> np.ndarray:
     """dchi/dr on the grid (vanishes at the centre)."""
-    r = profile.r
-    two_m_over_r = 2.0 * profile.m_over_r3 * r * r
-    n = np.sqrt(2.0 * profile.rho - 1.0)
-    return FOUR_PI * r * r * n / np.sqrt(1.0 - two_m_over_r)
+    n2, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)
+    return _chi_jacobians(profile.r, n2, D)[0]
 
 
 _SOLVERS = {"picard": solve_tov_picard, "shooting": solve_tov_shooting}

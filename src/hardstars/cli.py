@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import __version__, calibration
 from .background import (
+    FOUR_PI,
     BackgroundProfile,
     StarParameters,
     approximate_profile,
@@ -57,7 +57,7 @@ from .modes import (
     spherical_j1,
 )
 from .plotting import render_svg
-from .storage import write_profile
+from .storage import digest, read_profile_csv, read_table, write_document, write_profile, write_table
 from .variation import (
     DEFAULT_AUDIT_SEED,
     audit_perturbations,
@@ -71,8 +71,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
-
-FOUR_PI = 4.0 * math.pi
 
 _COMMANDS = ("build", "family", "variation-audit", "evolve", "modes", "verify")
 
@@ -132,8 +130,7 @@ class RunConfig:
         """Digest of everything that shapes the numbers; where they land is excluded."""
         doc = dataclasses.asdict(self)
         doc.pop("output_dir")
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return digest(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
     def star_parameters(self) -> StarParameters:
         return StarParameters(
@@ -175,36 +172,16 @@ def _load_config_file(path: str) -> dict:
 # ----------------------------------------------------------------- emission
 
 
-def _fmt(x: float) -> str:
-    if x == np.inf:
-        return "inf"
-    if x == -np.inf:
-        return "-inf"
-    return format(float(x), ".17g")
+def _header(config: RunConfig, kind: str) -> dict:
+    return {"config": config.hash, "format": f"hardstars-{kind}", "version": __version__}
 
 
 def _emit_csv(path: Path, columns: tuple[str, ...], rows, config: RunConfig, kind: str) -> Path:
-    header = {
-        "config": config.hash,
-        "format": f"hardstars-{kind}",
-        "version": __version__,
-    }
-    lines = ["# " + json.dumps(header, sort_keys=True), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_table(path, _header(config, kind), columns, rows)
 
 
 def _emit_json(path: Path, payload: dict, config: RunConfig, kind: str) -> Path:
-    doc = {
-        "config": config.hash,
-        "format": f"hardstars-{kind}",
-        "version": __version__,
-        **payload,
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_document(path, {**_header(config, kind), **payload})
 
 
 def _resolve_output_dir(config: RunConfig) -> Path:
@@ -279,9 +256,10 @@ def _cmd_family(config: RunConfig, out: Path) -> int:
 def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
     opts = config.options
     if "profile" in opts:
-        from .storage import read_profile_csv
-
-        star = read_profile_csv(opts["profile"])
+        try:
+            star = read_profile_csv(opts["profile"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot use profile {opts['profile']}: {exc}") from exc
     else:
         star = build_star(config.star_parameters(), solver=config.solver)
     count = int(opts.get("count", 50))
@@ -334,27 +312,23 @@ def _initial_data(config: RunConfig, star: BackgroundProfile, coeffs):
     if preset == "gaussian":
         return gaussian_pulse(coeffs)
     if preset.startswith("mode:"):
-        index = int(preset.split(":", 1)[1])
+        try:
+            index = int(preset.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"mode preset needs an integer index, got {preset!r}") from None
         if index < 1:
             raise ConfigError("mode preset index counts from 1")
         modes = find_modes(star, n_modes=index)
         return mode_to_initial_data(coeffs, modes[index - 1])
     if preset.startswith("file:"):
-        path = Path(preset.split(":", 1)[1])
+        path = preset.split(":", 1)[1]
         try:
-            lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
-        except OSError as exc:
+            names, table = read_table(path)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read initial data {path}: {exc}") from exc
-        if not lines:
-            raise ConfigError(f"initial data {path} is empty")
-        names = lines[0].split(",")
         if not {"chi", "u", "v"} <= set(names):
             raise ConfigError(f"initial data {path} needs chi,u,v columns")
-        try:
-            table = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric row in {path}: {exc}") from exc
-        cols = {name: table[:, k] for k, name in enumerate(names)}
+        cols = dict(zip(names, table.T))
         u0 = np.interp(coeffs.chi, cols["chi"], cols["u"])
         v0 = np.interp(coeffs.chi, cols["chi"], cols["v"])
         u0[0] = 0.0

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .background import FOUR_PI, BackgroundProfile, _readonly
+from .background import FOUR_PI, BackgroundProfile, _chi_jacobians, _readonly, metric_terms
 from .errors import CflViolationError, DomainError, InstabilityError
 from .numerics import cumulative_simpson_uniform, derivative_uniform
 
@@ -145,7 +145,9 @@ def _invert_chi(chi_spline: CubicSpline, targets: np.ndarray, R: float) -> np.nd
         hi = np.where(below, hi, r)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = r - f / chi_prime(r)
-        ok = (newton > lo) & (newton < hi)
+        # closed bracket: a converged Newton step rounds onto r itself,
+        # which may be a bracket end
+        ok = (newton >= lo) & (newton <= hi)
         r_next = np.where(f == 0.0, r, np.where(ok, newton, 0.5 * (lo + hi)))
         done = np.all(np.abs(r_next - r) <= 4.0 * np.finfo(float).eps * r)
         r = r_next
@@ -155,27 +157,17 @@ def _invert_chi(chi_spline: CubicSpline, targets: np.ndarray, R: float) -> np.nd
     return out
 
 
-def _fields_at(r0, rho_sp, mor3_sp, F_sp):
-    rho = rho_sp(r0)
-    mor3 = mor3_sp(r0)
-    F = F_sp(r0)
-    n2 = 2.0 * rho - 1.0
-    D = 1.0 - 2.0 * mor3 * r0 * r0
-    return rho, mor3, F, n2, D
-
-
 def potential_bracket(r0, rho, mor3):
-    """Zeroth-order stability bracket and lapse gradient q at radius r0.
+    """Zeroth-order stability bracket at radius r0, with the ``metric_terms``
+    (n^2, D, q) it is built from.
 
     The bracket is the potential stripped of its e^F weight:
     2 q^2 D + 2 m/r^3 + 4 pi r n^2 (2/r - q) - D (2/r^2 + q') with
     D = 1 - 2m/r.  It diverges like -2/r^2 at the centre.
     """
-    n2 = 2.0 * rho - 1.0
-    D = 1.0 - 2.0 * mor3 * r0 * r0
+    n2, D, q = metric_terms(r0, rho, mor3)
     N = mor3 * r0 + FOUR_PI * r0 * (rho - 1.0)
-    q = N / D
-    rho_eq_slope = -n2 * N / D
+    rho_eq_slope = -n2 * q
     N_prime = FOUR_PI * rho - 2.0 * mor3 + FOUR_PI * (rho - 1.0) + FOUR_PI * r0 * rho_eq_slope
     D_prime = -8.0 * math.pi * r0 * rho + 2.0 * mor3 * r0
     q_prime = (N_prime * D - N * D_prime) / (D * D)
@@ -188,7 +180,7 @@ def potential_bracket(r0, rho, mor3):
             - 2.0 * D / (r0 * r0)
             - D * q_prime
         )
-    return bracket, q
+    return bracket, n2, D, q
 
 
 def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> WaveCoefficients:
@@ -196,8 +188,8 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
 
     The radius of each shell is found by inverting the background chi(r)
     map (root-finding in r, where everything is smooth); the coefficient
-    formulas are then evaluated pointwise from splines of the regular
-    background fields.
+    formulas are then evaluated pointwise from one spline of the regular
+    background fields (rho, m/r^3, F).
     """
     profile.require_metric()
     if n_chi < 16:
@@ -208,35 +200,30 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     dchi = B / (n - 1)
     chi = np.linspace(0.0, B, n)
 
-    chi_sp = CubicSpline(profile.r, profile.chi)
-    rho_sp = CubicSpline(profile.r, profile.rho)
-    mor3_sp = CubicSpline(profile.r, profile.m_over_r3)
-
     # regular radial integral entering the mass and flux weights
-    r_bg = profile.r
-    denom_bg = 1.0 - 2.0 * profile.m_over_r3 * r_bg * r_bg
-    f_bg = r_bg * (8.0 * math.pi * profile.rho - 2.0 * profile.m_over_r3) / denom_bg
-    F_bg = cumulative_simpson_uniform(f_bg, profile.dr)
-    F_sp = CubicSpline(r_bg, F_bg)
+    r_bg, rho_bg, mor3_bg = profile.r, profile.rho, profile.m_over_r3
+    D_bg = metric_terms(r_bg, rho_bg, mor3_bg)[1]
+    F_bg = cumulative_simpson_uniform(r_bg * (8.0 * math.pi * rho_bg - 2.0 * mor3_bg) / D_bg,
+                                      profile.dr)
+    chi_sp = CubicSpline(r_bg, profile.chi)
+    fields_sp = CubicSpline(r_bg, np.column_stack([rho_bg, mor3_bg, F_bg]))
 
     r0 = _invert_chi(chi_sp, chi, R)
     r0[-1] = R
     r0_half = _invert_chi(chi_sp, chi[:-1] + 0.5 * dchi, R)
 
-    rho0, mor3, F, n2, D = _fields_at(r0, rho_sp, mor3_sp, F_sp)
+    rho0, mor3, F = fields_sp(r0).T
+    bracket, n2, D, q = potential_bracket(r0, rho0, mor3)
     if np.any(D <= 0.0) or np.any(n2 <= 0.0):
         raise DomainError("coefficient assembly left the regular domain")
-    bracket, q = potential_bracket(r0, rho0, mor3)
-    V = np.exp(F) * bracket
-    V[0] = 0.0
     eF = np.exp(F)
+    V = eF * bracket
+    V[0] = 0.0
     mass = eF * n2
-    with np.errstate(divide="ignore"):
-        w = FOUR_PI * r0 * r0 * np.sqrt(n2) / np.sqrt(D)
-        drdchi = np.where(w > 0.0, 1.0 / np.maximum(w, 1e-300), np.inf)
-        drdchi[0] = np.inf
+    w, drdchi = _chi_jacobians(r0, n2, D)
 
-    rho_h, mor3_h, F_h, n2_h, D_h = _fields_at(r0_half, rho_sp, mor3_sp, F_sp)
+    rho_h, mor3_h, F_h = fields_sp(r0_half).T
+    n2_h = metric_terms(r0_half, rho_h, mor3_h)[0]
     flux_half = 16.0 * math.pi**2 * r0_half**4 * n2_h * np.exp(F_h)
     flux_surface = float(16.0 * math.pi**2 * R**4 * n2[-1] * eF[-1])
     alpha = float(q[-1] - 2.0 / R)

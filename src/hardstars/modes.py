@@ -38,7 +38,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight
+from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
 from .errors import ConvergenceError, DomainError
 from .evolution import (
     WaveCoefficients,
@@ -111,8 +111,8 @@ class _RadialOperator:
     ``coefficients_at`` evaluates one radius in plain floats by reading the
     spline's cubic pieces at the interval int(r/dr) directly, which is what
     the shooting right-hand side needs.  Both hand the fields to
-    ``potential_bracket``, whose lapse gradient q also supplies the
-    equilibrium slope (rho'/n^2 = -q).
+    ``potential_bracket``, which also returns the ``metric_terms``
+    (n^2, D, q); q supplies the equilibrium slope (rho'/n^2 = -q).
     """
 
     def __init__(self, profile: BackgroundProfile):
@@ -125,7 +125,7 @@ class _RadialOperator:
         self._inv_dr = 1.0 / profile.dr
         self._last = len(pieces) - 1
         R = profile.R
-        _, q_R = potential_bracket(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))
+        q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))[2]
         self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
 
     def coefficients(self, r):
@@ -148,9 +148,7 @@ class _RadialOperator:
 
 
 def _radial_coefficients(r, rho, mor3):
-    bracket, q = potential_bracket(r, rho, mor3)
-    n2 = 2.0 * rho - 1.0
-    D = 1.0 - 2.0 * mor3 * r * r
+    bracket, n2, D, q = potential_bracket(r, rho, mor3)
     alpha2 = D / n2
     alpha1 = alpha2 * (2.0 / r - q + (FOUR_PI * r * rho - mor3 * r) / D)
     return alpha1, alpha2, -bracket / n2

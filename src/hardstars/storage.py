@@ -1,37 +1,83 @@
-"""Deterministic on-disk formats for solved stars.
+"""Every CSV table and JSON document: write, read, digest.
 
-A profile is written as a CSV table plus a JSON sidecar.  The CSV carries one
-'#'-prefixed provenance line (a JSON object) before the column header, then
-the grid columns at 17 significant digits, so a written file is byte-stable
-across runs and round-trips to the exact floating-point values.  Infinities
-at the centre node serialize as "inf".
+A table is one '#'-prefixed provenance line (a JSON object), the column
+names, then the rows at 17 significant digits, so a written file is
+byte-stable across runs and round-trips to the exact floating-point values
+("inf" for infinities).  ``digest`` hashes the canonical JSON that headers
+carry.  A solved star is a table plus a JSON sidecar.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .background import BackgroundProfile, _readonly
+from .background import FOUR_PI, BackgroundProfile, _readonly
 
 CSV_COLUMNS = ("r", "m", "rho", "p", "n", "psi", "omega", "chi", "drdchi", "dpsidchi")
 
 
 def _fmt(x: float) -> str:
-    if x == np.inf:
+    if x == math.inf:
         return "inf"
-    if x == -np.inf:
+    if x == -math.inf:
         return "-inf"
     return format(x, ".17g")
 
 
-def _config_hash(meta: dict) -> str:
-    blob = json.dumps(meta, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def digest(text: str) -> str:
+    """First 12 hex digits of the SHA-256 of ``text``."""
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def write_table(path: str | Path, header: dict, columns: Sequence[str],
+                rows: Iterable[Sequence[float]]) -> Path:
+    """Write a header line, the column names and one line per row."""
+    path = Path(path)
+    lines = ["# " + json.dumps(header, sort_keys=True), ",".join(columns)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_document(path: str | Path, doc: dict) -> Path:
+    """Write ``doc`` as indented JSON with sorted keys."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Column names and the (rows, columns) array of a table.
+
+    Blank and '#' lines are skipped.  Raises ``OSError`` if the file cannot
+    be read and ``ValueError`` if it has no rows, a row of the wrong width,
+    or a token that is not a number.
+    """
+    names: list[str] | None = None
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(",")
+        if names is None:
+            names = tokens
+        elif len(tokens) != len(names):
+            raise ValueError(f"{path} line {lineno}: {len(tokens)} values under {len(names)} columns")
+        else:
+            try:
+                rows.append([float(tok) for tok in tokens])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    return names, np.array(rows)
 
 
 def profile_metadata(profile: BackgroundProfile) -> dict:
@@ -55,30 +101,23 @@ def write_profile_csv(
     ``extra`` entries are merged into the header object (used by callers
     that stamp a run-configuration hash on every artifact).
     """
-    profile.require_metric()
-    path = Path(path)
     meta = profile_metadata(profile)
-    header_obj = {"format": "hardstars-profile", "hash": _config_hash(meta), "version": __version__}
+    header = {"format": "hardstars-profile", "hash": digest(json.dumps(meta, sort_keys=True)),
+              "version": __version__}
     if extra:
-        header_obj.update(extra)
-    cols = [getattr(profile, name) for name in CSV_COLUMNS]
-    lines = ["# " + json.dumps(header_obj, sort_keys=True), ",".join(CSV_COLUMNS)]
-    for i in range(profile.grid_n):
-        lines.append(",".join(_fmt(float(c[i])) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        header.update(extra)
+    cols = [getattr(profile, name).tolist() for name in CSV_COLUMNS]
+    return write_table(path, header, CSV_COLUMNS, zip(*cols))
 
 
 def write_profile_json(
     profile: BackgroundProfile, path: str | Path, extra: dict | None = None
 ) -> Path:
     """Write the scalar sidecar (radius, totals, provenance)."""
-    path = Path(path)
     meta = profile_metadata(profile)
     if extra:
         meta = {**meta, **extra}
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_document(path, meta)
 
 
 def write_profile(
@@ -93,42 +132,34 @@ def write_profile(
 
 
 def read_profile_csv(path: str | Path) -> BackgroundProfile:
-    """Reconstruct a completed profile from a CSV written by this module."""
-    path = Path(path)
-    rows: list[list[float]] = []
-    header: list[str] | None = None
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            if tuple(header) != CSV_COLUMNS:
-                raise ValueError(f"unexpected columns in {path}: {header}")
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if header is None or not rows:
-        raise ValueError(f"no data rows in {path}")
-    data = {name: np.array([row[j] for row in rows]) for j, name in enumerate(CSV_COLUMNS)}
-    r = data["r"]
-    grid_n = len(r)
+    """Reconstruct a completed profile from a CSV written by this module.
+
+    Raises ``ValueError`` unless the columns are ``CSV_COLUMNS``, r runs
+    from 0 to R > 0 on a uniform grid (every spacing within 1e-9 dr of
+    R/(rows - 1)), and every value is finite apart from +inf at the centre
+    of omega, drdchi and dpsidchi.
+    """
+    names, table = read_table(path)
+    if tuple(names) != CSV_COLUMNS:
+        raise ValueError(f"unexpected columns in {path}: {names}")
+    bad = ~np.isfinite(table)
+    centre = [CSV_COLUMNS.index(name) for name in ("omega", "drdchi", "dpsidchi")]
+    bad[0, centre] &= table[0, centre] != math.inf
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"{path}: non-finite {CSV_COLUMNS[col]} in data row {row + 1}")
+    cols = {name: _readonly(col) for name, col in zip(CSV_COLUMNS, table.T)}
+    r, grid_n = cols["r"], len(table)
+    if grid_n < 2 or not r[-1] > 0.0:
+        raise ValueError(f"{path}: need at least two rows reaching a positive radius")
+    dr = r[-1] / (grid_n - 1)
+    if np.any(np.abs(np.diff(r) - dr) > 1e-9 * dr):
+        raise ValueError(f"{path}: r is not a uniform grid from 0 to R")
     m_over_r3 = np.empty(grid_n)
-    m_over_r3[1:] = data["m"][1:] / r[1:] ** 3
-    m_over_r3[0] = (4.0 * np.pi / 3.0) * data["rho"][0]
+    m_over_r3[1:] = cols["m"][1:] / r[1:] ** 3
+    m_over_r3[0] = (FOUR_PI / 3.0) * cols["rho"][0]
     return BackgroundProfile(
-        R=float(r[-1]),
-        grid_n=grid_n,
-        r=_readonly(r),
-        m=_readonly(data["m"]),
-        rho=_readonly(data["rho"]),
-        p=_readonly(data["p"]),
-        m_over_r3=_readonly(m_over_r3),
+        R=float(r[-1]), grid_n=grid_n, m_over_r3=_readonly(m_over_r3),
         provenance={"solver": "file", "source": str(path)},
-        n=_readonly(data["n"]),
-        psi=_readonly(data["psi"]),
-        omega=_readonly(data["omega"]),
-        chi=_readonly(data["chi"]),
-        drdchi=_readonly(data["drdchi"]),
-        dpsidchi=_readonly(data["dpsidchi"]),
-        M_total=float(data["m"][-1]),
-        N_total=float(data["chi"][-1]),
+        M_total=float(cols["m"][-1]), N_total=float(cols["chi"][-1]), **cols,
     )

@@ -26,11 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import BackgroundProfile, _readonly, derive_metric_fields, psi_radial_gradient
+from .background import FOUR_PI, BackgroundProfile, _readonly, derive_metric_fields, metric_terms
 from .errors import DomainError
 from .numerics import cumulative_simpson_uniform, derivative_uniform, simpson_uniform
-
-FOUR_PI = 4.0 * math.pi
 
 DEFAULT_AUDIT_SEED = 20260823
 DEFAULT_AUDIT_MODES = 8
@@ -39,26 +37,22 @@ DEFAULT_AUDIT_MODES = 8
 def integrating_factor(profile: BackgroundProfile) -> np.ndarray:
     """I(r) = integral_0^r 4 pi s n^2 / (1 - 2m/s) ds; regular, ~ 2 pi r^2."""
     r = profile.r
-    n2 = 2.0 * profile.rho - 1.0
-    two_m_over_r = 2.0 * profile.m_over_r3 * r * r
-    integrand = FOUR_PI * r * n2 / (1.0 - two_m_over_r)
-    return cumulative_simpson_uniform(integrand, profile.dr)
+    n2, D, _ = metric_terms(r, profile.rho, profile.m_over_r3)
+    return cumulative_simpson_uniform(FOUR_PI * r * n2 / D, profile.dr)
 
 
 def tov_defect(profile: BackgroundProfile) -> np.ndarray:
     """Pointwise hydrostatic defect 4 pi r^2 (rho' - rho'_eq).
 
-    rho' is the finite-difference slope of the stored density and rho'_eq the
-    equilibrium slope implied by (m, rho) at the same point.  Vanishes to
-    truncation error exactly when the profile solves the static system.
+    rho' is the finite-difference slope of the stored density and
+    rho'_eq = -n^2 q the equilibrium slope implied by (m, rho) at the same
+    point.  Vanishes to truncation error exactly when the profile solves the
+    static system.
     """
     r = profile.r
-    rho = profile.rho
-    n2 = 2.0 * rho - 1.0
-    two_m_over_r = 2.0 * profile.m_over_r3 * r * r
-    rho_eq_slope = -n2 * (FOUR_PI * r * (rho - 1.0) + profile.m_over_r3 * r) / (1.0 - two_m_over_r)
-    rho_data_slope = np.gradient(rho, profile.dr, edge_order=2)
-    return FOUR_PI * r * r * (rho_data_slope - rho_eq_slope)
+    n2, _, q = metric_terms(r, profile.rho, profile.m_over_r3)
+    rho_data_slope = np.gradient(profile.rho, profile.dr, edge_order=2)
+    return FOUR_PI * r * r * (rho_data_slope + n2 * q)
 
 
 def first_variation(profile: BackgroundProfile, rdot: np.ndarray) -> float:
@@ -80,13 +74,11 @@ def first_variation(profile: BackgroundProfile, rdot: np.ndarray) -> float:
 def _quadratic_coefficients(profile: BackgroundProfile):
     r = profile.r
     rho = profile.rho
-    n2 = 2.0 * rho - 1.0
-    two_m_over_r = 2.0 * profile.m_over_r3 * r * r
-    q = psi_radial_gradient(profile)
+    n2, one_minus_2m_over_r, q = metric_terms(r, rho, profile.m_over_r3)
     A = 8.0 * math.pi * rho + 8.0 * math.pi * n2 - 24.0 * math.pi * r * n2 * q
     B = 16.0 * math.pi * r * rho - 8.0 * math.pi * r * r * n2 * q
     C = FOUR_PI * r * r * n2
-    D = FOUR_PI * r * r * n2 * n2 / (1.0 - two_m_over_r)
+    D = FOUR_PI * r * r * n2 * n2 / one_minus_2m_over_r
     return A, B, C, D
 
 
@@ -127,7 +119,7 @@ def variation_energy(
     rdot = np.asarray(rdot, dtype=float)
     r = profile.r
     n = profile.n
-    root = np.sqrt(1.0 - 2.0 * profile.m_over_r3 * r * r)
+    root = np.sqrt(metric_terms(r, profile.rho, profile.m_over_r3)[1])
     rdot_prime = derivative_uniform(rdot, profile.dr, order=2)
     w_amp = FOUR_PI * n / root
     w_slope = r * r * root / (FOUR_PI * n)

@@ -23,6 +23,7 @@ from hardstars.background import (
     MAX_CONTRACTION_RADIUS,
     MAX_REGULAR_RADIUS,
     chi_weight,
+    metric_terms,
     psi_radial_gradient,
 )
 
@@ -157,6 +158,19 @@ def test_chi_profile_differentiates_back(star_r01):
 def test_psi_gradient_matches_finite_difference(star_r01):
     d_psi = np.gradient(star_r01.psi, star_r01.dr, edge_order=2)
     assert np.max(np.abs(d_psi - psi_radial_gradient(star_r01))) < 1e-7
+
+
+def test_metric_terms_on_floats_and_arrays(star_r01):
+    r, rho, mor3 = star_r01.r, star_r01.rho, star_r01.m_over_r3
+    n2, D, q = metric_terms(r, rho, mor3)
+    assert np.array_equal(q, psi_radial_gradient(star_r01))
+    assert np.allclose(n2, star_r01.n**2, rtol=1e-14, atol=0.0)
+    assert np.array_equal(FOUR_PI * r * r * np.sqrt(n2) / np.sqrt(D), chi_weight(star_r01))
+    # the shooting right-hand side calls it on plain floats
+    for i in (0, 700, star_r01.grid_n - 1):
+        point = metric_terms(float(r[i]), float(rho[i]), float(mor3[i]))
+        assert all(type(x) is float for x in point)
+        assert point == (n2[i], D[i], q[i])
 
 
 def test_totals_and_photon_sphere_margin(star_r01):

@@ -171,6 +171,25 @@ def test_identical_runs_are_byte_identical(tmp_path):
     bj = (tmp_path / "b" / "profile_R0p05.json").read_bytes()
     assert aj == bj
 
+    # every other command writes through the same table and document writer
+    small = ["--R", "0.05", "--grid-n", "601"]
+    commands = {
+        "family": ["family", "--radii", "0.02,0.05", "--grid-n", "601"],
+        "audit": ["variation-audit", *small, "--count", "4"],
+        "evolve": ["evolve", *small, "--n-chi", "101", "--T", "1",
+                   "--samples", "10", "--snapshots", "2"],
+        "modes": ["modes", *small, "--count", "2", "--emit-initial-data", "1",
+                  "--n-chi", "101"],
+    }
+    for name, argv in commands.items():
+        trees = []
+        for d in ("a", "b"):
+            out = tmp_path / name / d
+            assert run(*argv, "--output-dir", str(out)) == EXIT_OK
+            trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[0] == trees[1], name
+        assert trees[0], name
+
 
 # ---------------------------------------------------------------- commands
 
@@ -297,12 +316,46 @@ def test_modes_h0_only_needs_no_star(tmp_path):
 
 
 def test_bad_preset_is_config_error(tmp_path, capsys):
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("chi,u,v\n0,0,0\n1,0\n")
+    presets = ("sawtooth", "mode:x", f"file:{short_row}", f"file:{tmp_path / 'missing.csv'}")
+    for preset in presets:
+        code = run(
+            "evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101",
+            "--preset", preset, "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG, preset
+        err = capsys.readouterr().err
+        assert "preset" in err or "initial data" in err, preset
+
+
+@pytest.fixture(scope="module")
+def profile_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("profile")
+    assert run("build", "--R", "0.05", "--grid-n", "401", "--output-dir", str(out)) == EXIT_OK
+    return (out / "profile_R0p05.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("case", ["missing", "columns", "non-numeric", "no-rows", "non-uniform"])
+def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case):
+    header, names, *rows = profile_lines
+    if case == "columns":
+        names = names.replace("rho", "density")
+    elif case == "non-numeric":
+        rows[7] = "x" + rows[7]
+    elif case == "no-rows":
+        rows = []
+    elif case == "non-uniform":
+        rows[7] = "0.5" + rows[7][rows[7].index(","):]
+    path = tmp_path / "profile.csv"
+    if case != "missing":
+        path.write_text("\n".join([header, names, *rows]) + "\n")
     code = run(
-        "evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101",
-        "--preset", "sawtooth", "--output-dir", str(tmp_path),
+        "variation-audit", "--count", "2", "--profile", str(path),
+        "--output-dir", str(tmp_path / "out"),
     )
     assert code == EXIT_CONFIG
-    assert "preset" in capsys.readouterr().err
+    assert "cannot use profile" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ verify

@@ -20,6 +20,7 @@ from hardstars.background import (
 from hardstars.cli import EXIT_OK, main
 from hardstars.errors import CflViolationError, DomainError, InstabilityError
 from hardstars.evolution import (
+    _invert_chi,
     acceleration,
     assemble_coefficients,
     cfl_timestep,
@@ -171,6 +172,30 @@ def test_chi_inversion_at_small_radius(star_r002):
     assert np.all(np.diff(c.r0) > 0.0)
     assert np.max(np.abs(chi_sp(c.r0[:-1]) - c.chi[:-1])) <= 1e-12
     assert np.max(np.abs(chi_sp(c.r0_half) - (c.chi[:-1] + 0.5 * c.dchi))) <= 1e-12
+
+
+class _CountingSpline(CubicSpline):
+    """Counts its own evaluations and those of the derivatives it returns."""
+
+    calls = 0
+
+    def __call__(self, *args, **kwargs):
+        _CountingSpline.calls += 1
+        return super().__call__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("star", ["star_r002", "star_r005", "star_r01"])
+def test_chi_inversion_stops_once_newton_converges(star, request):
+    # a converged Newton step lands on a bracket end and must be accepted
+    # there, not trigger bisection of the collapsed bracket
+    prof = request.getfixturevalue(star)
+    spline = _CountingSpline(prof.r, prof.chi)
+    targets = np.linspace(0.0, prof.N_total, 2000)
+    _CountingSpline.calls = 0
+    r = _invert_chi(spline, targets, prof.R)
+    assert _CountingSpline.calls <= 15
+    exact = CubicSpline(prof.r, prof.chi)
+    assert np.max(np.abs(exact(r[1:-1]) - targets[1:-1])) <= 1e-12
 
 
 def test_evolve_cli_at_small_radius(tmp_path):

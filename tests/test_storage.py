@@ -5,14 +5,26 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from hardstars.storage import (
     CSV_COLUMNS,
     read_profile_csv,
+    read_table,
     write_profile,
     write_profile_csv,
     write_profile_json,
 )
+
+
+def _edit_cell(path, row, name, edit):
+    """Replace one value of data row ``row`` (0-based) in a written table."""
+    lines = path.read_text().splitlines()
+    cells = lines[2 + row].split(",")
+    j = CSV_COLUMNS.index(name)
+    cells[j] = edit(cells[j])
+    lines[2 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_csv_round_trip_is_exact(star_r005, tmp_path):
@@ -51,3 +63,44 @@ def test_write_profile_pair(star_r005, tmp_path):
     csv_path, json_path = write_profile(star_r005, tmp_path / "out")
     assert csv_path.suffix == ".csv" and csv_path.exists()
     assert json_path.suffix == ".json" and json_path.exists()
+
+
+def test_read_rejects_non_uniform_grid(star_r005, tmp_path):
+    path = write_profile_csv(star_r005, tmp_path / "star.csv")
+    _edit_cell(path, 700, "r", lambda tok: repr(float(tok) + 1e-3 * star_r005.dr))
+    with pytest.raises(ValueError, match="uniform"):
+        read_profile_csv(path)
+
+
+@pytest.mark.parametrize("row, name, token", [
+    (50, "rho", "nan"),
+    (50, "drdchi", "inf"),
+    (0, "psi", "inf"),
+    (0, "omega", "-inf"),
+])
+def test_read_rejects_non_finite_values(star_r005, tmp_path, row, name, token):
+    # only the documented +inf at the centre of omega, drdchi, dpsidchi passes
+    path = write_profile_csv(star_r005, tmp_path / "star.csv")
+    _edit_cell(path, row, name, lambda tok: token)
+    with pytest.raises(ValueError, match=name):
+        read_profile_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# header\na,b\n", "no data rows"),
+    ("a,b\n1,2\n3\n", "1 values under 2 columns"),
+    ("a,b\n1,2\n3,x\n", "line 3"),
+])
+def test_read_table_rejects_malformed_tables(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_table(path)
+
+
+def test_read_table_round_trips_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# {}\nchi,u\n0,1.5\n\n2,inf\n")
+    names, table = read_table(path)
+    assert names == ["chi", "u"]
+    assert np.array_equal(table, [[0.0, 1.5], [2.0, np.inf]])
