@@ -15,7 +15,8 @@ with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
   until the weighted sup norm of the increment falls below ``picard_tol``.
 * ``solve_tov_shooting`` integrates the differential system outward from the
   centre with a high-order adaptive integrator and bisects on the central
-  density until the surface condition holds.
+  density until the surface condition holds.  It imports scipy when it
+  runs, so the fixed-point route needs numpy alone.
 
 Both return the same ``BackgroundProfile``; their agreement is the primary
 cross-check of the module.  ``derive_metric_fields`` completes a solved
@@ -36,8 +37,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 from .numerics import cumulative_simpson_uniform
@@ -151,16 +150,34 @@ def _tov_rhs_raw(r: float, y: np.ndarray) -> list[float]:
     return [dm, drho]
 
 
-def approximate_profile(R: float, r: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """Small-star closed form: density and radius-compression to O(R^4).
+def approximate_profile(R: float, r: np.ndarray | float,
+                        order: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Small-star closed form: density and radius-compression in powers of R^2.
 
     Returns (rho, compression) where compression approximates
     4 pi r^2 dr/dchi = sqrt(1 - 2m/r)/n, the rate at which areal radius is
-    gained per flat shell volume: 1 - (2 pi/3)(R^2 + r^2).
+    gained per flat shell volume.  ``order=1`` keeps the R^2 terms,
+
+        rho ~ 1 + (2 pi/3)(R^2 - r^2),  compression ~ 1 - (2 pi/3)(R^2 + r^2),
+
+    with errors O(R^4); ``order=2`` adds the R^4 terms of the expansion of
+    the hydrostatic system in r/R,
+
+        (8 pi^2/45)(2 r^4 - 15 R^2 r^2 + 13 R^4)   to rho,
+        -(2 pi^2/45)(37 R^4 - 30 R^2 r^2 + 21 r^4)  to compression,
+
+    with errors O(R^6).
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     r = np.asarray(r, dtype=float)
-    rho = 1.0 + (2.0 * math.pi / 3.0) * (R * R - r * r)
-    rprime = 1.0 - (2.0 * math.pi / 3.0) * (R * R + r * r)
+    R2, r2 = R * R, r * r
+    rho = 1.0 + (2.0 * math.pi / 3.0) * (R2 - r2)
+    rprime = 1.0 - (2.0 * math.pi / 3.0) * (R2 + r2)
+    if order == 2:
+        pi2 = math.pi * math.pi
+        rho = rho + (8.0 * pi2 / 45.0) * (2.0 * r2 * r2 - 15.0 * R2 * r2 + 13.0 * R2 * R2)
+        rprime = rprime - (2.0 * pi2 / 45.0) * (37.0 * R2 * R2 - 30.0 * R2 * r2 + 21.0 * r2 * r2)
     return rho, rprime
 
 
@@ -253,6 +270,8 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
 
 
 def _integrate_outward(rho_c: float, R: float, r_eval: np.ndarray | None = None):
+    from scipy.integrate import solve_ivp
+
     # Series start just off the centre; the neglected terms are O(r_start^4).
     r_start = 1e-6 * R
     m0 = (FOUR_PI / 3.0) * rho_c * r_start ** 3
@@ -278,6 +297,8 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     The central density is bisected inside [1, 1 + (16 pi/3) R^2] until the
     integrated surface density matches the stiff floor to 1e-12.
     """
+    from scipy.optimize import brentq
+
     R = params.R
     hi = 1.0 + (16.0 * math.pi / 3.0) * R * R
 

@@ -12,6 +12,12 @@ from __future__ import annotations
 # nodes of both m and rho, radius 0.1, grid 2001.
 BACKGROUND_CROSS_CHECK_TOL = 1e-10
 
+# Ceiling on sup|rho - two-term closed form| / R^6 (approximate_profile
+# with order=2), measured 274, 282, 313, 334 at radius 0.02, 0.05, 0.1,
+# 0.12 (grid 4001).  The R^6 coefficient rises with the radius, and the
+# ceiling covers every fixed-point radius (R <= 0.1221).
+CLOSED_FORM_R6_MAX = 400.0
+
 # Central density of the radius-0.1 star; both solvers reproduce it.
 RHO_CENTRAL_R01 = 1.0235377133674
 RHO_CENTRAL_TOL = 1e-9

@@ -8,6 +8,10 @@ byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 verification failure.
+
+``evolution`` and ``modes`` (and with them scipy) are imported inside the
+commands that use them, so picard ``build``, ``family`` and
+``variation-audit`` start on numpy alone.
 """
 
 from __future__ import annotations
@@ -41,20 +45,6 @@ from .errors import (
     DomainError,
     HardStarError,
     InstabilityError,
-)
-from .evolution import (
-    assemble_coefficients,
-    evolve,
-    gaussian_pulse,
-    reconstruct,
-)
-from .modes import (
-    X1_LIMIT,
-    dispersion_roots,
-    estimate_period,
-    find_modes,
-    mode_to_initial_data,
-    spherical_j1,
 )
 from .plotting import render_svg
 from .storage import digest, read_profile_csv, read_table, write_document, write_profile, write_table
@@ -308,6 +298,9 @@ def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
 
 
 def _initial_data(config: RunConfig, star: BackgroundProfile, coeffs):
+    from .evolution import gaussian_pulse
+    from .modes import find_modes, mode_to_initial_data
+
     preset = str(config.options.get("preset", "gaussian"))
     if preset == "gaussian":
         return gaussian_pulse(coeffs)
@@ -338,6 +331,8 @@ def _initial_data(config: RunConfig, star: BackgroundProfile, coeffs):
 
 
 def _cmd_evolve(config: RunConfig, out: Path) -> int:
+    from .evolution import assemble_coefficients, evolve, reconstruct
+
     opts = config.options
     n_chi = int(opts.get("n_chi", 501))
     cfl = float(opts.get("cfl", 0.4))
@@ -411,6 +406,9 @@ def _cmd_evolve(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_modes(config: RunConfig, out: Path) -> int:
+    from .evolution import assemble_coefficients
+    from .modes import dispersion_roots, find_modes, mode_to_initial_data
+
     opts = config.options
     count = int(opts.get("count", 3))
     which = str(opts.get("which", "both"))
@@ -497,6 +495,9 @@ class _Checks:
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
     """Re-check the documented invariants of every module on one star."""
+    from .evolution import assemble_coefficients, evolve, gaussian_pulse
+    from .modes import X1_LIMIT, estimate_period, find_modes, mode_to_initial_data, spherical_j1
+
     checks = _Checks()
     R = config.R
     params = config.star_parameters()
@@ -533,12 +534,13 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     checks.record(
         "background.metric-closure", closure <= 1e-12, f"e^(psi-omega)/4pi r^2 - 1: {closure:.3e}"
     )
-    rho_close, _ = approximate_profile(R, star.r)
+    rho_close, _ = approximate_profile(R, star.r, order=2)
     approx_gap = float(np.max(np.abs(star.rho - rho_close)))
     checks.record(
         "background.small-radius-closure",
-        approx_gap <= 25.0 * R**4,
-        f"sup|rho - closed form| = {approx_gap:.3e} <= 25 R^4",
+        approx_gap <= calibration.CLOSED_FORM_R6_MAX * R**6,
+        f"sup|rho - two-term closed form| = {approx_gap:.3e} "
+        f"<= {calibration.CLOSED_FORM_R6_MAX:g} R^6",
     )
 
     perts = audit_perturbations(star, count=12, seed=config.seed)

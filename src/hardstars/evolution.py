@@ -51,6 +51,7 @@ interior fraction, since chi-stencils lose accuracy at the centre.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -157,6 +158,9 @@ def _invert_chi(chi_spline: CubicSpline, targets: np.ndarray, R: float) -> np.nd
     return out
 
 
+_NO_ERRSTATE = contextlib.nullcontext()
+
+
 def potential_bracket(r0, rho, mor3):
     """Zeroth-order stability bracket at radius r0, with the ``metric_terms``
     (n^2, D, q) it is built from.
@@ -171,7 +175,13 @@ def potential_bracket(r0, rho, mor3):
     N_prime = FOUR_PI * rho - 2.0 * mor3 + FOUR_PI * (rho - 1.0) + FOUR_PI * r0 * rho_eq_slope
     D_prime = -8.0 * math.pi * r0 * rho + 2.0 * mor3 * r0
     q_prime = (N_prime * D - N * D_prime) / (D * D)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # only an array can hold the centre node; np.errstate would double the
+    # cost of the float calls from the shooting right-hand side (r > 0)
+    if isinstance(r0, np.ndarray):
+        quiet = np.errstate(divide="ignore", invalid="ignore")
+    else:
+        quiet = _NO_ERRSTATE
+    with quiet:
         bracket = (
             2.0 * q * q * D
             + 2.0 * mor3

@@ -13,6 +13,7 @@ from hardstars import (
     StarParameters,
     approximate_profile,
     build_star,
+    calibration,
     derive_metric_fields,
     family_scan,
     solve_tov_picard,
@@ -124,6 +125,22 @@ def test_small_star_closed_form_scales_like_r4(star_r01, star_r005):
     assert 13.0 < comp_errs[0.1] / comp_errs[0.05] < 19.0
     assert errs[0.1] < 3e-3
     assert comp_errs[0.1] < 3e-3
+
+
+def test_two_term_closed_form_scales_like_r6(star_r002, star_r005, star_r01):
+    radii, errs, comp_errs = [], [], []
+    for prof in (star_r002, star_r005, star_r01):
+        rho_app, comp_app = approximate_profile(prof.R, prof.r, order=2)
+        comp = FOUR_PI * prof.r[1:] ** 2 * prof.drdchi[1:]
+        radii.append(prof.R)
+        errs.append(np.max(np.abs(prof.rho - rho_app)))
+        comp_errs.append(np.max(np.abs(comp - comp_app[1:])))
+    for e in (errs, comp_errs):
+        exponent = np.polyfit(np.log(radii), np.log(e), 1)[0]
+        assert 5.7 < exponent < 6.3
+    assert errs[-1] <= calibration.CLOSED_FORM_R6_MAX * 0.1**6
+    with pytest.raises(ValueError):
+        approximate_profile(0.1, star_r01.r, order=3)
 
 
 def test_closed_form_centre_value():

@@ -1,17 +1,22 @@
 """End-to-end checks of the command-line front end.
 
 Every test drives ``main(argv)`` directly so exit codes, stderr text, and
-emitted artifacts are all observable without subprocesses.
+emitted artifacts are all observable; only the start test, which needs a
+fresh interpreter, runs one in a subprocess.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardstars
 from hardstars import calibration
 from hardstars.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, RunConfig, main
 from hardstars.errors import ConfigError
@@ -29,6 +34,48 @@ def header_of(path: Path) -> dict:
 
 def data_rows(path: Path) -> list[str]:
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+# -------------------------------------------------------------------- start
+
+_START_SCRIPT = """
+import json, sys
+from hardstars import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+small = ["--grid-n", "201", "--output-dir", sys.argv[1]]
+steps = {"import": scipy_modules()}
+for name, argv in {
+    "build": ["build", "--R", "0.05", *small],
+    "family": ["family", "--radii", "0.02,0.05", *small],
+    "variation-audit": ["variation-audit", "--R", "0.05", "--count", "4", *small],
+    "shooting": ["build", "--R", "0.05", "--solver", "shooting", *small],
+}.items():
+    steps[name] = (cli.main(argv), scipy_modules())
+print(json.dumps(steps))
+"""
+
+
+def test_picard_commands_start_without_scipy(tmp_path):
+    src = str(Path(hardstars.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps["import"] == []
+    for name in ("build", "family", "variation-audit"):
+        code, loaded = steps[name]
+        assert code == EXIT_OK, name
+        assert loaded == [], name
+    code, loaded = steps["shooting"]
+    assert code == EXIT_OK
+    assert "scipy.integrate" in loaded
 
 
 # --------------------------------------------------------------- run config
@@ -369,6 +416,14 @@ def test_verify_passes_on_small_star(tmp_path, capsys):
     assert "FAIL" not in out
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["failures"] == 0
+
+
+def test_verify_passes_at_default_radius(tmp_path, capsys):
+    code = run("verify", "--output-dir", str(tmp_path))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK, out
+    assert "ok   background.small-radius-closure" in out
+    assert json.loads((tmp_path / "verify.json").read_text())["R"] == 0.1
 
 
 def test_verify_flags_violations(tmp_path, capsys, monkeypatch):
