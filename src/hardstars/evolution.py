@@ -79,6 +79,7 @@ class WaveCoefficients:
     r0: np.ndarray
     rho0: np.ndarray
     n0: np.ndarray
+    n2: np.ndarray         # n0^2 = 2 rho0 - 1, as metric_terms forms it
     m0: np.ndarray
     q: np.ndarray          # radial gradient of the lapse potential
     w: np.ndarray          # dchi/dr0 at the nodes (0 at the centre)
@@ -246,6 +247,7 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         r0=_readonly(r0),
         rho0=_readonly(rho0),
         n0=_readonly(np.sqrt(n2)),
+        n2=_readonly(n2),
         m0=_readonly(mor3 * r0**3),
         q=_readonly(q),
         w=_readonly(w),
@@ -522,7 +524,7 @@ def reconstruct(coeffs: WaveCoefficients, u: np.ndarray) -> LinearizedFields:
     omega1[1:] = du_dr0[1:] - coeffs.q[1:] * u[1:]
     omega1[0] = slope0
     m1 = -FOUR_PI * r0 * r0 * (coeffs.rho0 - 1.0) * u
-    rho1 = -(2.0 * coeffs.rho0 - 1.0) * psi1
+    rho1 = -coeffs.n2 * psi1
     n1 = rho1 / coeffs.n0
     return LinearizedFields(
         psi1=_readonly(psi1),

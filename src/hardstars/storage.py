@@ -23,14 +23,6 @@ from .background import FOUR_PI, BackgroundProfile, _readonly
 CSV_COLUMNS = ("r", "m", "rho", "p", "n", "psi", "omega", "chi", "drdchi", "dpsidchi")
 
 
-def _fmt(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return format(x, ".17g")
-
-
 def digest(text: str) -> str:
     """First 12 hex digits of the SHA-256 of ``text``."""
     return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -38,10 +30,14 @@ def digest(text: str) -> str:
 
 def write_table(path: str | Path, header: dict, columns: Sequence[str],
                 rows: Iterable[Sequence[float]]) -> Path:
-    """Write a header line, the column names and one line per row."""
+    """Write a header line, the column names and one line per row.
+
+    Every row holds one number per column.
+    """
     path = Path(path)
     lines = ["# " + json.dumps(header, sort_keys=True), ",".join(columns)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines.extend(row_format % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -136,8 +132,8 @@ def read_profile_csv(path: str | Path) -> BackgroundProfile:
 
     Raises ``ValueError`` unless the columns are ``CSV_COLUMNS``, r runs
     from 0 to R > 0 on a uniform grid (every spacing within 1e-9 dr of
-    R/(rows - 1)), and every value is finite apart from +inf at the centre
-    of omega, drdchi and dpsidchi.
+    R/(rows - 1)), chi strictly increases, and every value is finite apart
+    from +inf at the centre of omega, drdchi and dpsidchi.
     """
     names, table = read_table(path)
     if tuple(names) != CSV_COLUMNS:
@@ -155,6 +151,8 @@ def read_profile_csv(path: str | Path) -> BackgroundProfile:
     dr = r[-1] / (grid_n - 1)
     if np.any(np.abs(np.diff(r) - dr) > 1e-9 * dr):
         raise ValueError(f"{path}: r is not a uniform grid from 0 to R")
+    if np.any(np.diff(cols["chi"]) <= 0.0):
+        raise ValueError(f"{path}: chi is not strictly increasing")
     m_over_r3 = np.empty(grid_n)
     m_over_r3[1:] = cols["m"][1:] / r[1:] ** 3
     m_over_r3[0] = (FOUR_PI / 3.0) * cols["rho"][0]

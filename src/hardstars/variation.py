@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,13 +63,7 @@ def first_variation(profile: BackgroundProfile, rdot: np.ndarray) -> float:
     off-equilibrium data the surface term -4 pi R^2 (rho(R) - 1) rdot(R)
     and the bulk hydrostatic defect both contribute.
     """
-    profile.require_metric()
-    rdot = np.asarray(rdot, dtype=float)
-    I = integrating_factor(profile)
-    k = tov_defect(profile)
-    bulk = simpson_uniform(k * rdot * np.exp(I), profile.dr)
-    surface = FOUR_PI * profile.R**2 * (profile.rho[-1] - 1.0) * rdot[-1]
-    return float(math.exp(-I[-1]) * bulk - surface)
+    return _ProfileFactors(profile).first(np.asarray(rdot, dtype=float))
 
 
 def _quadratic_coefficients(profile: BackgroundProfile):
@@ -82,6 +77,74 @@ def _quadratic_coefficients(profile: BackgroundProfile):
     return A, B, C, D
 
 
+class _ProfileFactors:
+    """Everything the variation integrals need that depends on the star alone.
+
+    Each group is computed on first use and kept, so an audit over many
+    deformations evaluates the integrating factor, the hydrostatic defect
+    and the quadratic and energy weights once rather than once per draw,
+    and a one-draw call computes no more than its own formula needs.
+    """
+
+    def __init__(self, profile: BackgroundProfile) -> None:
+        profile.require_metric()
+        self.profile = profile
+        self.dr = profile.dr
+
+    @cached_property
+    def exp_I(self) -> tuple[np.ndarray, float]:
+        """exp(I) on the grid and exp(-I(R))."""
+        I = integrating_factor(self.profile)
+        return np.exp(I), math.exp(-I[-1])
+
+    @cached_property
+    def first_weights(self) -> tuple[np.ndarray, float]:
+        """The hydrostatic defect and the surface factor 4 pi R^2 (rho(R) - 1)."""
+        p = self.profile
+        return tov_defect(p), FOUR_PI * p.R**2 * (p.rho[-1] - 1.0)
+
+    @cached_property
+    def quadratic(self) -> tuple[np.ndarray, ...]:
+        return _quadratic_coefficients(self.profile)
+
+    @cached_property
+    def energy_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights of rdot^2, rdot'^2 and (d_phi rdot)^2 in the energy."""
+        p = self.profile
+        r, n = p.r, p.n
+        root = np.sqrt(metric_terms(r, p.rho, p.m_over_r3)[1])
+        return FOUR_PI * n / root, r * r * root / (FOUR_PI * n), FOUR_PI * r * r * n / root
+
+    def slope(self, rdot: np.ndarray) -> np.ndarray:
+        return derivative_uniform(rdot, self.dr, order=2)
+
+    def first(self, rdot: np.ndarray) -> float:
+        exp_I, exp_minus_IR = self.exp_I
+        tov, surface = self.first_weights
+        bulk = simpson_uniform(tov * rdot * exp_I, self.dr)
+        return float(exp_minus_IR * bulk - surface * rdot[-1])
+
+    def second(self, rdot: np.ndarray, rdot_prime: np.ndarray,
+               dphi_rdot: np.ndarray | None) -> float:
+        A, B, C, D = self.quadratic
+        integrand = A * rdot * rdot + B * rdot * rdot_prime + C * rdot_prime * rdot_prime
+        if dphi_rdot is not None:
+            dphi = np.asarray(dphi_rdot, dtype=float)
+            integrand = integrand + D * dphi * dphi
+        exp_I, exp_minus_IR = self.exp_I
+        total = simpson_uniform(integrand * exp_I, self.dr)
+        return float(exp_minus_IR * total)
+
+    def energy(self, rdot: np.ndarray, rdot_prime: np.ndarray,
+               dphi_rdot: np.ndarray | None) -> float:
+        w_amp, w_slope, w_angle = self.energy_weights
+        integrand = w_amp * rdot * rdot + w_slope * rdot_prime * rdot_prime
+        if dphi_rdot is not None:
+            dphi = np.asarray(dphi_rdot, dtype=float)
+            integrand = integrand + w_angle * dphi * dphi
+        return float(simpson_uniform(integrand, self.dr))
+
+
 def second_variation(
     profile: BackgroundProfile,
     rdot: np.ndarray,
@@ -92,17 +155,9 @@ def second_variation(
     ``dphi_rdot`` carries the angular derivative of the displacement for
     non-spherical deformations; omit it for spherical ones.
     """
-    profile.require_metric()
+    factors = _ProfileFactors(profile)
     rdot = np.asarray(rdot, dtype=float)
-    A, B, C, D = _quadratic_coefficients(profile)
-    rdot_prime = derivative_uniform(rdot, profile.dr, order=2)
-    integrand = A * rdot * rdot + B * rdot * rdot_prime + C * rdot_prime * rdot_prime
-    if dphi_rdot is not None:
-        dphi = np.asarray(dphi_rdot, dtype=float)
-        integrand = integrand + D * dphi * dphi
-    I = integrating_factor(profile)
-    total = simpson_uniform(integrand * np.exp(I), profile.dr)
-    return float(math.exp(-I[-1]) * total)
+    return factors.second(rdot, factors.slope(rdot), dphi_rdot)
 
 
 def variation_energy(
@@ -115,19 +170,9 @@ def variation_energy(
     This is the integral of (rdot/r)^2 + (d_phi rdot)^2 + r^4 (d_chi rdot)^2
     against the particle measure dchi, rewritten in r with regular weights.
     """
-    profile.require_metric()
+    factors = _ProfileFactors(profile)
     rdot = np.asarray(rdot, dtype=float)
-    r = profile.r
-    n = profile.n
-    root = np.sqrt(metric_terms(r, profile.rho, profile.m_over_r3)[1])
-    rdot_prime = derivative_uniform(rdot, profile.dr, order=2)
-    w_amp = FOUR_PI * n / root
-    w_slope = r * r * root / (FOUR_PI * n)
-    integrand = w_amp * rdot * rdot + w_slope * rdot_prime * rdot_prime
-    if dphi_rdot is not None:
-        dphi = np.asarray(dphi_rdot, dtype=float)
-        integrand = integrand + FOUR_PI * r * r * n / root * dphi * dphi
-    return float(simpson_uniform(integrand, profile.dr))
+    return factors.energy(rdot, factors.slope(rdot), dphi_rdot)
 
 
 def equivalence_ratio(
@@ -231,10 +276,10 @@ class AuditPerturbation:
     seed: int
 
 
-def _sine_shape(xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(xi)
-    for k, a in enumerate(coeffs, start=1):
-        out += a * np.sin((k - 0.5) * math.pi * xi)
+def _sine_shape(basis: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(basis[0])
+    for a, b in zip(coeffs, basis):
+        out += a * b
     return out
 
 
@@ -254,6 +299,7 @@ def audit_perturbations(
     """
     profile.require_metric()
     xi = profile.chi / profile.N_total
+    basis = [np.sin((k - 0.5) * math.pi * xi) for k in range(1, modes + 1)]
     rng = np.random.default_rng(seed)
     signs = np.array([(-1.0) ** (k - 1) for k in range(1, modes + 1)])
     decay = 1.0 / np.arange(1, modes + 1) ** 2
@@ -268,8 +314,8 @@ def audit_perturbations(
         dphi_coeffs = rng.standard_normal(modes) * decay
         out.append(
             AuditPerturbation(
-                rdot=_readonly(_sine_shape(xi, coeffs)),
-                dphi_rdot=_readonly(_sine_shape(xi, dphi_coeffs)),
+                rdot=_readonly(_sine_shape(basis, coeffs)),
+                dphi_rdot=_readonly(_sine_shape(basis, dphi_coeffs)),
                 seed=seed + i,
             )
         )
@@ -301,11 +347,14 @@ def criticality_audit(
     """Evaluate first/second variation and energy over the audit family."""
     if perturbations is None:
         perturbations = audit_perturbations(profile)
+    factors = _ProfileFactors(profile)
     firsts, seconds, energies = [], [], []
     for pert in perturbations:
-        firsts.append(first_variation(profile, pert.rdot))
-        seconds.append(second_variation(profile, pert.rdot, pert.dphi_rdot))
-        energies.append(variation_energy(profile, pert.rdot, pert.dphi_rdot))
+        rdot = np.asarray(pert.rdot, dtype=float)
+        rdot_prime = factors.slope(rdot)
+        firsts.append(factors.first(rdot))
+        seconds.append(factors.second(rdot, rdot_prime, pert.dphi_rdot))
+        energies.append(factors.energy(rdot, rdot_prime, pert.dphi_rdot))
     firsts = np.array(firsts)
     seconds = np.array(seconds)
     energies = np.array(energies)

@@ -383,7 +383,9 @@ def profile_lines(tmp_path_factory):
     return (out / "profile_R0p05.csv").read_text().splitlines()
 
 
-@pytest.mark.parametrize("case", ["missing", "columns", "non-numeric", "no-rows", "non-uniform"])
+@pytest.mark.parametrize(
+    "case", ["missing", "columns", "non-numeric", "no-rows", "non-uniform", "non-monotone-chi"]
+)
 def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case):
     header, names, *rows = profile_lines
     if case == "columns":
@@ -394,6 +396,11 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
         rows = []
     elif case == "non-uniform":
         rows[7] = "0.5" + rows[7][rows[7].index(","):]
+    elif case == "non-monotone-chi":
+        j = names.split(",").index("chi")
+        cells = rows[7].split(",")
+        cells[j] = rows[9].split(",")[j]
+        rows[7] = ",".join(cells)
     path = tmp_path / "profile.csv"
     if case != "missing":
         path.write_text("\n".join([header, names, *rows]) + "\n")
@@ -402,7 +409,9 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
         "--output-dir", str(tmp_path / "out"),
     )
     assert code == EXIT_CONFIG
-    assert "cannot use profile" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot use profile" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ verify

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hardstars.storage import (
     write_profile,
     write_profile_csv,
     write_profile_json,
+    write_table,
 )
 
 
@@ -70,6 +72,24 @@ def test_read_rejects_non_uniform_grid(star_r005, tmp_path):
     _edit_cell(path, 700, "r", lambda tok: repr(float(tok) + 1e-3 * star_r005.dr))
     with pytest.raises(ValueError, match="uniform"):
         read_profile_csv(path)
+
+
+def test_read_rejects_non_monotone_chi(star_r005, tmp_path):
+    path = write_profile_csv(star_r005, tmp_path / "star.csv")
+    _edit_cell(path, 700, "chi", lambda tok: repr(float(star_r005.chi[702])))
+    with pytest.raises(ValueError, match="chi is not strictly increasing"):
+        read_profile_csv(path)
+
+
+def test_write_table_bytes_match_format(tmp_path):
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, -1.7e-308,
+               0, -7, 10**20, True, False, np.float64(0.1), np.float64(-math.inf),
+               1.0 / 3.0, 1e300, 123456789.0]
+    rows = [special[i:i + 3] for i in range(0, len(special), 3)]
+    path = write_table(tmp_path / "t.csv", {"k": 1}, ("a", "b", "c"), rows)
+    expected = ['# {"k": 1}', "a,b,c"]
+    expected += [",".join(format(x, ".17g") for x in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("row, name, token", [

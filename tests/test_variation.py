@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from hardstars import DomainError
+from hardstars import DomainError, StarParameters, build_star
 from hardstars.variation import (
+    DEFAULT_AUDIT_MODES,
+    DEFAULT_AUDIT_SEED,
     AuditPerturbation,
     audit_perturbations,
     criticality_audit,
@@ -183,6 +185,61 @@ def test_criticality_audit_separates_solved_from_detuned(star_r01, detuned_r01):
     det_perts = audit_perturbations(detuned_r01, count=12)
     det = criticality_audit(detuned_r01, det_perts)
     assert np.min(np.abs(det.first_variations)) > 1e-3
+
+
+@pytest.fixture(scope="module")
+def shooting_r019():
+    return build_star(StarParameters(R=0.19, grid_n=2001), solver="shooting")
+
+
+@pytest.mark.parametrize("name", ["picard", "shooting", "detuned"])
+def test_criticality_audit_matches_per_draw_functions(star_r01, shooting_r019, detuned_r01, name):
+    # the audit shares the profile factors and each draw's slope; the bits
+    # must be those of the public one-draw functions
+    profile = {"picard": star_r01, "shooting": shooting_r019, "detuned": detuned_r01}[name]
+    perts = audit_perturbations(profile, count=20)
+    report = criticality_audit(profile, perts)
+    firsts = [first_variation(profile, p.rdot) for p in perts]
+    seconds = [second_variation(profile, p.rdot, p.dphi_rdot) for p in perts]
+    energies = [variation_energy(profile, p.rdot, p.dphi_rdot) for p in perts]
+    assert np.array_equal(report.first_variations, firsts)
+    assert np.array_equal(report.second_variations, seconds)
+    assert np.array_equal(report.energies, energies)
+    assert np.array_equal(report.ratios, np.array(seconds) / np.array(energies))
+
+
+def _reference_perturbations(profile, count, seed, modes=DEFAULT_AUDIT_MODES):
+    """The audit draws with every sine evaluated inside its own draw."""
+    xi = profile.chi / profile.N_total
+    rng = np.random.default_rng(seed)
+    signs = np.array([(-1.0) ** (k - 1) for k in range(1, modes + 1)])
+    decay = 1.0 / np.arange(1, modes + 1) ** 2
+
+    def shape(coeffs):
+        out = np.zeros_like(xi)
+        for k, a in enumerate(coeffs, start=1):
+            out += a * np.sin((k - 0.5) * math.pi * xi)
+        return out
+
+    draws = []
+    for _ in range(count):
+        while True:
+            coeffs = rng.standard_normal(modes) * decay
+            surface = float(coeffs @ signs)
+            if abs(surface) >= 1e-3:
+                break
+        dphi_coeffs = rng.standard_normal(modes) * decay
+        draws.append((shape(coeffs / surface), shape(dphi_coeffs)))
+    return draws
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_AUDIT_SEED, 7])
+def test_audit_perturbations_match_per_draw_sines(star_r01, seed):
+    perts = audit_perturbations(star_r01, count=30, seed=seed)
+    reference = _reference_perturbations(star_r01, 30, seed)
+    for pert, (rdot, dphi_rdot) in zip(perts, reference, strict=True):
+        assert np.array_equal(pert.rdot, rdot)
+        assert np.array_equal(pert.dphi_rdot, dphi_rdot)
 
 
 def test_equivalence_ratio_consistency(star_r01):
