@@ -6,6 +6,12 @@ flag, unknown keys are rejected, and every emitted file carries a header
 with the configuration hash so artifacts are traceable and re-runs are
 byte-identical.
 
+The option table is the one place options are declared: RunConfig's
+fields are its common rows (annotation = type, metadata = flag and help),
+and ``_COMMANDS`` gives each command's help, runner and option rows.  The
+parser, the JSON key check, the type check and the defaults the commands
+read all come from it, so flags and config files are checked alike.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 verification failure.
 
@@ -53,7 +59,6 @@ from .variation import (
     audit_perturbations,
     criticality_audit,
     detuned_profile,
-    first_variation,
     mass_aspect_bound_ratio,
 )
 
@@ -62,29 +67,31 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-_COMMANDS = ("build", "family", "variation-audit", "evolve", "modes", "verify")
 
-# option keys each command accepts inside RunConfig.options
-_OPTION_KEYS = {
-    "build": {"basename"},
-    "family": {"radii", "r_min", "r_max", "count"},
-    "variation-audit": {"profile", "count"},
-    "evolve": {"n_chi", "cfl", "duration", "preset", "samples", "snapshots"},
-    "modes": {"count", "which", "emit_initial_data", "n_chi"},
-    "verify": set(),
-}
+# ------------------------------------------------------------ option table
 
-_CONFIG_KEYS = {
-    "command",
-    "R",
-    "grid_n",
-    "solver",
-    "picard_tol",
-    "picard_max_iter",
-    "seed",
-    "output_dir",
-    "options",
-}
+
+@dataclass(frozen=True)
+class _Opt:
+    """One row of the option table.
+
+    ``kind`` is float, int, str, a tuple of choices, or list (of floats,
+    comma-separated on the command line).  ``flag`` None: config file only.
+    A value must exceed ``above``; a flag value drops the keys in ``replaces``.
+    """
+
+    key: str
+    flag: str | None
+    kind: object
+    default: object = None
+    help: str | None = None
+    above: float | None = None
+    replaces: tuple[str, ...] = ()
+
+
+def _common(default, flag: str, help: str, choices: tuple[str, ...] | None = None):
+    """A RunConfig field that a flag also sets."""
+    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices})
 
 
 @dataclass(frozen=True)
@@ -92,25 +99,28 @@ class RunConfig:
     """One fully specified run; serializes to a canonical JSON document."""
 
     command: str
-    R: float = 0.1
-    grid_n: int = 2001
-    solver: str = "picard"
+    R: float = _common(0.1, "--R", "surface areal radius")
+    grid_n: int = _common(2001, "--grid-n", "radial grid nodes")
+    solver: str = _common("picard", "--solver", "background solver", ("picard", "shooting"))
     picard_tol: float = 1e-12
     picard_max_iter: int = 200
-    seed: int = DEFAULT_AUDIT_SEED
-    output_dir: str = "."
+    seed: int = _common(DEFAULT_AUDIT_SEED, "--seed", "audit RNG seed")
+    output_dir: str = _common(".", "--output-dir", "artifact directory")
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.solver not in ("picard", "shooting"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        extra = set(self.options) - _OPTION_KEYS[self.command]
+        if not isinstance(self.options, dict):
+            raise ConfigError("options must be a JSON object")
+        rows = _option_rows(self.command)
+        extra = set(self.options) - set(rows)
         if extra:
-            raise ConfigError(
-                f"unknown option keys for {self.command}: {sorted(extra)}"
-            )
+            raise ConfigError(f"unknown option keys for {self.command}: {sorted(extra)}")
+        for row in _COMMON.values():
+            _check(row, getattr(self, row.key))
+        for key, value in self.options.items():
+            _check(rows[key], value)
 
     def canonical_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
@@ -125,14 +135,14 @@ class RunConfig:
     def star_parameters(self) -> StarParameters:
         return StarParameters(
             R=self.R,
-            grid_n=self.grid_n,
+            grid_n=int(self.grid_n),
             picard_tol=self.picard_tol,
-            picard_max_iter=self.picard_max_iter,
+            picard_max_iter=int(self.picard_max_iter),
         )
 
     @staticmethod
     def from_dict(data: dict) -> RunConfig:
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         if "command" not in data:
@@ -141,6 +151,58 @@ class RunConfig:
             return RunConfig(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+_KINDS = {"float": float, "int": int, "str": str}
+# the common rows: every RunConfig field but command and options
+_COMMON = {
+    f.name: _Opt(f.name, f.metadata.get("flag"), f.metadata.get("choices") or _KINDS[f.type],
+                 f.default, f.metadata.get("help"))
+    for f in dataclasses.fields(RunConfig)
+    if f.name not in ("command", "options")
+}
+
+
+def _option_rows(command: str) -> dict[str, _Opt]:
+    return {row.key: row for row in _COMMANDS[command][2]}
+
+
+def _number(value, integral: bool = False) -> bool:
+    """A finite int or float, integral if asked; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or (math.isfinite(value) and (not integral or value.is_integer()))
+
+
+_TYPES = {
+    float: ("a finite number", _number),
+    int: ("an integer", lambda v: _number(v, integral=True)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a non-empty list of finite numbers",
+           lambda v: isinstance(v, list) and bool(v) and all(map(_number, v))),
+}
+
+
+def _check(row: _Opt, value) -> None:
+    if isinstance(row.kind, tuple):
+        expected, ok = "one of " + ", ".join(row.kind), isinstance(value, str) and value in row.kind
+    else:
+        expected, test = _TYPES[row.kind]
+        ok = test(value)
+    if not ok:
+        raise ConfigError(f"{row.key} must be {expected}, got {value!r}")
+    if row.above is not None and not value > row.above:
+        raise ConfigError(f"{row.key} must be greater than {row.above:g}, got {value!r}")
+
+
+def _get(config: RunConfig, key: str):
+    """A common field or option of the config's command, as the layers take it:
+    an absent option reads as its table default, ints as int, floats as float."""
+    row = _COMMON.get(key) or _option_rows(config.command)[key]
+    value = getattr(config, key) if key in _COMMON else config.options.get(key, row.default)
+    if value is None or row.kind not in (int, float, list):
+        return value
+    return [float(v) for v in value] if row.kind is list else row.kind(value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -188,52 +250,30 @@ def _resolve_output_dir(config: RunConfig) -> Path:
 
 def _cmd_build(config: RunConfig, out: Path) -> int:
     star = build_star(config.star_parameters(), solver=config.solver)
-    # dots in the radius would be eaten by suffix handling
-    default = "profile_R" + f"{config.R:g}".replace(".", "p")
-    base = out / str(config.options.get("basename", default))
-    csv_path, json_path = write_profile(star, base, extra={"config": config.hash})
+    basename = _get(config, "basename")
+    if basename is None:
+        # dots in the radius would be eaten by suffix handling
+        basename = "profile_R" + f"{config.R:g}".replace(".", "p")
+    csv_path, json_path = write_profile(star, out / basename, extra={"config": config.hash})
     print(f"built R={config.R:g} M={star.M_total:.12g} N={star.N_total:.12g}")
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return EXIT_OK
 
 
-def _family_radii(config: RunConfig) -> list[float]:
-    opts = config.options
-    if "radii" in opts:
-        radii = [float(v) for v in opts["radii"]]
-        if not radii:
-            raise ConfigError("radii list is empty")
-        return radii
-    r_min = float(opts.get("r_min", 0.02))
-    r_max = float(opts.get("r_max", 0.12))
-    count = int(opts.get("count", 6))
-    if count < 2 or not 0.0 < r_min < r_max:
-        raise ConfigError("family scan needs 0 < r_min < r_max and count >= 2")
-    return list(np.linspace(r_min, r_max, count))
-
-
 def _cmd_family(config: RunConfig, out: Path) -> int:
-    radii = _family_radii(config)
+    radii = _get(config, "radii")
+    if radii is None:
+        r_min, r_max = _get(config, "r_min"), _get(config, "r_max")
+        if not 0.0 < r_min < r_max:
+            raise ConfigError("family scan needs 0 < r_min < r_max")
+        radii = list(np.linspace(r_min, r_max, _get(config, "count")))
     solver_fn = solve_tov_picard if config.solver == "picard" else solve_tov_shooting
-    rows = family_scan(radii, grid_n=config.grid_n, solver=solver_fn)
-    table = []
-    for row in rows:
-        table.append(
-            (
-                row.R,
-                row.M_total if row.M_total is not None else math.nan,
-                row.rho_central if row.rho_central is not None else math.nan,
-                row.compactness if row.compactness is not None else math.nan,
-            )
-        )
-    path = _emit_csv(
-        out / "family.csv",
-        ("R", "M_total", "rho_central", "compactness"),
-        table,
-        config,
-        "family",
-    )
+    rows = family_scan(radii, grid_n=_get(config, "grid_n"), solver=solver_fn)
+    columns = ("R", "M_total", "rho_central", "compactness")
+    table = [[math.nan if getattr(row, name) is None else getattr(row, name) for name in columns]
+             for row in rows]
+    path = _emit_csv(out / "family.csv", columns, table, config, "family")
     failures = [row for row in rows if row.error is not None]
     for row in failures:
         print(f"R={row.R:g}: {row.error}", file=sys.stderr)
@@ -244,16 +284,16 @@ def _cmd_family(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
-    opts = config.options
-    if "profile" in opts:
+    profile = _get(config, "profile")
+    if profile is not None:
         try:
-            star = read_profile_csv(opts["profile"])
+            star = read_profile_csv(profile)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot use profile {opts['profile']}: {exc}") from exc
+            raise ConfigError(f"cannot use profile {profile}: {exc}") from exc
     else:
         star = build_star(config.star_parameters(), solver=config.solver)
-    count = int(opts.get("count", 50))
-    perts = audit_perturbations(star, count=count, seed=config.seed)
+    count, seed = _get(config, "count"), _get(config, "seed")
+    perts = audit_perturbations(star, count=count, seed=seed)
     report = criticality_audit(star, perts)
 
     rows = [
@@ -269,7 +309,7 @@ def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
     payload = {
         "R": star.R,
         "count": count,
-        "seed": config.seed,
+        "seed": seed,
         "max_abs_M_dot": report.max_abs_first,
         "min_M_ddot": float(np.min(report.second_variations)),
         "ratio_bounds": list(report.ratio_window),
@@ -297,11 +337,10 @@ def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _initial_data(config: RunConfig, star: BackgroundProfile, coeffs):
+def _initial_data(preset: str, star: BackgroundProfile, coeffs):
     from .evolution import gaussian_pulse
     from .modes import find_modes, mode_to_initial_data
 
-    preset = str(config.options.get("preset", "gaussian"))
     if preset == "gaussian":
         return gaussian_pulse(coeffs)
     if preset.startswith("mode:"):
@@ -333,18 +372,15 @@ def _initial_data(config: RunConfig, star: BackgroundProfile, coeffs):
 def _cmd_evolve(config: RunConfig, out: Path) -> int:
     from .evolution import assemble_coefficients, evolve, reconstruct
 
-    opts = config.options
-    n_chi = int(opts.get("n_chi", 501))
-    cfl = float(opts.get("cfl", 0.4))
-    duration = float(opts.get("duration", 10.0))  # in units of R
-    samples = int(opts.get("samples", 200))
-    n_snap = max(2, int(opts.get("snapshots", 5)))
-    if duration <= 0.0:
-        raise ConfigError("duration must be positive (units of R)")
+    cfl = _get(config, "cfl")
+    duration = _get(config, "duration")  # in units of R
+    samples = _get(config, "samples")
+    n_snap = max(2, _get(config, "snapshots"))
+    preset = _get(config, "preset")
 
     star = build_star(config.star_parameters(), solver=config.solver)
-    coeffs = assemble_coefficients(star, n_chi=n_chi)
-    u, v = _initial_data(config, star, coeffs)
+    coeffs = assemble_coefficients(star, n_chi=_get(config, "n_chi"))
+    u, v = _initial_data(preset, star, coeffs)
 
     def snapshot(index: int, t: float, uu: np.ndarray, vv: np.ndarray) -> Path:
         fields = reconstruct(coeffs, uu)
@@ -393,7 +429,7 @@ def _cmd_evolve(config: RunConfig, out: Path) -> int:
             ("second/S0", times, [n / norms["second"][0] for n in norms["second"]]),
         ],
         out / "energy.svg",
-        title=f"evolution R={config.R:g} preset={config.options.get('preset', 'gaussian')}",
+        title=f"evolution R={config.R:g} preset={preset}",
         xlabel="phi",
         ylabel="relative size",
         ylog=True,
@@ -409,13 +445,7 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
     from .evolution import assemble_coefficients
     from .modes import dispersion_roots, find_modes, mode_to_initial_data
 
-    opts = config.options
-    count = int(opts.get("count", 3))
-    which = str(opts.get("which", "both"))
-    if which not in ("h0", "full", "both"):
-        raise ConfigError(f"which must be h0, full, or both, got {which!r}")
-    if count < 1:
-        raise ConfigError("count must be at least 1")
+    count, which = _get(config, "count"), _get(config, "which")
 
     # flat-operator eigenvalues under the surface condition of this radius
     R = config.R
@@ -455,17 +485,15 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
         )
         print(f"wrote {path}")
 
-    emit_j = opts.get("emit_initial_data")
+    emit_j = _get(config, "emit_initial_data")
     if emit_j is not None:
-        emit_j = int(emit_j)
         if not 1 <= emit_j <= max(count, len(modes)):
             raise ConfigError(f"emit_initial_data index {emit_j} outside 1..{count}")
         if star is None:
             star = build_star(config.star_parameters(), solver=config.solver)
         if len(modes) < emit_j:
             modes = find_modes(star, n_modes=emit_j)
-        n_chi = int(opts.get("n_chi", 501))
-        coeffs = assemble_coefficients(star, n_chi=n_chi)
+        coeffs = assemble_coefficients(star, n_chi=_get(config, "n_chi"))
         u0, v0 = mode_to_initial_data(coeffs, modes[emit_j - 1])
         path = _emit_csv(
             out / f"initial_data_mode_{emit_j}.csv",
@@ -543,7 +571,7 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
         f"<= {calibration.CLOSED_FORM_R6_MAX:g} R^6",
     )
 
-    perts = audit_perturbations(star, count=12, seed=config.seed)
+    perts = audit_perturbations(star, count=12, seed=_get(config, "seed"))
     report = criticality_audit(star, perts)
     checks.record(
         "variation.criticality",
@@ -562,8 +590,8 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
         lo <= rlo and rhi <= hi,
         f"ratios in [{rlo:.3g}, {rhi:.3g}] within [{lo:g}, {hi:g}]",
     )
-    det = detuned_profile(star)
-    det_first = min(abs(first_variation(det, p.rdot)) for p in perts)
+    det_report = criticality_audit(detuned_profile(star), perts)
+    det_first = float(np.min(np.abs(det_report.first_variations)))
     det_floor = 0.5 * FOUR_PI * R * R * 0.01
     checks.record(
         "variation.detuned-detection",
@@ -643,28 +671,41 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     return EXIT_VERIFY if checks.failures else EXIT_OK
 
 
-_RUNNERS = {
-    "build": _cmd_build,
-    "family": _cmd_family,
-    "variation-audit": _cmd_variation_audit,
-    "evolve": _cmd_evolve,
-    "modes": _cmd_modes,
-    "verify": _cmd_verify,
+# command -> (help, runner, option rows)
+_COMMANDS = {
+    "build": ("solve one star and write its profile", _cmd_build, (
+        _Opt("basename", "--basename", str, None, "output files base name"),
+    )),
+    "family": ("scan masses over a range of radii", _cmd_family, (
+        _Opt("radii", "--radii", list, None, "comma-separated radii",
+             replaces=("r_min", "r_max", "count")),
+        _Opt("r_min", "--r-min", float, 0.02, "smallest radius of the scan"),
+        _Opt("r_max", "--r-max", float, 0.12, "largest radius of the scan"),
+        _Opt("count", "--count", int, 6, "radii in the scan", above=1),
+    )),
+    "variation-audit": ("first/second variation over random draws", _cmd_variation_audit, (
+        _Opt("profile", "--profile", str, None, "profile CSV to audit instead of solving"),
+        _Opt("count", "--count", int, 50, "number of perturbations", above=0),
+    )),
+    "evolve": ("run the linear wave equation", _cmd_evolve, (
+        _Opt("n_chi", "--n-chi", int, 501, "comoving grid nodes"),
+        _Opt("cfl", "--cfl", float, 0.4, "time step over dchi/c_max (at most 0.5)"),
+        _Opt("duration", "--T", float, 10.0, "duration in units of R", above=0.0),
+        _Opt("preset", "--preset", str, "gaussian", "gaussian, mode:<j>, or file:<csv>"),
+        _Opt("samples", "--samples", int, 200, "energy samples"),
+        _Opt("snapshots", "--snapshots", int, 5, "snapshot files (at least 2)"),
+    )),
+    "modes": ("radial eigenmodes by shooting", _cmd_modes, (
+        _Opt("count", "--count", int, 3, "number of modes", above=0),
+        _Opt("which", "--which", ("h0", "full", "both"), "both", "flat-model, full, or both"),
+        _Opt("emit_initial_data", "--emit-initial-data", int, None, "index of the mode to emit"),
+        _Opt("n_chi", "--n-chi", int, 501, "comoving grid nodes of the initial data"),
+    )),
+    "verify": ("re-check module invariants on one star", _cmd_verify, ()),
 }
 
 
 # ------------------------------------------------------------------ parsing
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--R", type=float, default=0.1, help="surface areal radius")
-    sub.add_argument("--grid-n", type=int, default=2001, help="radial grid nodes")
-    sub.add_argument(
-        "--solver", choices=("picard", "shooting"), default="picard", help="background solver"
-    )
-    sub.add_argument("--seed", type=int, default=DEFAULT_AUDIT_SEED, help="audit RNG seed")
-    sub.add_argument("--output-dir", default=".", help="artifact directory")
-    sub.add_argument("--config", default=None, help="JSON config overriding flags")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -674,91 +715,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("build", help="solve one star and write its profile")
-    _add_common(p)
-    p.add_argument("--basename", default=None, help="output files base name")
-
-    p = subs.add_parser("family", help="scan masses over a range of radii")
-    _add_common(p)
-    p.add_argument("--radii", default=None, help="comma-separated radii")
-    p.add_argument("--r-min", type=float, default=0.02)
-    p.add_argument("--r-max", type=float, default=0.12)
-    p.add_argument("--count", type=int, default=6)
-
-    p = subs.add_parser("variation-audit", help="first/second variation over random draws")
-    _add_common(p)
-    p.add_argument("--profile", default=None, help="profile CSV to audit instead of solving")
-    p.add_argument("--count", type=int, default=50, help="number of perturbations")
-
-    p = subs.add_parser("evolve", help="run the linear wave equation")
-    _add_common(p)
-    p.add_argument("--n-chi", type=int, default=501, help="comoving grid nodes")
-    p.add_argument("--cfl", type=float, default=0.4)
-    p.add_argument("--T", type=float, default=10.0, help="duration in units of R")
-    p.add_argument(
-        "--preset",
-        default="gaussian",
-        help="initial data: gaussian, mode:<j>, or file:<csv>",
-    )
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--snapshots", type=int, default=5)
-
-    p = subs.add_parser("modes", help="radial eigenmodes by shooting")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--which", choices=("h0", "full", "both"), default="both")
-    p.add_argument("--emit-initial-data", type=int, default=None, metavar="J")
-    p.add_argument("--n-chi", type=int, default=501)
-
-    p = subs.add_parser("verify", help="re-check module invariants on one star")
-    _add_common(p)
+    for command, (help_text, _, rows) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for row in (*_COMMON.values(), *rows):
+            if row.flag is None:
+                continue
+            kwargs = {"dest": row.key, "default": row.default, "help": row.help}
+            if isinstance(row.kind, tuple):
+                kwargs["choices"] = row.kind
+            elif row.kind in (int, float):
+                kwargs["type"] = row.kind
+            sub.add_argument(row.flag, **kwargs)
+        sub.add_argument("--config", default=None, help="JSON config overriding flags")
     return parser
 
 
-def _namespace_to_dict(ns: argparse.Namespace) -> dict:
-    common = {
-        "command": ns.command,
-        "R": ns.R,
-        "grid_n": ns.grid_n,
-        "solver": ns.solver,
-        "seed": ns.seed,
-        "output_dir": ns.output_dir,
-    }
-    options: dict = {}
-    if ns.command == "build":
-        if ns.basename is not None:
-            options["basename"] = ns.basename
-    elif ns.command == "family":
-        if ns.radii is not None:
-            options["radii"] = [float(tok) for tok in ns.radii.split(",") if tok]
-        else:
-            options.update(r_min=ns.r_min, r_max=ns.r_max, count=ns.count)
-    elif ns.command == "variation-audit":
-        options["count"] = ns.count
-        if ns.profile is not None:
-            options["profile"] = ns.profile
-    elif ns.command == "evolve":
-        options.update(
-            n_chi=ns.n_chi,
-            cfl=ns.cfl,
-            duration=ns.T,
-            preset=ns.preset,
-            samples=ns.samples,
-            snapshots=ns.snapshots,
-        )
-    elif ns.command == "modes":
-        options.update(count=ns.count, which=ns.which, n_chi=ns.n_chi)
-        if ns.emit_initial_data is not None:
-            options["emit_initial_data"] = ns.emit_initial_data
-    common["options"] = options
-    return common
+def _flag_values(ns: argparse.Namespace) -> dict:
+    """The config the flags give; options whose value is None are left out."""
+    data = {"command": ns.command}
+    data.update((row.key, getattr(ns, row.key)) for row in _COMMON.values() if row.flag)
+    rows = _option_rows(ns.command).values()
+    options = {row.key: getattr(ns, row.key) for row in rows if getattr(ns, row.key) is not None}
+    for row in rows:
+        if row.key in options:
+            if row.kind is list:
+                text = options[row.key]
+                try:
+                    options[row.key] = [float(tok) for tok in text.split(",") if tok]
+                except ValueError:
+                    raise ConfigError(
+                        f"{row.flag} takes comma-separated numbers, got {text!r}"
+                    ) from None
+            for key in row.replaces:
+                options.pop(key, None)
+    data["options"] = options
+    return data
 
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
     """Flags plus optional JSON file (the file wins) to one RunConfig."""
     ns = _build_parser().parse_args(argv)
-    data = _namespace_to_dict(ns)
+    data = _flag_values(ns)
     if ns.config is not None:
         overrides = _load_config_file(ns.config)
         if "command" in overrides and overrides["command"] != data["command"]:
@@ -783,7 +780,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         out = _resolve_output_dir(config)
-        return _RUNNERS[config.command](config, out)
+        return _COMMANDS[config.command][1](config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

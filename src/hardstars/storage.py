@@ -130,11 +130,25 @@ def write_profile(
 def read_profile_csv(path: str | Path) -> BackgroundProfile:
     """Reconstruct a completed profile from a CSV written by this module.
 
-    Raises ``ValueError`` unless the columns are ``CSV_COLUMNS``, r runs
-    from 0 to R > 0 on a uniform grid (every spacing within 1e-9 dr of
-    R/(rows - 1)), chi strictly increases, and every value is finite apart
-    from +inf at the centre of omega, drdchi and dpsidchi.
+    Raises ``ValueError`` unless the first line is a ``# {...}`` header with
+    format ``hardstars-profile`` and this package's version, the columns
+    are ``CSV_COLUMNS``, r runs from 0 to R > 0 on a uniform grid (every
+    spacing within 1e-9 dr of R/(rows - 1)), chi strictly increases, and
+    every value is finite apart from +inf at the centre of omega, drdchi
+    and dpsidchi.
     """
+    with open(path) as fh:
+        first = fh.readline()
+    try:
+        header = json.loads(first[2:]) if first.startswith("# ") else None
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != "hardstars-profile":
+        raise ValueError(f"{path}: first line is not a hardstars-profile header")
+    if header.get("version") != __version__:
+        raise ValueError(
+            f"{path}: profile version {header.get('version')!r} is not {__version__!r}"
+        )
     names, table = read_table(path)
     if tuple(names) != CSV_COLUMNS:
         raise ValueError(f"unexpected columns in {path}: {names}")

@@ -15,10 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hardstars
 from hardstars import calibration
-from hardstars.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, RunConfig, main
+from hardstars.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_VERIFY,
+    RunConfig,
+    build_config,
+    main,
+)
 from hardstars.errors import ConfigError
 
 
@@ -109,6 +119,97 @@ def test_canonical_json_is_stable():
     assert cfg.canonical_json() == RunConfig.from_dict(doc).canonical_json()
 
 
+# Config hashes of the README examples; every artifact header carries one.
+_PINNED_HASHES = {
+    "build --R 0.1 --grid-n 2001": "d4c75fd0a2f6",
+    "family --radii 0.02,0.05,0.1": "791b58eaeff9",
+    "family --r-min 0.02 --r-max 0.12 --count 6": "ebfe3fb5f802",
+    "variation-audit --R 0.1 --count 50": "85aaf366625b",
+    "evolve --R 0.05 --n-chi 501 --T 10 --preset gaussian": "caccca22b7b1",
+    "modes --R 0.05 --count 3 --which both": "6e7be7f899b2",
+    "modes --R 0.05 --count 1 --emit-initial-data 1": "94044d8b74ec",
+    "verify --R 0.05": "f93dde19fba8",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_HASHES))
+def test_readme_config_hashes_are_pinned(argv):
+    assert build_config(argv.split()).hash == _PINNED_HASHES[argv]
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_ints = st.integers(-10**12, 10**12)
+_texts = st.text(max_size=12)
+# key -> (flag, valid values); every flag a command takes except --radii,
+# whose flag form drops r_min, r_max and count while a JSON radii keeps them
+_COMMON_FLAGS = {
+    "R": ("--R", _floats),
+    "grid_n": ("--grid-n", _ints),
+    "solver": ("--solver", st.sampled_from(["picard", "shooting"])),
+    "seed": ("--seed", _ints),
+    "output_dir": ("--output-dir", _texts),
+}
+_OPTION_FLAGS = {
+    "build": {"basename": ("--basename", _texts)},
+    "family": {
+        "r_min": ("--r-min", _floats),
+        "r_max": ("--r-max", _floats),
+        "count": ("--count", st.integers(2, 10**6)),
+    },
+    "variation-audit": {
+        "profile": ("--profile", _texts),
+        "count": ("--count", st.integers(1, 10**6)),
+    },
+    "evolve": {
+        "n_chi": ("--n-chi", _ints),
+        "cfl": ("--cfl", _floats),
+        "duration": ("--T", _positive),
+        "preset": ("--preset", _texts),
+        "samples": ("--samples", _ints),
+        "snapshots": ("--snapshots", _ints),
+    },
+    "modes": {
+        "count": ("--count", st.integers(1, 10**6)),
+        "which": ("--which", st.sampled_from(["h0", "full", "both"])),
+        "emit_initial_data": ("--emit-initial-data", _ints),
+        "n_chi": ("--n-chi", _ints),
+    },
+    "verify": {},
+}
+
+
+@st.composite
+def _drawn_run(draw):
+    """A command and a valid value for some of its flags, keyed common/option."""
+    command = draw(st.sampled_from(sorted(_OPTION_FLAGS)))
+    picked = {}
+    for group, flags in (("common", _COMMON_FLAGS), ("option", _OPTION_FLAGS[command])):
+        for key, (flag, values) in flags.items():
+            if draw(st.booleans()):
+                picked[key] = (group, flag, draw(values))
+    return command, picked
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(run=_drawn_run())
+def test_flags_and_config_file_give_one_config(tmp_path_factory, run):
+    command, picked = run
+    argv = [command] + [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+                        for _, flag, value in picked.values()]
+    doc = {key: value for key, (group, _, value) in picked.items() if group == "common"}
+    doc["options"] = {key: value for key, (group, _, value) in picked.items() if group == "option"}
+    path = tmp_path_factory.getbasetemp() / "drawn_config.json"
+    path.write_text(json.dumps(doc))
+    from_flags = build_config(argv)
+    from_file = build_config([command, "--config", str(path)])
+    assert from_flags.canonical_json() == from_file.canonical_json()
+    assert from_flags.hash == from_file.hash
+    back = RunConfig.from_dict(json.loads(from_flags.canonical_json()))
+    assert back.canonical_json() == from_flags.canonical_json()
+    assert back.hash == from_flags.hash
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -161,6 +262,40 @@ def test_config_file_overrides_flags(tmp_path):
     code = run("build", "--R", "0.02", "--grid-n", "901", "--config", str(cfg))
     assert code == EXIT_OK
     assert (tmp_path / "out" / "profile_R0p08.csv").exists()
+
+
+_MALFORMED = {
+    "R-string": (["build"], {"R": "0.1"}),
+    "grid_n-fraction": (["build"], {"grid_n": 2001.5}),
+    "seed-fraction": (["variation-audit"], {"seed": 1.5}),
+    "seed-string": (["variation-audit"], {"seed": "a"}),
+    "output_dir-number": (["build"], {"output_dir": 5}),
+    "count-string": (["variation-audit"], {"options": {"count": "x"}}),
+    "count-numeric-string": (["variation-audit"], {"options": {"count": "4"}}),
+    "count-bool": (["variation-audit"], {"options": {"count": True}}),
+    "profile-number": (["variation-audit"], {"options": {"profile": 5}}),
+    "snapshots-string": (["evolve"], {"options": {"snapshots": "a"}}),
+    "radii-entry-string": (["family"], {"options": {"radii": [0.05, "x"]}}),
+    "radii-string": (["family"], {"options": {"radii": "0.1"}}),
+    "count-flag-zero": (["variation-audit", "--count", "0"], None),
+    "T-flag-nan": (["evolve", "--T", "nan"], None),
+    "radii-flag-word": (["family", "--radii", "a"], None),
+    "radii-flag-nan": (["family", "--radii", "0.05,nan"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_config_exits_2(tmp_path, capsys, case):
+    argv, doc = _MALFORMED[case]
+    argv = [*argv, "--grid-n", "201", "--output-dir", str(tmp_path)]
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 def test_radius_outside_domain_is_config_error(tmp_path, capsys):
@@ -384,7 +519,9 @@ def profile_lines(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "case", ["missing", "columns", "non-numeric", "no-rows", "non-uniform", "non-monotone-chi"]
+    "case",
+    ["missing", "columns", "non-numeric", "no-rows", "non-uniform", "non-monotone-chi",
+     "no-header", "format", "version"],
 )
 def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case):
     header, names, *rows = profile_lines
@@ -401,9 +538,14 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
         cells = rows[7].split(",")
         cells[j] = rows[9].split(",")[j]
         rows[7] = ",".join(cells)
+    elif case == "format":
+        header = header.replace('"hardstars-profile"', '"hardstars-snapshot"')
+    elif case == "version":
+        header = header.replace(f'"version": "{hardstars.__version__}"', '"version": "0.0.1"')
+    lines = [header, names, *rows] if case != "no-header" else [names, *rows]
     path = tmp_path / "profile.csv"
     if case != "missing":
-        path.write_text("\n".join([header, names, *rows]) + "\n")
+        path.write_text("\n".join(lines) + "\n")
     code = run(
         "variation-audit", "--count", "2", "--profile", str(path),
         "--output-dir", str(tmp_path / "out"),

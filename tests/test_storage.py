@@ -124,3 +124,17 @@ def test_read_table_round_trips_rows(tmp_path):
     names, table = read_table(path)
     assert names == ["chi", "u"]
     assert np.array_equal(table, [[0.0, 1.5], [2.0, np.inf]])
+
+
+def test_read_rejects_foreign_or_missing_header(star_r005, tmp_path):
+    path = write_profile_csv(star_r005, tmp_path / "star.csv")
+    header, *rest = path.read_text().splitlines()
+    for first, message in (
+        (None, "not a hardstars-profile header"),
+        (header.replace("hardstars-profile", "hardstars-snapshot"), "not a hardstars-profile"),
+        (header.replace('"version": "', '"version": "9'), "version"),
+    ):
+        lines = rest if first is None else [first, *rest]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_profile_csv(path)
