@@ -446,6 +446,9 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
     from .modes import dispersion_roots, find_modes, mode_to_initial_data
 
     count, which = _get(config, "count"), _get(config, "which")
+    emit_j = _get(config, "emit_initial_data")
+    if emit_j is not None and not 1 <= emit_j <= count:
+        raise ConfigError(f"emit_initial_data index {emit_j} outside 1..{count}")
 
     # flat-operator eigenvalues under the surface condition of this radius
     R = config.R
@@ -485,10 +488,7 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
         )
         print(f"wrote {path}")
 
-    emit_j = _get(config, "emit_initial_data")
     if emit_j is not None:
-        if not 1 <= emit_j <= max(count, len(modes)):
-            raise ConfigError(f"emit_initial_data index {emit_j} outside 1..{count}")
         if star is None:
             star = build_star(config.star_parameters(), solver=config.solver)
         if len(modes) < emit_j:

@@ -298,6 +298,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("emit", [0, 2])
+def test_modes_emit_index_checked_before_solving(tmp_path, capsys, emit):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 0.05, "options": {"count": 1, "emit_initial_data": emit}}))
+    out = tmp_path / "out"
+    assert run("modes", "--config", str(cfg), "--output-dir", str(out)) == EXIT_CONFIG
+    assert "emit_initial_data" in capsys.readouterr().err
+    assert not list(out.glob("mode*.csv"))
+
+
 def test_radius_outside_domain_is_config_error(tmp_path, capsys):
     assert run("build", "--R", "0.4", "--output-dir", str(tmp_path)) == EXIT_CONFIG
     assert "radius" in capsys.readouterr().err

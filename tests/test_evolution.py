@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 
@@ -20,6 +22,7 @@ from hardstars.background import (
 from hardstars.cli import EXIT_OK, main
 from hardstars.errors import CflViolationError, DomainError, InstabilityError
 from hardstars.evolution import (
+    STRIDE,
     _invert_chi,
     acceleration,
     assemble_coefficients,
@@ -79,6 +82,51 @@ def _reference_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
         if step % stride == 0 or step == n_steps:
             energies.append(discrete_energy(coeffs, u, v))
     return u, v, probe, np.array(energies), n_steps
+
+
+def _kick_drift_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200, instability_factor=100.0):
+    """Kick-drift Verlet one fused step at a time on the dt^2-scaled bands,
+    as ``evolve`` ran before its Chebyshev strides; the oracle for them.
+    Raises ``InstabilityError`` at the same samples as ``evolve``.
+    Returns (u, v, probe, energies)."""
+    dt_cfl = cfl_timestep(coeffs, cfl)
+    n_steps = max(1, math.ceil(T / dt_cfl))
+    dt = T / n_steps
+    u = np.array(u0, dtype=float)
+    v = np.array(v0, dtype=float)
+    u[0] = 0.0
+    v[0] = 0.0
+    e0 = discrete_energy(coeffs, u, v)
+    energies = [e0]
+    probe = np.empty(n_steps + 1)
+    probe[0] = u[-1]
+    dt2 = dt * dt
+    scaled = dt2 * coeffs.bands
+    up, diag, low = scaled[0, 1:], scaled[1], scaled[2, :-1]
+    kick = np.empty_like(u)
+    part = np.empty(len(u) - 1)
+    w = dt * v + 0.5 * dt2 * acceleration(coeffs, u)
+    every = max(1, n_steps // max(1, samples))
+    for step in range(1, n_steps + 1):
+        np.add(u, w, out=u)
+        np.multiply(diag, u, out=kick)
+        np.multiply(low, u[:-1], out=part)
+        np.add(kick[1:], part, out=kick[1:])
+        np.multiply(up, u[1:], out=part)
+        np.add(kick[:-1], part, out=kick[:-1])
+        np.add(w, kick, out=w)
+        probe[step] = u[-1]
+        if step % every == 0 or step == n_steps:
+            v = (w - 0.5 * kick) / dt
+            e = discrete_energy(coeffs, u, v)
+            energies.append(e)
+            if e0 > 0.0 and (not math.isfinite(e) or e > instability_factor * e0):
+                raise InstabilityError("energy grew", step=step, energy_ratio=e / e0)
+    return u, v, probe, np.array(energies)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +280,90 @@ def test_semi_discrete_energy_identity(co):
         assert abs(t1 + t2 + t3 + t4) <= 1e-13 * scale
 
 
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _random_coefficients(base, rng):
+    # positive mass and fluxes, V < 0 and alpha < 0 spread over 2.6 decades
+    n = base.n_chi
+
+    def spread(size=None):
+        return np.exp(rng.uniform(-3.0, 3.0, size))
+
+    V = -spread(n)
+    V[0] = 0.0
+    return dataclasses.replace(
+        base,
+        dchi=float(spread()),
+        mass=_readonly(spread(n)),
+        V=_readonly(V),
+        flux_half=_readonly(spread(n - 1)),
+        flux_surface=float(spread()),
+        alpha=-float(spread()),
+    )
+
+
+@_PROPERTY
+@given(n_chi=st.integers(16, 96), seed=st.integers(0, 2**32 - 1))
+def test_energy_rate_is_the_energy_bilinear_form(star_r005, n_chi, seed):
+    # sum(mass w v A u) = -B(u, v), B the bilinear form of the gradient,
+    # potential and surface terms of discrete_energy (its v = 0 part),
+    # taken by polarization; for any positive weights, V and alpha < 0
+    rng = np.random.default_rng(seed)
+    c = _random_coefficients(assemble_coefficients(star_r005, n_chi=n_chi), rng)
+    u = rng.standard_normal(n_chi)
+    v = rng.standard_normal(n_chi)
+    u[0] = 0.0
+    v[0] = 0.0
+    wgt = np.full(n_chi, c.dchi)
+    wgt[0] = 0.0
+    wgt[-1] = 0.5 * c.dchi
+    rate = float(np.sum(c.mass * wgt * v * acceleration(c, u)))
+    zero = np.zeros(n_chi)
+    plus, minus = discrete_energy(c, u + v, zero), discrete_energy(c, u - v, zero)
+    # roundoff scale: the rate's terms before cancellation, and the two energies
+    ab, au = np.abs(c.bands), np.abs(u)
+    size = ab[1] * au
+    size[1:] += ab[2, :-1] * au[:-1]
+    size[:-1] += ab[0, 1:] * au[1:]
+    scale = float(np.sum(c.mass * wgt * np.abs(v) * size)) + 0.5 * (plus + minus)
+    assert abs(rate + 0.5 * (plus - minus)) <= 1e-14 * scale
+
+
+@st.composite
+def _drawn_reversal(draw):
+    """A grid size and a step count: below the stride threshold, or several
+    strides plus a remainder."""
+    n_chi = draw(st.integers(16, 160))
+    if draw(st.booleans()):
+        n_steps = draw(st.integers(1, 2 * STRIDE - 1))
+    else:
+        n_steps = STRIDE * draw(st.integers(3, 8)) + draw(st.integers(0, STRIDE - 1))
+    return n_chi, n_steps, draw(st.integers(-3, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(_PROPERTY, max_examples=60)
+@given(run=_drawn_reversal())
+def test_evolve_reverses_on_random_grids_and_data(star_r005, run):
+    n_chi, n_steps, v_exponent, seed = run
+    c = assemble_coefficients(star_r005, n_chi=n_chi)
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(n_chi)
+    v0 = 10.0**v_exponent * rng.standard_normal(n_chi)
+    u0[0] = 0.0
+    v0[0] = 0.0
+    T = (n_steps - 0.5) * cfl_timestep(c, 0.4)
+    fwd = evolve(c, u0, v0, T=T, samples=int(rng.integers(1, 20)))
+    back = evolve(c, fwd.u, -fwd.v, T=T, samples=3)
+    assert fwd.n_steps == n_steps
+    strided = n_steps >= 2 * STRIDE and n_chi > 2 * STRIDE
+    assert (fwd.provenance["strides"] > 0) == strided
+    uscale = max(np.max(np.abs(u0)), np.max(np.abs(fwd.u)))
+    vscale = max(np.max(np.abs(v0)), np.max(np.abs(fwd.v)))
+    assert np.max(np.abs(back.u - u0)) <= 1e-12 * uscale
+    assert np.max(np.abs(back.v + v0)) <= 1e-12 * vscale
+
+
 @pytest.mark.parametrize("which", ["co", "flat_coeffs"])
 def test_bands_match_flux_form(which, request):
     c = request.getfixturevalue(which)
@@ -278,6 +410,42 @@ def test_evolve_matches_reference_loop(star_r005, co):
     assert rel(res.v, v) <= 1e-9
     assert rel(res.probe_values, probe) <= 1e-9
     assert rel(res.energies, energies) <= 1e-9
+
+
+def test_strides_match_kick_drift_oracle(star_r005):
+    # 10 R at n_chi 2000 is 4644 strides; measured against the one-step
+    # loop: u 3.5e-12, v 4.9e-11, probe 1.3e-12, energies 1.3e-13
+    c = assemble_coefficients(star_r005, n_chi=2000)
+    u0, v0 = gaussian_pulse(c)
+    T = 10.0 * star_r005.R
+    res = evolve(c, u0, v0, T=T)
+    u, v, probe, energies = _kick_drift_evolve(c, u0, v0, T)
+    assert res.provenance["strides"] > 4000
+    assert len(res.energies) == len(energies)
+    assert _rel(res.u, u) <= 1e-10
+    assert _rel(res.v, v) <= 1e-9
+    assert _rel(res.probe_values, probe) <= 1e-10
+    assert _rel(res.energies, energies) <= 1e-11
+
+
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 95, 96, 127, 1585])
+def test_stride_provenance_accounts_for_every_step(co, n_steps):
+    u0, v0 = gaussian_pulse(co)
+    T = (n_steps - 0.5) * cfl_timestep(co, 0.4)
+    res = evolve(co, u0, v0, T=T, samples=7)
+    assert res.n_steps == n_steps
+    prov = res.provenance
+    k = prov["stride"]
+    assert k == STRIDE
+    assert k * prov["strides"] + prov["plain_steps"] == res.n_steps
+    if res.n_steps < 2 * k:
+        assert prov["strides"] == 0
+    else:
+        assert prov["strides"] == res.n_steps // k - 1
+        assert k <= prov["plain_steps"] < 2 * k
+    u, v, probe, _ = _kick_drift_evolve(co, u0, v0, T, samples=7)
+    assert _rel(res.u, u) <= 1e-12
+    assert _rel(res.probe_values, probe) <= 1e-12
 
 
 def test_energy_pieces_nonnegative(co):
@@ -354,6 +522,9 @@ def test_instability_detection(co):
         evolve(tampered, u0, v0, T=0.05, cfl=0.4, samples=100)
     assert info.value.energy_ratio > 100.0 or not math.isfinite(info.value.energy_ratio)
     assert info.value.step > 0
+    with pytest.raises(InstabilityError) as oracle:
+        _kick_drift_evolve(tampered, u0, v0, T=0.05, cfl=0.4, samples=100)
+    assert info.value.step == oracle.value.step
 
 
 def test_sampling_layout(co):
