@@ -6,8 +6,11 @@ frame.  The equation of motion is
 
     mass(chi) d2u/dt2 = d/dchi ( flux(chi) du/dchi ) + V(chi) u,
 
-with  mass = e^F n^2,  flux = 16 pi^2 r0^4 n^2 e^F,  and a potential V < 0
-that diverges like -2/r0^2 at the centre.  F is a regular radial integral of
+with  mass = e^F n^2,  flux = 16 pi^2 r0^4 n^2 e^F,  and a potential V that
+diverges like -2/r0^2 at the centre.  V < 0 on every node for R up to about
+0.208; above that V turns positive in an outer shell that spreads inward
+(at n_chi 500: 224 of 499 nodes, r0 > 0.83 R, max 22.7 at R = 0.235; 310
+nodes, r0 > 0.73 R, at R = 0.245).  F is a regular radial integral of
 the background; remarkably flux/mass = (4 pi r0^2)^2 exactly, so the
 characteristic speed in chi equals the shell surface area.
 
@@ -21,7 +24,9 @@ semi-discrete energy
     E = 1/2 sum mass v^2 w + 1/2 sum flux_half (Du)^2/dchi
         - 1/2 sum V u^2 w - 1/2 flux_B alpha u_B^2
 
-an exact invariant (all four terms are nonnegative).  The spatial operator
+an exact invariant.  The kinetic, gradient and surface terms are
+nonnegative, and so is the potential term wherever V <= 0, which covers
+every node only for R below about 0.208.  The spatial operator
 d2u/dt2 = A u is tridiagonal and constant in time, so
 ``WaveCoefficients.bands`` builds A once, in LAPACK banded layout, straight
 from the flux-form coefficients (row 0, the pinned centre, is zero).  It is
@@ -294,8 +299,9 @@ def acceleration(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
 
 
 def discrete_energy(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> float:
-    """The exact invariant of the semi-discrete system (sum of four
-    nonnegative pieces: kinetic, gradient, potential, surface)."""
+    """The exact invariant of the semi-discrete system: kinetic, gradient,
+    potential and surface pieces, each nonnegative except the potential one
+    where V > 0 (outer shells of stars with R above about 0.208)."""
     dchi = coeffs.dchi
     wgt = np.full(coeffs.n_chi, dchi)
     wgt[0] = 0.0

@@ -15,25 +15,33 @@ the admissible x = sqrt(lambda) R approach the roots of
 
     sin x (x^2 - 2) + 2 x cos x = 0            (x1 = 2.0815759778181...)
 
-``shooting_defect`` integrates the regular solution outward (RK45 on a
-right-hand side evaluated in plain floats from the background spline) and
-returns h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are
-exactly the eigenvalues.  ``find_modes`` brackets them from the discrete
-spectrum of the wave operator on the chi grid (``evolution``), whose j-th
-eigenvalue belongs to the j-th mode by Sturm ordering: the lowest
-eigenvalues on two grids, extrapolated in the grid spacing, centre one
-bracket per mode, and ``brentq`` on the shooting defect refines it.
+``shooting_defect`` integrates the regular solution outward and returns
+h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are exactly
+the eigenvalues.  The right-hand side is evaluated in plain floats from the
+background spline and stepped by the Dormand-Prince 8(5,3) pair (Hairer,
+Norsett and Wanner, *Solving ODEs I*, II.10) compiled in scipy's ``ode``
+interface, so no Python runs between right-hand-side calls;
+``eigenfunction`` samples the same solution with the same pair and
+tolerances through ``solve_ivp``'s dense output.
+
+``find_modes`` brackets the eigenvalues from the discrete spectrum of the
+wave operator on the chi grid (``evolution``), whose j-th eigenvalue belongs
+to the j-th mode by Sturm ordering: the lowest eigenvalues on two grids,
+extrapolated in the grid spacing, centre one bracket per mode, and
+``brentq`` on the shooting defect refines it.
 ``apply_H0``/``apply_H1`` split the radial operator into its flat Bessel part
 and the stellar correction, which shrinks like R^2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
@@ -51,8 +59,14 @@ from .numerics import derivative_uniform, scan_sign_changes, second_derivative_u
 #: First admissible x = sqrt(lambda) R in the zero-size limit.
 X1_LIMIT = 2.0815759778181
 
-#: What ``shooting_defect`` returns when the integration fails.
-DEFECT_SENTINEL = 1e30
+#: Relative tolerance of the shooting integrations; the absolute one is
+#: this times R.
+SHOOTING_RTOL = 1e-10
+
+#: Step budget of one ``shooting_defect`` integration.  lam = 1e9 at
+#: R = 0.05 (about 500 oscillations) takes 4.6e3 steps; scipy's default of
+#: 500 fails there.
+MAX_STEPS = 100_000
 
 #: Shells of the coarser of the two chi grids whose discrete spectra seed
 #: the brackets of ``find_modes`` (the finer grid has twice as many); past
@@ -167,9 +181,11 @@ class _Severable:
     ``solve_ivp`` and ``brentq`` keep the callable they are given in objects
     that refer to themselves (scipy's solver object stores a closure over
     itself; brentq's NaN guard is a closure over itself), so it lingers in
-    cyclic garbage until a full collection.  Handing them a forwarder that
-    is cut afterwards keeps that garbage from holding the operator's tables
-    and the background profile meanwhile.
+    cyclic garbage until a full collection.  Scipy's compiled ``dop853``
+    runner keeps one reference to its right-hand side per integration and
+    never drops it.  Handing them a forwarder that is cut afterwards keeps
+    that garbage from holding the operator's tables and the background
+    profile meanwhile.
     """
 
     __slots__ = ("fn",)
@@ -187,34 +203,49 @@ class _Severable:
         self.fn = None
 
 
-def _integrate(profile: BackgroundProfile, op: _RadialOperator, lam: float, **options):
-    """RK45 ``solve_ivp`` of the regular solution at ``lam`` from the series
-    start at 1e-4 R out to R."""
-    R = profile.R
-    r_s = 1e-4 * R
-    with _Severable(op.rhs) as rhs:
-        return solve_ivp(rhs, (r_s, R), _series_start(lam, r_s), args=(lam,), method="RK45",
-                         rtol=1e-10, atol=1e-10 * R, **options)
+#: The right-hand side every cached ``dop853`` integrator calls; pointed at
+#: one operator's ``rhs`` for the length of one ``shooting_defect``.
+_DEFECT_RHS = _Severable(None)
+#: Guards ``_DEFECT_RHS`` and the cached integrators, which are shared.
+_DEFECT_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=16)
+def _dop853(atol: float) -> ode:
+    """One ``dop853`` integrator per absolute tolerance, reused by every
+    defect: a fresh one per call would leave its per-call references (to the
+    right-hand side and to its own ``_solout``) behind, about 1.1 KB each."""
+    return ode(_DEFECT_RHS).set_integrator("dop853", rtol=SHOOTING_RTOL, atol=atol,
+                                           nsteps=MAX_STEPS)
 
 
 def shooting_defect(profile: BackgroundProfile, lam: float,
                     operator: _RadialOperator | None = None) -> float:
-    """h'(R) - kappa h(R) for the regular solution at trial eigenvalue lam.
+    """h'(R) - kappa h(R) for the regular solution at trial eigenvalue lam,
+    integrated from the series start at 1e-4 R out to R.
 
     Analytic in lam, so its sign changes are exactly the eigenvalues.
-    Returns ``DEFECT_SENTINEL`` if the integration fails and clips to
-    +-``DEFECT_SENTINEL`` otherwise, so a caller must treat a value of that
-    magnitude as no value at all.
+    Returns NaN if the integration fails or ends non-finite.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    try:
-        sol = _integrate(profile, op, lam)
-        if not sol.success:
-            return DEFECT_SENTINEL
-        h, hp = sol.y[0][-1], sol.y[1][-1]
-        return float(np.clip(hp - op.kappa * h, -DEFECT_SENTINEL, DEFECT_SENTINEL))
-    except (ValueError, FloatingPointError, ZeroDivisionError):
-        return DEFECT_SENTINEL
+    R = profile.R
+    r_s = 1e-4 * R
+    solver = _dop853(SHOOTING_RTOL * R)
+    with _DEFECT_LOCK:
+        _DEFECT_RHS.fn = op.rhs
+        try:
+            solver.set_initial_value(_series_start(lam, r_s), r_s).set_f_params(lam)
+            h, hp = solver.integrate(R).tolist()
+            if not solver.successful():
+                return math.nan
+        except ValueError:
+            # how the compiled runner reports an exception raised in the
+            # right-hand side
+            return math.nan
+        finally:
+            _DEFECT_RHS.fn = None
+    defect = hp - op.kappa * h
+    return defect if math.isfinite(defect) else math.nan
 
 
 @dataclass(frozen=True)
@@ -242,11 +273,19 @@ def eigenfunction(profile: BackgroundProfile, lam: float,
                   operator: _RadialOperator | None = None) -> np.ndarray:
     """Regular solution h on the profile grid, normalised to unit central slope.
 
+    The integration is ``shooting_defect``'s (same start, pair and
+    tolerances); ``solve_ivp`` reads it on the grid from the pair's dense
+    output.
+
     The slope is fitted as h = a r + b r^3 over the innermost grid nodes;
     dividing by a removes the O(r^2) bias a single-node ratio would keep.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    sol = _integrate(profile, op, lam, t_eval=profile.r[1:])
+    R = profile.R
+    r_s = 1e-4 * R
+    with _Severable(op.rhs) as rhs:
+        sol = solve_ivp(rhs, (r_s, R), _series_start(lam, r_s), args=(lam,), method="DOP853",
+                        t_eval=profile.r[1:], rtol=SHOOTING_RTOL, atol=SHOOTING_RTOL * R)
     if not sol.success:
         raise ConvergenceError(f"eigenfunction integration failed at lam={lam}")
     h = np.empty(profile.grid_n)
@@ -286,11 +325,11 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
     lowest eigenvalues on two grids (``SEED_N_CHI`` shells and twice that),
     extrapolated in dchi, give an estimate x_j and an error scale
     d_j = |x_2n - x_n|.  Mode j is bracketed at x_j +- 4 d_j; while the
-    shooting defect does not change sign between two real end values (below
-    ``DEFECT_SENTINEL`` in magnitude), the half-width doubles
-    (``Mode.rescanned`` records that it did).  A bracket that reaches a
-    neighbouring estimate x_(j-1) or x_(j+1) (or 0) raises
-    ``ConvergenceError``.  ``brentq`` then refines the sign change.
+    shooting defect does not change sign between two finite end values, the
+    half-width doubles (``Mode.rescanned`` records that it did).  A bracket
+    that reaches a neighbouring estimate x_(j-1) or x_(j+1) (or 0) raises
+    ``ConvergenceError``.  ``brentq`` then refines the sign change; a failed
+    defect evaluation (NaN) inside the bracket raises ``ConvergenceError``.
     """
     op = _RadialOperator(profile)
     R = profile.R
@@ -303,7 +342,10 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
     with _Severable(defect_at_x) as defect:
         for j in range(n_modes):
             lo, hi, widened = _sign_bracket(defect, j, x_est, shift[j])
-            x = brentq(defect, lo, hi, xtol=1e-12, rtol=8.9e-16)
+            try:
+                x = brentq(defect, lo, hi, xtol=1e-12, rtol=8.9e-16)
+            except ValueError as exc:  # brentq's guard against a NaN value
+                raise ConvergenceError(f"mode {j + 1}: {exc}") from exc
             lam = (x / R) ** 2
             modes.append(
                 Mode(
@@ -318,7 +360,7 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
 
 
 def _sign_bracket(defect, j: int, x_est: list[float], shift: float) -> tuple[float, float, bool]:
-    """Bracket [lo, hi] of mode j about x_est[j] with real defect values of
+    """Bracket [lo, hi] of mode j about x_est[j] with finite defect values of
     opposite sign, starting at half-width 4 * shift and doubling; the flag
     says whether it had to widen."""
     floor = x_est[j - 1] if j else 0.0
@@ -329,13 +371,13 @@ def _sign_bracket(defect, j: int, x_est: list[float], shift: float) -> tuple[flo
         lo, hi = x_est[j] - half, x_est[j] + half
         if lo <= floor or hi >= ceiling:
             raise ConvergenceError(
-                f"mode {j + 1}: no sign change of the shooting defect between real "
+                f"mode {j + 1}: no sign change of the shooting defect between finite "
                 f"values in x = {x_est[j]:.6g} +- {half:.3g} short of the "
                 f"neighbouring discrete eigenvalues"
             )
         f_lo, f_hi = defect(lo), defect(hi)
-        real = abs(f_lo) < DEFECT_SENTINEL and abs(f_hi) < DEFECT_SENTINEL
-        if real and (f_lo < 0.0) != (f_hi < 0.0):
+        finite = math.isfinite(f_lo) and math.isfinite(f_hi)
+        if finite and (f_lo < 0.0) != (f_hi < 0.0):
             return lo, hi, widened
         half *= 2.0
         widened = True

@@ -185,6 +185,19 @@ def test_center_potential_scaling(co):
     assert co.V[0] == 0.0
 
 
+@pytest.mark.parametrize("R, positive", [(0.19, 0), (0.235, 224)])
+def test_potential_sign_range(R, positive):
+    # V < 0 on every node up to R about 0.208; beyond, an outer shell with
+    # V > 0 that reaches the surface (at R = 0.235 it starts at r0 = 0.83 R)
+    co = assemble_coefficients(build_star(StarParameters(R=R, grid_n=2001), solver="shooting"),
+                               n_chi=500)
+    V = co.V[1:]
+    assert int(np.sum(V > 0.0)) == positive
+    assert np.all(V[: V.size - positive] < 0.0)
+    if positive:
+        assert float(V.max()) == pytest.approx(22.7, abs=0.05)
+
+
 def test_mass_weight_at_least_one(co):
     # e^F and n^2 both exceed 1 inside the star
     assert np.all(co.mass >= 1.0)

@@ -3,8 +3,11 @@ operator splitting that connects them."""
 
 from __future__ import annotations
 
+import gc
 import math
-from types import SimpleNamespace
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from hardstars.modes import (
     spherical_j1,
 )
 from hardstars.numerics import scan_sign_changes
+from shooting_oracle import rk45_defect, rk45_eigenfunction
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -82,6 +86,11 @@ def _window_scan_x(profile, n_modes, scan_step=0.02, window=0.45):
 @pytest.fixture(scope="module")
 def star_r019_shooting():
     return build_star(StarParameters(R=0.19, grid_n=2001), solver="shooting")
+
+
+@pytest.fixture(scope="module")
+def modes_r019(star_r019_shooting):
+    return find_modes(star_r019_shooting, n_modes=3)
 
 
 # ----------------------------------------------------------- special function
@@ -216,6 +225,73 @@ def test_find_modes_matches_window_scan(star_r005, modes_r005):
         assert m.x == pytest.approx(w, abs=1e-10)
 
 
+@pytest.mark.parametrize("which", ["r005", "r019"])
+def test_shooting_matches_rk45_oracle(which, request):
+    # RK45 at rtol 1e-12 is good to about 1e-12 in the defect (it moves by
+    # 1e-12 against rtol 1e-13).  Measured worst gaps over modes 1-3 of both
+    # stars: defect 1.8e-11, located x 4.7e-11, eigenfunction 4.5e-10 of its
+    # peak against the RK45 rtol 1e-10 dense output the modes used before.
+    star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
+    found = request.getfixturevalue(f"modes_{which}")
+    op = _RadialOperator(star)
+    R = star.R
+    for m in found:
+        for lam in (m.eigenvalue, 0.98 * m.eigenvalue, 1.02 * m.eigenvalue):
+            assert shooting_defect(star, lam, op) == pytest.approx(
+                rk45_defect(star, op, lam), abs=5e-11)
+        dx = 1e-6
+        slope = (shooting_defect(star, ((m.x + dx) / R) ** 2, op)
+                 - shooting_defect(star, ((m.x - dx) / R) ** 2, op)) / (2.0 * dx)
+        # one Newton step on the oracle's defect from the located x
+        assert abs(rk45_defect(star, op, m.eigenvalue) / slope) <= 1e-10
+        h_rk45 = rk45_eigenfunction(star, op, m.eigenvalue)
+        assert np.max(np.abs(m.h - h_rk45)) <= 1e-9 * np.max(np.abs(m.h))
+
+
+def test_shooting_defect_retains_no_memory_per_call(star_r005):
+    # scipy's dop853 runner keeps references on every integration; the
+    # shared integrator and the cut forwarder keep that from growing with
+    # the number of calls (a fresh integrator per call retains about 1.1 KB).
+    # A small lam keeps the traced integrations short.
+    op = _RadialOperator(star_r005)
+    lam = 1.0
+    calls = 200
+    shooting_defect(star_r005, lam, op)
+    # only what is allocated after start() is traced, so no collection is
+    # needed before it (and one there triples the traced run time)
+    tracemalloc.start()
+    try:
+        for _ in range(calls):
+            shooting_defect(star_r005, lam, op)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / calls < 512
+
+
+def test_shooting_defect_is_thread_safe(star_r005, star_r01):
+    # the cached integrators and the forwarder they call are shared by every
+    # thread; two radii give two integrators, two eigenvalues share each
+    cases = [(star, _RadialOperator(star), lam)
+             for star, lams in ((star_r005, (1.0e3, 1.4e4)), (star_r01, (500.0, 3.5e3)))
+             for lam in lams]
+    want = [shooting_defect(star, lam, op) for star, op, lam in cases]
+
+    def repeat(star, op, lam):
+        return [shooting_defect(star, lam, op) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+            futures = [pool.submit(repeat, *case) for case in cases]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[w] * 5 for w in want]
+
+
 def test_float_path_coefficients_match_array_path(star_r005):
     op = _RadialOperator(star_r005)
     R = star_r005.R
@@ -230,23 +306,64 @@ def test_float_path_coefficients_match_array_path(star_r005):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
+class _FailsWhere:
+    """Stand-in for a cached ``dop853`` integrator that runs the real one but
+    reports failure for the trial eigenvalues ``fails(lam)`` selects."""
+
+    def __init__(self, solver, fails):
+        self.solver = solver
+        self.fails = fails
+        self.lam = None
+
+    def set_initial_value(self, y, t):
+        self.solver.set_initial_value(y, t)
+        return self
+
+    def set_f_params(self, lam):
+        self.lam = lam
+        self.solver.set_f_params(lam)
+        return self
+
+    def integrate(self, t):
+        return self.solver.integrate(t)
+
+    def successful(self):
+        return self.solver.successful() and not self.fails(self.lam)
+
+
+def _fail_defects(monkeypatch, fails):
+    real = modes._dop853
+    monkeypatch.setattr(modes, "_dop853", lambda atol: _FailsWhere(real(atol), fails))
+
+
 def test_find_modes_rejects_sentinel_bracket(star_r005, monkeypatch):
     # integration "fails" above x = 5.6, between modes 1 and 2, where the
-    # defect just below is negative: the jump from there to the +sentinel is
-    # not a sign change, so mode 2 has no bracket
+    # defect just below is negative: the jump from there to NaN is not a
+    # sign change, so mode 2 has no bracket
     R = star_r005.R
     lam_fail = (5.6 / R) ** 2
     assert shooting_defect(star_r005, 0.999 * lam_fail) < 0.0
-    real = modes.solve_ivp
-
-    def failing(fun, t_span, y0, args=(), **kwargs):
-        if args[0] > lam_fail:
-            return SimpleNamespace(success=False)
-        return real(fun, t_span, y0, args=args, **kwargs)
-
-    monkeypatch.setattr(modes, "solve_ivp", failing)
-    with pytest.raises(ConvergenceError):
+    _fail_defects(monkeypatch, lambda lam: lam > lam_fail)
+    with pytest.raises(ConvergenceError, match="mode 2: no sign change"):
         find_modes(star_r005, n_modes=2)
+
+
+def test_failed_defect_is_nan(star_r005, monkeypatch):
+    lam = 1.5e3
+    assert math.isfinite(shooting_defect(star_r005, lam))
+    _fail_defects(monkeypatch, lambda trial: True)
+    assert math.isnan(shooting_defect(star_r005, lam))
+
+
+def test_nan_inside_bracket_raises(star_r005, modes_r005, monkeypatch):
+    # the bracket ends are fine, but the defect fails within 1e-6 of the
+    # root, where brentq must evaluate it
+    x1 = modes_r005[0].x
+    R = star_r005.R
+    lo, hi = ((x1 - 1e-6) / R) ** 2, ((x1 + 1e-6) / R) ** 2
+    _fail_defects(monkeypatch, lambda lam: lo < lam < hi)
+    with pytest.raises(ConvergenceError, match="mode 1: .*NaN"):
+        find_modes(star_r005, n_modes=1)
 
 
 def test_find_modes_widens_a_missed_bracket(star_r005, modes_r005, monkeypatch):
