@@ -1,8 +1,8 @@
 """Small numerical helpers used across the package.
 
 Only utilities with package-specific conventions live here (cumulative
-Simpson rule on uniform grids, finite differences with one-sided closures,
-sign-change scanning).  Anything generic beyond that is taken straight from
+Simpson rule on uniform grids and its whole-grid weights, finite
+differences with one-sided closures, sign-change scanning).  Anything generic beyond that is taken straight from
 numpy/scipy.
 """
 
@@ -44,6 +44,25 @@ def cumulative_simpson_uniform(y: np.ndarray, dx: float) -> np.ndarray:
 def simpson_uniform(y: np.ndarray, dx: float) -> float:
     """Definite integral over the whole uniform grid (Simpson accuracy)."""
     return float(cumulative_simpson_uniform(y, dx)[-1])
+
+
+def simpson_weights(n: int, dx: float) -> np.ndarray:
+    """Weights w with ``w @ y == cumulative_simpson_uniform(y, dx)[-1]`` up to roundoff.
+
+    The same half-panel stencils summed per sample: the first half-panel
+    (5, 8, -1) and every right half-panel (-1, 8, 5), over 12/dx.  For n = 3
+    that is Simpson's (1, 4, 1) dx/3, for n = 2 the trapezoid.
+    """
+    w = np.zeros(n)
+    if n == 2:
+        w[:] = 0.5 * dx
+    elif n >= 3:
+        w[:3] += (5.0, 8.0, -1.0)
+        w[:-2] -= 1.0
+        w[1:-1] += 8.0
+        w[2:] += 5.0
+        w *= dx / 12.0
+    return w
 
 
 def derivative_uniform(y: np.ndarray, dx: float, order: int = 2) -> np.ndarray:

@@ -10,10 +10,11 @@ carry.  A solved star is a table plus a JSON sidecar.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,31 +50,57 @@ def write_document(path: str | Path, doc: dict) -> Path:
     return path
 
 
+def _content_lines(fh) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a '#' comment."""
+    for lineno, line in enumerate(fh, start=1):
+        if line != "\n" and not line.startswith("#"):
+            yield lineno, line
+
+
+def _rows(path, lines: Iterator[tuple[int, str]], names: list[str]) -> Iterator[tuple[int, str]]:
+    """The data lines, each checked to hold one value per column."""
+    for lineno, line in lines:
+        width = line.count(",") + 1
+        if width != len(names):
+            raise ValueError(f"{path} line {lineno}: {width} values under {len(names)} columns")
+        yield lineno, line
+
+
 def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Column names and the (rows, columns) array of a table.
 
-    Blank and '#' lines are skipped.  Raises ``OSError`` if the file cannot
-    be read and ``ValueError`` if it has no rows, a row of the wrong width,
-    or a token that is not a number.
+    Blank and '#' lines are skipped; the first other line holds the names.
+    The data lines stream through a width check into numpy's C reader
+    (``np.loadtxt``), so no token list is built.  Numbers follow its
+    grammar: decimal floats with ASCII digits, "inf" and "nan" in any case,
+    surrounding whitespace allowed, no digit-group underscores.  Raises
+    ``OSError`` if the file cannot be read and ``ValueError`` if it has no
+    rows, a row of the wrong width, or a token that is not a number (naming
+    the first such line).
     """
-    names: list[str] | None = None
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
-        if names is None:
-            names = tokens
-        elif len(tokens) != len(names):
-            raise ValueError(f"{path} line {lineno}: {len(tokens)} values under {len(names)} columns")
-        else:
-            try:
-                rows.append([float(tok) for tok in tokens])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    return names, np.array(rows)
+    with open(path) as fh:
+        lines = _content_lines(fh)
+        _, head = next(lines, (0, ""))
+        names = head.rstrip("\n").split(",")
+        rows = (line for _, line in _rows(path, lines, names))
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"no data rows in {path}")
+        try:
+            return names, np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                     comments=None, ndmin=2)
+        except ValueError:
+            # read again line by line, only to name the first bad line
+            fh.seek(0)
+            lines = _content_lines(fh)
+            next(lines)
+            for lineno, line in _rows(path, lines, names):
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None)
+                except ValueError as exc:
+                    detail = str(exc).replace(" at row 0,", " at")
+                    raise ValueError(f"{path} line {lineno}: {detail}") from None
+            raise
 
 
 def profile_metadata(profile: BackgroundProfile) -> dict:

@@ -11,7 +11,10 @@ coercive that minimum is.
 
 All integrals are written in the background areal radius r with regular
 integrands; the chi-line-element factors are absorbed analytically so no
-quantity in this module is singular at the centre.
+quantity in this module is singular at the centre.  Each is a Simpson sum
+over the radial grid, evaluated as dot products of the deformation fields
+against per-star vectors that already carry the Simpson weights and the
+star's factors, so only those dot products depend on the deformation.
 
 ``audit_perturbations`` draws a reproducible randomized family of deformation
 shapes, normalised to unit surface displacement so that surface-weighted
@@ -29,7 +32,7 @@ import numpy as np
 
 from .background import FOUR_PI, BackgroundProfile, _readonly, derive_metric_fields, metric_terms
 from .errors import DomainError
-from .numerics import cumulative_simpson_uniform, derivative_uniform, simpson_uniform
+from .numerics import cumulative_simpson_uniform, derivative_uniform, simpson_weights
 
 DEFAULT_AUDIT_SEED = 20260823
 DEFAULT_AUDIT_MODES = 8
@@ -80,10 +83,14 @@ def _quadratic_coefficients(profile: BackgroundProfile):
 class _ProfileFactors:
     """Everything the variation integrals need that depends on the star alone.
 
-    Each group is computed on first use and kept, so an audit over many
-    deformations evaluates the integrating factor, the hydrostatic defect
-    and the quadratic and energy weights once rather than once per draw,
-    and a one-draw call computes no more than its own formula needs.
+    Every integral is a Simpson sum that is linear in each product of
+    deformation fields, so the star's factors are folded with the Simpson
+    weights (and, for the mass, with exp(I) and exp(-I(R))) into one vector
+    per product.  An audit over many deformations then builds the
+    integrating factor, the hydrostatic defect and the quadratic and energy
+    weights once per star, and each draw costs one slope and a few dot
+    products.  Each group is computed on first use and kept, so a one-draw
+    call computes no more than its own formula needs.
     """
 
     def __init__(self, profile: BackgroundProfile) -> None:
@@ -92,57 +99,60 @@ class _ProfileFactors:
         self.dr = profile.dr
 
     @cached_property
-    def exp_I(self) -> tuple[np.ndarray, float]:
-        """exp(I) on the grid and exp(-I(R))."""
+    def simpson(self) -> np.ndarray:
+        """The Simpson weights of the radial grid."""
+        return simpson_weights(self.profile.r.size, self.dr)
+
+    @cached_property
+    def mass_weights(self) -> np.ndarray:
+        """exp(-I(R)) w exp(I): the weights of the mass integrals."""
         I = integrating_factor(self.profile)
-        return np.exp(I), math.exp(-I[-1])
+        return math.exp(-I[-1]) * self.simpson * np.exp(I)
 
     @cached_property
     def first_weights(self) -> tuple[np.ndarray, float]:
-        """The hydrostatic defect and the surface factor 4 pi R^2 (rho(R) - 1)."""
+        """The weighted hydrostatic defect and the surface factor 4 pi R^2 (rho(R) - 1)."""
         p = self.profile
-        return tov_defect(p), FOUR_PI * p.R**2 * (p.rho[-1] - 1.0)
+        return self.mass_weights * tov_defect(p), FOUR_PI * p.R**2 * (p.rho[-1] - 1.0)
 
     @cached_property
     def quadratic(self) -> tuple[np.ndarray, ...]:
-        return _quadratic_coefficients(self.profile)
+        """The weighted coefficients of rdot^2, rdot rdot', rdot'^2 and (d_phi rdot)^2."""
+        return tuple(self.mass_weights * c for c in _quadratic_coefficients(self.profile))
 
     @cached_property
     def energy_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights of rdot^2, rdot'^2 and (d_phi rdot)^2 in the energy."""
+        """The weighted coefficients of rdot^2, rdot'^2 and (d_phi rdot)^2 in the energy."""
         p = self.profile
-        r, n = p.r, p.n
+        r, n, w = p.r, p.n, self.simpson
         root = np.sqrt(metric_terms(r, p.rho, p.m_over_r3)[1])
-        return FOUR_PI * n / root, r * r * root / (FOUR_PI * n), FOUR_PI * r * r * n / root
+        return (w * (FOUR_PI * n / root), w * (r * r * root / (FOUR_PI * n)),
+                w * (FOUR_PI * r * r * n / root))
 
     def slope(self, rdot: np.ndarray) -> np.ndarray:
         return derivative_uniform(rdot, self.dr, order=2)
 
     def first(self, rdot: np.ndarray) -> float:
-        exp_I, exp_minus_IR = self.exp_I
         tov, surface = self.first_weights
-        bulk = simpson_uniform(tov * rdot * exp_I, self.dr)
-        return float(exp_minus_IR * bulk - surface * rdot[-1])
+        return float(tov @ rdot - surface * rdot[-1])
 
     def second(self, rdot: np.ndarray, rdot_prime: np.ndarray,
                dphi_rdot: np.ndarray | None) -> float:
         A, B, C, D = self.quadratic
-        integrand = A * rdot * rdot + B * rdot * rdot_prime + C * rdot_prime * rdot_prime
+        total = (A * rdot) @ rdot + (B * rdot) @ rdot_prime + (C * rdot_prime) @ rdot_prime
         if dphi_rdot is not None:
             dphi = np.asarray(dphi_rdot, dtype=float)
-            integrand = integrand + D * dphi * dphi
-        exp_I, exp_minus_IR = self.exp_I
-        total = simpson_uniform(integrand * exp_I, self.dr)
-        return float(exp_minus_IR * total)
+            total += (D * dphi) @ dphi
+        return float(total)
 
     def energy(self, rdot: np.ndarray, rdot_prime: np.ndarray,
                dphi_rdot: np.ndarray | None) -> float:
         w_amp, w_slope, w_angle = self.energy_weights
-        integrand = w_amp * rdot * rdot + w_slope * rdot_prime * rdot_prime
+        total = (w_amp * rdot) @ rdot + (w_slope * rdot_prime) @ rdot_prime
         if dphi_rdot is not None:
             dphi = np.asarray(dphi_rdot, dtype=float)
-            integrand = integrand + w_angle * dphi * dphi
-        return float(simpson_uniform(integrand, self.dr))
+            total += (w_angle * dphi) @ dphi
+        return float(total)
 
 
 def second_variation(
@@ -173,15 +183,6 @@ def variation_energy(
     factors = _ProfileFactors(profile)
     rdot = np.asarray(rdot, dtype=float)
     return factors.energy(rdot, factors.slope(rdot), dphi_rdot)
-
-
-def equivalence_ratio(
-    profile: BackgroundProfile,
-    rdot: np.ndarray,
-    dphi_rdot: np.ndarray | None = None,
-) -> float:
-    """second_variation / variation_energy; bounded windows certify coercivity."""
-    return second_variation(profile, rdot, dphi_rdot) / variation_energy(profile, rdot, dphi_rdot)
 
 
 # ------------------------------------------------------------- mass aspect

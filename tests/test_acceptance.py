@@ -28,13 +28,13 @@ from hardstars.numerics import cumulative_simpson_uniform, derivative_uniform
 from hardstars.variation import (
     audit_perturbations,
     detuned_profile,
-    equivalence_ratio,
     first_variation,
     mass_aspect_bound_ratio,
     second_variation,
 )
 
 from family_oracle import DeformedFamily
+from variation_oracle import equivalence_ratio
 
 FOUR_PI = 4.0 * math.pi
 

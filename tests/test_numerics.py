@@ -12,6 +12,7 @@ from hardstars.numerics import (
     scan_sign_changes,
     second_derivative_uniform,
     simpson_uniform,
+    simpson_weights,
 )
 
 
@@ -50,6 +51,19 @@ def test_simpson_matches_cumulative_endpoint():
     y = np.exp(-x) * np.cos(2.0 * x)
     dx = x[1] - x[0]
     assert simpson_uniform(y, dx) == cumulative_simpson_uniform(y, dx)[-1]
+
+
+def test_simpson_weights_match_cumulative_endpoint():
+    assert np.allclose(simpson_weights(3, 0.3), np.array([1.0, 4.0, 1.0]) * 0.1, rtol=1e-15, atol=0)
+    assert np.array_equal(simpson_weights(2, 0.3), [0.15, 0.15])
+    rng = np.random.default_rng(5)
+    for n in [*range(2, 10), 4001]:
+        y = rng.standard_normal(n)
+        dx = 1.0 / (n - 1)
+        w = simpson_weights(n, dx)
+        # both sums carry at most n roundings of terms bounded by |w| |y|
+        bound = 4 * n * np.finfo(float).eps * (np.abs(w) @ np.abs(y))
+        assert abs(w @ y - cumulative_simpson_uniform(y, dx)[-1]) <= bound, n
 
 
 def test_derivative_stencil_orders():

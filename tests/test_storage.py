@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from hardstars.storage import (
     CSV_COLUMNS,
@@ -110,6 +112,12 @@ def test_read_rejects_non_finite_values(star_r005, tmp_path, row, name, token):
     ("# header\na,b\n", "no data rows"),
     ("a,b\n1,2\n3\n", "1 values under 2 columns"),
     ("a,b\n1,2\n3,x\n", "line 3"),
+    # float() takes digit-group underscores and non-ASCII digits; the table
+    # grammar does not
+    ("a,b\n1,2\n\n# note\n3,1_0\n", "line 5: .*'1_0'"),
+    ("a,b\n1,\uff11\n", "line 2"),
+    # the first bad line in file order, whichever check it fails
+    ("a,b\n1,x\n3\n", "line 2: .*'x'"),
 ])
 def test_read_table_rejects_malformed_tables(tmp_path, text, message):
     path = tmp_path / "t.csv"
@@ -124,6 +132,21 @@ def test_read_table_round_trips_rows(tmp_path):
     names, table = read_table(path)
     assert names == ["chi", "u"]
     assert np.array_equal(table, [[0.0, 1.5], [2.0, np.inf]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(hs.lists(hs.floats(width=64), min_size=3, max_size=3), min_size=1, max_size=8),
+       hs.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan]))
+def test_table_round_trip_is_bit_exact(tmp_path_factory, rows, special):
+    # every float64 survives write_table -> read_table bit for bit; a NaN
+    # comes back as a NaN ("%.17g" writes no sign or payload for it)
+    rows = [*rows, [special, -special, 1.0]]
+    path = write_table(tmp_path_factory.mktemp("t") / "t.csv", {}, ("a", "b", "c"), rows)
+    _, table = read_table(path)
+    expected = np.array(rows, dtype=float)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(table), nan)
+    assert np.array_equal(table[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
 
 def test_read_rejects_foreign_or_missing_header(star_r005, tmp_path):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hardstars import DomainError, StarParameters, build_star
+from hardstars import DomainError, StarParameters, build_star, variation
 from hardstars.variation import (
     DEFAULT_AUDIT_MODES,
     DEFAULT_AUDIT_SEED,
@@ -15,7 +15,6 @@ from hardstars.variation import (
     audit_perturbations,
     criticality_audit,
     detuned_profile,
-    equivalence_ratio,
     first_variation,
     integrating_factor,
     mass_aspect_bound_ratio,
@@ -26,6 +25,7 @@ from hardstars.variation import (
 )
 
 from family_oracle import DeformedFamily
+from variation_oracle import SimpsonVariations, equivalence_ratio
 
 FOUR_PI = 4.0 * math.pi
 
@@ -243,11 +243,70 @@ def test_audit_perturbations_match_per_draw_sines(star_r01, seed):
 
 
 def test_equivalence_ratio_consistency(star_r01):
+    # a ratio of two quadratic forms: free of the deformation's scale, and
+    # the same through the per-draw Simpson integrals
     _, _, rdot = _quarter_wave(star_r01, 1)
     r = equivalence_ratio(star_r01, rdot)
+    assert equivalence_ratio(star_r01, 3.0 * rdot) == pytest.approx(r, rel=1e-14)
+    oracle = SimpsonVariations(star_r01)
+    slope = oracle.slope(rdot)
     assert r == pytest.approx(
-        second_variation(star_r01, rdot) / variation_energy(star_r01, rdot), rel=1e-14
+        oracle.second(rdot, slope, None) / oracle.energy(rdot, slope, None), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("name", ["picard", "shooting", "detuned"])
+def test_criticality_audit_matches_simpson_oracle(star_r01, shooting_r019, detuned_r01, name):
+    # the folded weight vectors sum in another order than the cumulative
+    # Simpson rule: relative roundoff, except on a solved star's M_dot,
+    # which cancels to truncation error and is bounded by its bulk scale.
+    # The oracle's sequential cumulative sum alone is off by up to 1.7e-15
+    # of that scale against math.fsum of the same terms, the dot product by
+    # 4e-16, so the bound is 1e-14 (45 eps).
+    profile = {"picard": star_r01, "shooting": shooting_r019, "detuned": detuned_r01}[name]
+    perts = audit_perturbations(profile, count=50)
+    report = criticality_audit(profile, perts)
+    oracle = SimpsonVariations(profile)
+    firsts, scales, seconds, energies = [], [], [], []
+    for p in perts:
+        slope = oracle.slope(p.rdot)
+        firsts.append(oracle.first(p.rdot))
+        scales.append(oracle.first_scale(p.rdot))
+        seconds.append(oracle.second(p.rdot, slope, p.dphi_rdot))
+        energies.append(oracle.energy(p.rdot, slope, p.dphi_rdot))
+    seconds, energies = np.array(seconds), np.array(energies)
+    rel = 1e-13
+    assert np.all(np.abs(report.second_variations - seconds) <= rel * np.abs(seconds))
+    assert np.all(np.abs(report.energies - energies) <= rel * energies)
+    ratios = seconds / energies
+    assert np.all(np.abs(report.ratios - ratios) <= rel * np.abs(ratios))
+    gap = np.abs(report.first_variations - firsts)
+    if name == "detuned":
+        assert np.all(gap <= rel * np.abs(firsts))
+    else:
+        assert np.all(gap <= 1e-14 * np.array(scales))
+
+
+def test_audit_builds_star_factors_once_per_star(star_r01, monkeypatch):
+    # a star-only factor moved back into the per-draw loop makes the counts
+    # grow with the number of draws
+    counts = dict.fromkeys(("integrating_factor", "metric_terms"), 0)
+    for name in counts:
+        real = getattr(variation, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(variation, name, counted)
+    perts = audit_perturbations(star_r01, count=50)
+    seen = []
+    for count in (10, 50):
+        counts.update(dict.fromkeys(counts, 0))
+        criticality_audit(star_r01, perts[:count])
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["integrating_factor"] == 1
 
 
 def test_audit_perturbation_arrays_frozen(star_r01):
