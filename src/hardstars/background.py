@@ -38,12 +38,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .calibration import R_MAX
 from .errors import ConvergenceError, DomainError
 from .numerics import cumulative_simpson_uniform
 
 FOUR_PI = 4.0 * math.pi
 
-#: Largest radius for which the star stays regular (denominators positive).
+#: Radius at which the uniform rho = 1 ball reaches 1 - 2m/r = 0; every
+#: static star is smaller than ``calibration.R_MAX``, which ``StarParameters``
+#: enforces.
 MAX_REGULAR_RADIUS = math.sqrt(3.0 / (8.0 * math.pi))
 
 #: Radius bound enforced for the fixed-point solver; inside it the update map
@@ -61,9 +64,9 @@ class StarParameters:
     picard_max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.R < MAX_REGULAR_RADIUS):
+        if not (0.0 < self.R <= R_MAX):
             raise DomainError(
-                f"radius must lie in (0, {MAX_REGULAR_RADIUS:.6f}), got {self.R}"
+                f"radius must lie in (0, {R_MAX}] (no static star is larger), got {self.R}"
             )
         if self.grid_n < 16:
             raise DomainError(f"grid_n must be at least 16, got {self.grid_n}")
@@ -398,11 +401,6 @@ def derive_metric_fields(profile: BackgroundProfile) -> BackgroundProfile:
         M_total=float(m[-1]),
         N_total=float(chi[-1]),
     )
-
-
-def psi_radial_gradient(profile: BackgroundProfile) -> np.ndarray:
-    """dpsi/dr on the grid: (m/r^2 + 4 pi r (rho-1)) / (1 - 2m/r); 0 at the centre."""
-    return metric_terms(profile.r, profile.rho, profile.m_over_r3)[2]
 
 
 def chi_weight(profile: BackgroundProfile) -> np.ndarray:

@@ -18,6 +18,14 @@ BACKGROUND_CROSS_CHECK_TOL = 1e-10
 # ceiling covers every fixed-point radius (R <= 0.1221).
 CLOSED_FORM_R6_MAX = 400.0
 
+# Largest radius of any static star.  Integrating the hydrostatic system
+# outward from the central density rho_c (DOP853, rtol 1e-13, atol 1e-14,
+# terminal event at rho = 1) and maximising the event radius over rho_c
+# gives R = 0.24721839842 at rho_c = 1.92346; rounded up here, so no star
+# is refused.  For R in (0.1925, R_MAX) a star denser than rho_c = 1.92346
+# shares each radius with a less dense one.
+R_MAX = 0.2472184
+
 # Central density of the radius-0.1 star; both solvers reproduce it.
 RHO_CENTRAL_R01 = 1.0235377133674
 RHO_CENTRAL_TOL = 1e-9

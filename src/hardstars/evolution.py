@@ -73,7 +73,6 @@ interior fraction, since chi-stencils lose accuracy at the centre.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -182,16 +181,16 @@ def _invert_chi(chi_spline: CubicSpline, targets: np.ndarray, R: float) -> np.nd
     return out
 
 
-_NO_ERRSTATE = contextlib.nullcontext()
-
-
 def potential_bracket(r0, rho, mor3):
     """Zeroth-order stability bracket at radius r0, with the ``metric_terms``
     (n^2, D, q) it is built from.
 
     The bracket is the potential stripped of its e^F weight:
     2 q^2 D + 2 m/r^3 + 4 pi r n^2 (2/r - q) - D (2/r^2 + q') with
-    D = 1 - 2m/r.  It diverges like -2/r^2 at the centre.
+    D = 1 - 2m/r.  It diverges like -2/r^2 at the centre.  Plain arithmetic,
+    so it takes the floats of the shooting right-hand side (r > 0) as well as
+    arrays; an array caller holding the centre node enters ``np.errstate``
+    around the call.
     """
     n2, D, q = metric_terms(r0, rho, mor3)
     N = mor3 * r0 + FOUR_PI * r0 * (rho - 1.0)
@@ -199,21 +198,14 @@ def potential_bracket(r0, rho, mor3):
     N_prime = FOUR_PI * rho - 2.0 * mor3 + FOUR_PI * (rho - 1.0) + FOUR_PI * r0 * rho_eq_slope
     D_prime = -8.0 * math.pi * r0 * rho + 2.0 * mor3 * r0
     q_prime = (N_prime * D - N * D_prime) / (D * D)
-    # only an array can hold the centre node; np.errstate would double the
-    # cost of the float calls from the shooting right-hand side (r > 0)
-    if isinstance(r0, np.ndarray):
-        quiet = np.errstate(divide="ignore", invalid="ignore")
-    else:
-        quiet = _NO_ERRSTATE
-    with quiet:
-        bracket = (
-            2.0 * q * q * D
-            + 2.0 * mor3
-            + 8.0 * math.pi * n2
-            - FOUR_PI * r0 * n2 * q
-            - 2.0 * D / (r0 * r0)
-            - D * q_prime
-        )
+    bracket = (
+        2.0 * q * q * D
+        + 2.0 * mor3
+        + 8.0 * math.pi * n2
+        - FOUR_PI * r0 * n2 * q
+        - 2.0 * D / (r0 * r0)
+        - D * q_prime
+    )
     return bracket, n2, D, q
 
 
@@ -247,7 +239,8 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     r0_half = _invert_chi(chi_sp, chi[:-1] + 0.5 * dchi, R)
 
     rho0, mor3, F = fields_sp(r0).T
-    bracket, n2, D, q = potential_bracket(r0, rho0, mor3)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the centre node
+        bracket, n2, D, q = potential_bracket(r0, rho0, mor3)
     if np.any(D <= 0.0) or np.any(n2 <= 0.0):
         raise DomainError("coefficient assembly left the regular domain")
     eF = np.exp(F)

@@ -28,7 +28,8 @@ tolerances through ``solve_ivp``'s dense output.
 wave operator on the chi grid (``evolution``), whose j-th eigenvalue belongs
 to the j-th mode by Sturm ordering: the lowest eigenvalues on two grids,
 extrapolated in the grid spacing, centre one bracket per mode, and
-``brentq`` on the shooting defect refines it.
+``brentq`` on the shooting defect refines it.  Each trial x is shot once per
+``find_modes`` call: the bracket ends and the converged root are reused.
 ``apply_H0``/``apply_H1`` split the radial operator into its flat Bessel part
 and the stellar correction, which shrinks like R^2.
 """
@@ -123,19 +124,21 @@ class _RadialOperator:
     Both background fields come from one two-column spline of (rho, m/r^3) on
     the uniform profile grid.  ``coefficients`` evaluates it on arrays;
     ``coefficients_at`` evaluates one radius in plain floats by reading the
-    spline's cubic pieces at the interval int(r/dr) directly, which is what
-    the shooting right-hand side needs.  Both hand the fields to
-    ``potential_bracket``, which also returns the ``metric_terms``
-    (n^2, D, q); q supplies the equilibrium slope (rho'/n^2 = -q).
+    spline's cubic pieces at the interval int(r/dr) directly from a list of
+    Python floats built once, which is what the shooting right-hand side
+    needs.  Both hand the fields to ``potential_bracket``, which also returns
+    the ``metric_terms`` (n^2, D, q); q supplies the equilibrium slope
+    (rho'/n^2 = -q).
     """
 
     def __init__(self, profile: BackgroundProfile):
         profile.require_metric()
         self._spline = CubicSpline(profile.r, np.column_stack([profile.rho, profile.m_over_r3]))
         # one row per interval: left knot, then the cubic pieces of rho and
-        # m/r^3, highest power first
+        # m/r^3, highest power first; a list, since indexing an ndarray row
+        # and converting it costs about ten times more per call
         pieces = self._spline.c.transpose(1, 2, 0).reshape(-1, 8)
-        self._pieces = np.column_stack([profile.r[:-1], pieces])
+        self._pieces = np.column_stack([profile.r[:-1], pieces]).tolist()
         self._inv_dr = 1.0 / profile.dr
         self._last = len(pieces) - 1
         R = profile.R
@@ -145,11 +148,12 @@ class _RadialOperator:
     def coefficients(self, r):
         r = np.asarray(r, dtype=float)
         fields = self._spline(r)
-        return _radial_coefficients(r, fields[..., 0], fields[..., 1])
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0
+            return _radial_coefficients(r, fields[..., 0], fields[..., 1])
 
     def coefficients_at(self, r: float) -> tuple[float, float, float]:
         i = min(int(r * self._inv_dr), self._last)
-        x0, a3, a2, a1, a0, b3, b2, b1, b0 = self._pieces[i].tolist()
+        x0, a3, a2, a1, a0, b3, b2, b1, b0 = self._pieces[i]
         t = r - x0
         rho = ((a3 * t + a2) * t + a1) * t + a0
         mor3 = ((b3 * t + b2) * t + b1) * t + b0
@@ -304,13 +308,21 @@ def _discrete_x(profile: BackgroundProfile, count: int) -> tuple[list[float], li
 
     The discrete error is first order in dchi (the shell coordinate
     degenerates at the centre), so the extrapolation uses the exact dchi
-    ratio of the two grids.
+    ratio of the two grids.  An eigenvalue that is not positive has no x and
+    raises ``ConvergenceError``.
     """
     n = max(SEED_N_CHI, 10 * count)
     xs, dchis = [], []
     for n_chi in (n, 2 * n):
         coeffs = assemble_coefficients(profile, n_chi=n_chi)
-        xs.append(np.sqrt(operator_eigenvalues(coeffs, 0, count - 1)) * profile.R)
+        mu = operator_eigenvalues(coeffs, 0, count - 1)
+        for j, mu_j in enumerate(mu.tolist()):
+            if not mu_j > 0.0:
+                raise ConvergenceError(
+                    f"mode {j + 1}: discrete eigenvalue mu = {mu_j:.6g} on {n_chi} shells "
+                    f"is not positive, so x = sqrt(mu) R does not exist"
+                )
+        xs.append(np.sqrt(mu) * profile.R)
         dchis.append(coeffs.dchi)
     shift = xs[1] - xs[0]
     return (xs[1] + shift / (dchis[0] / dchis[1] - 1.0)).tolist(), np.abs(shift).tolist()
@@ -318,7 +330,8 @@ def _discrete_x(profile: BackgroundProfile, count: int) -> tuple[list[float], li
 
 def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
     """Locate the lowest ``n_modes`` eigenvalues: bracket each from the
-    discrete spectrum, then refine it by shooting.
+    discrete spectrum, then refine it by shooting, each trial x shot once per
+    call.
 
     The wave operator on the chi grid is a Sturm-Liouville discretisation of
     the same problem, so its j-th eigenvalue belongs to the j-th mode.  Its
@@ -328,15 +341,23 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
     shooting defect does not change sign between two finite end values, the
     half-width doubles (``Mode.rescanned`` records that it did).  A bracket
     that reaches a neighbouring estimate x_(j-1) or x_(j+1) (or 0) raises
-    ``ConvergenceError``.  ``brentq`` then refines the sign change; a failed
+    ``ConvergenceError``, and so does a non-positive discrete eigenvalue
+    (before any shooting).  ``brentq`` then refines the sign change; a failed
     defect evaluation (NaN) inside the bracket raises ``ConvergenceError``.
+
+    Each call keeps its defects by x, so ``brentq`` starts from the two
+    bracket ends already shot, and ``Mode.defect`` is the value at brentq's
+    root, not a fresh integration.
     """
     op = _RadialOperator(profile)
     R = profile.R
     x_est, shift = _discrete_x(profile, n_modes + 1)
+    shot: dict[float, float] = {}
 
     def defect_at_x(x: float) -> float:
-        return shooting_defect(profile, (x / R) ** 2, op)
+        if x not in shot:
+            shot[x] = shooting_defect(profile, (x / R) ** 2, op)
+        return shot[x]
 
     modes = []
     with _Severable(defect_at_x) as defect:
@@ -352,7 +373,7 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
                     eigenvalue=lam,
                     x=x,
                     h=eigenfunction(profile, lam, op),
-                    defect=shooting_defect(profile, lam, op),
+                    defect=defect(x),
                     rescanned=widened,
                 )
             )
@@ -362,10 +383,16 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
 def _sign_bracket(defect, j: int, x_est: list[float], shift: float) -> tuple[float, float, bool]:
     """Bracket [lo, hi] of mode j about x_est[j] with finite defect values of
     opposite sign, starting at half-width 4 * shift and doubling; the flag
-    says whether it had to widen."""
+    says whether it had to widen.  A half-width that is zero or not finite
+    could never widen, so it raises before any shooting."""
     floor = x_est[j - 1] if j else 0.0
     ceiling = x_est[j + 1]
     half = 4.0 * shift
+    if not 0.0 < half < math.inf:
+        raise ConvergenceError(
+            f"mode {j + 1}: bracket half-width {half!r} about x = {x_est[j]:.6g} "
+            f"is not positive and finite"
+        )
     widened = False
     while True:
         lo, hi = x_est[j] - half, x_est[j] + half

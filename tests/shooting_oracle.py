@@ -1,17 +1,47 @@
-"""Reference shooting on scipy's Python-stepped RK45.
+"""Reference shooting on scipy's Python-stepped RK45, and a reference form
+of the float right-hand side.
 
 ``hardstars.modes`` steps the radial problem with the compiled
 Dormand-Prince 8(5,3) pair.  This oracle integrates the same right-hand side
 from the same series start with ``solve_ivp``'s RK45, a different pair with
 different step control, so the two agree only as far as both are accurate.
+
+``NdarrayRowRhs`` reads the spline pieces the way ``_RadialOperator`` once
+did, one ndarray row converted by ``tolist`` per call; the arithmetic is the
+same, so the two right-hand sides must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
-from hardstars.modes import _series_start
+from hardstars.modes import _radial_coefficients, _series_start
+
+
+class NdarrayRowRhs:
+    """The shooting right-hand side with the spline pieces kept as an array."""
+
+    def __init__(self, profile):
+        spline = CubicSpline(profile.r, np.column_stack([profile.rho, profile.m_over_r3]))
+        pieces = spline.c.transpose(1, 2, 0).reshape(-1, 8)
+        self._pieces = np.column_stack([profile.r[:-1], pieces])
+        self._inv_dr = 1.0 / profile.dr
+        self._last = len(pieces) - 1
+
+    def coefficients_at(self, r: float) -> tuple[float, float, float]:
+        i = min(int(r * self._inv_dr), self._last)
+        x0, a3, a2, a1, a0, b3, b2, b1, b0 = self._pieces[i].tolist()
+        t = r - x0
+        rho = ((a3 * t + a2) * t + a1) * t + a0
+        mor3 = ((b3 * t + b2) * t + b1) * t + b0
+        return _radial_coefficients(r, rho, mor3)
+
+    def __call__(self, r, y, lam):
+        h, hp = y.tolist()
+        alpha1, alpha2, U = self.coefficients_at(float(r))
+        return [hp, (-alpha1 * hp + (U - lam) * h) / alpha2]
 
 
 def rk45_solution(profile, op, lam, rtol, t_eval=None):

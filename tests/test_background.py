@@ -25,7 +25,6 @@ from hardstars.background import (
     MAX_REGULAR_RADIUS,
     chi_weight,
     metric_terms,
-    psi_radial_gradient,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -97,6 +96,32 @@ def test_picard_invariant_bounds(star_r01):
     assert np.all(star_r01.m_over_r3 >= (FOUR_PI / 3.0) * (1.0 - 1e-12))
     assert np.all(star_r01.m_over_r3 <= (FOUR_PI / 3.0) * star_r01.rho_central * (1.0 + 1e-6))
     assert abs(star_r01.m_over_r3[1] / star_r01.m_over_r3[0] - 1.0) < 1e-5
+
+
+def test_largest_star_radius_is_calibrated():
+    # outward integration from the central density to the rho = 1 surface;
+    # the surface radius peaks at calibration.R_MAX, rounded up
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import minimize_scalar
+
+    def surface_radius(rho_c):
+        def surface(r, y):
+            return y[1] - 1.0
+
+        surface.terminal = True
+        r0 = 1e-6
+        sol = solve_ivp(lambda r, y: tov_rhs(r, y[0], max(y[1], 1.0)), (r0, 1.0),
+                        [(FOUR_PI / 3.0) * rho_c * r0**3, rho_c], method="DOP853",
+                        rtol=1e-13, atol=1e-14, events=surface)
+        return float(sol.t_events[0][0])
+
+    peak = minimize_scalar(lambda rho_c: -surface_radius(rho_c), bracket=(1.5, 1.9, 2.5),
+                           tol=1e-10)
+    assert peak.x == pytest.approx(1.92346, abs=1e-4)
+    assert calibration.R_MAX - 1e-8 < -peak.fun <= calibration.R_MAX
+    assert StarParameters(R=calibration.R_MAX).R == calibration.R_MAX
+    with pytest.raises(DomainError, match="no static star is larger"):
+        StarParameters(R=math.nextafter(calibration.R_MAX, 1.0))
 
 
 def test_picard_requires_contraction_regime():
@@ -174,13 +199,14 @@ def test_chi_profile_differentiates_back(star_r01):
 
 def test_psi_gradient_matches_finite_difference(star_r01):
     d_psi = np.gradient(star_r01.psi, star_r01.dr, edge_order=2)
-    assert np.max(np.abs(d_psi - psi_radial_gradient(star_r01))) < 1e-7
+    q = metric_terms(star_r01.r, star_r01.rho, star_r01.m_over_r3)[2]
+    assert np.max(np.abs(d_psi - q)) < 1e-7
 
 
 def test_metric_terms_on_floats_and_arrays(star_r01):
     r, rho, mor3 = star_r01.r, star_r01.rho, star_r01.m_over_r3
     n2, D, q = metric_terms(r, rho, mor3)
-    assert np.array_equal(q, psi_radial_gradient(star_r01))
+    assert q[0] == 0.0  # dpsi/dr vanishes at the regular centre
     assert np.allclose(n2, star_r01.n**2, rtol=1e-14, atol=0.0)
     assert np.array_equal(FOUR_PI * r * r * np.sqrt(n2) / np.sqrt(D), chi_weight(star_r01))
     # the shooting right-hand side calls it on plain floats
@@ -198,7 +224,7 @@ def test_totals_and_photon_sphere_margin(star_r01):
 
 
 def test_dpsidchi_closure(star_r01):
-    q = psi_radial_gradient(star_r01)
+    q = metric_terms(star_r01.r, star_r01.rho, star_r01.m_over_r3)[2]
     expect = q[1:] * star_r01.drdchi[1:]
     assert np.allclose(star_r01.dpsidchi[1:], expect, rtol=1e-13, atol=0.0)
 

@@ -30,6 +30,7 @@ from hardstars.cli import (
     main,
 )
 from hardstars.errors import ConfigError
+from hardstars.storage import read_profile_csv
 
 
 def run(*argv: str) -> int:
@@ -311,6 +312,26 @@ def test_modes_emit_index_checked_before_solving(tmp_path, capsys, emit):
 def test_radius_outside_domain_is_config_error(tmp_path, capsys):
     assert run("build", "--R", "0.4", "--output-dir", str(tmp_path)) == EXIT_CONFIG
     assert "radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("R", ["0.25", "0.3"])
+def test_radius_past_largest_star_is_config_error(tmp_path, capsys, R):
+    # above calibration.R_MAX no static star exists, so the radius is refused
+    # before the shooting bracket can report that it does not straddle
+    code = run("build", "--R", R, "--solver", "shooting", "--output-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: radius must lie in (0, 0.2472184]")
+    assert "Traceback" not in err
+
+
+def test_shooting_builds_just_below_largest_radius(tmp_path):
+    assert calibration.R_MAX > 0.247
+    argv = ("build", "--R", "0.247", "--solver", "shooting", "--grid-n", "801")
+    assert run(*argv, "--output-dir", str(tmp_path)) == EXIT_OK
+    star = read_profile_csv(tmp_path / "profile_R0p247.csv")
+    assert star.R == 0.247
+    assert star.rho[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solver_stall_is_solver_failure(tmp_path, capsys):

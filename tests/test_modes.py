@@ -32,7 +32,8 @@ from hardstars.modes import (
     spherical_j1,
 )
 from hardstars.numerics import scan_sign_changes
-from shooting_oracle import rk45_defect, rk45_eigenfunction
+from hardstars.variation import detuned_profile
+from shooting_oracle import NdarrayRowRhs, rk45_defect, rk45_eigenfunction
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -306,6 +307,27 @@ def test_float_path_coefficients_match_array_path(star_r005):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
+@pytest.mark.parametrize("which", ["r005", "r019"])
+def test_rhs_matches_ndarray_row_oracle(which, request):
+    star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
+    op = _RadialOperator(star)
+    oracle = NdarrayRowRhs(star)
+    R, r = star.R, star.r
+    rng = np.random.default_rng(31)
+    radii = [
+        *(R * np.exp(rng.uniform(math.log(1e-4), 0.0, 48))).tolist(),  # dense near the centre
+        *rng.uniform(1e-4 * R, R, 48).tolist(),
+        float(r[1000]),                       # a knot
+        float(0.5 * (r[-2] + r[-1])),         # the last interval
+        float(np.nextafter(r[-2], 0.0)),      # just below it
+        R,                                    # the surface
+    ]
+    for k, rad in enumerate(radii):
+        lam = (2.0 + k % 9) ** 2 / R**2
+        y = np.array([rng.uniform(-1.0, 1.0) * rad, rng.uniform(-2.0, 2.0)])
+        assert op.rhs(rad, y, lam) == oracle(rad, y, lam), rad
+
+
 class _FailsWhere:
     """Stand-in for a cached ``dop853`` integrator that runs the real one but
     reports failure for the trial eigenvalues ``fails(lam)`` selects."""
@@ -373,6 +395,51 @@ def test_find_modes_widens_a_missed_bracket(star_r005, modes_r005, monkeypatch):
     got = find_modes(star_r005, n_modes=1)[0]
     assert got.rescanned
     assert got.x == pytest.approx(modes_r005[0].x, abs=1e-10)
+
+
+def test_find_modes_evaluates_each_defect_once(star_r005, modes_r005, monkeypatch):
+    # brentq starts from the two bracket ends _sign_bracket just shot, and
+    # Mode.defect is brentq's converged value: none of them is shot again
+    lams = []
+    real = modes.shooting_defect
+
+    def counted(profile, lam, operator=None):
+        lams.append(lam)
+        return real(profile, lam, operator)
+
+    monkeypatch.setattr(modes, "shooting_defect", counted)
+    got = find_modes(star_r005, n_modes=3)
+    assert len(lams) == 20
+    assert len(set(lams)) == len(lams)
+    for m, want in zip(got, modes_r005):
+        assert (m.x, m.eigenvalue, m.defect) == (want.x, want.eigenvalue, want.defect)
+        assert m.defect == real(star_r005, m.eigenvalue)
+
+
+def _no_shooting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("shot a trial eigenvalue")
+
+    monkeypatch.setattr(modes, "shooting_defect", refuse)
+
+
+def test_find_modes_refuses_negative_discrete_eigenvalue(monkeypatch):
+    # the lowest discrete eigenvalue of this detuned star is negative
+    # (mu_1 = -47.6), so x = sqrt(mu) R is NaN, and a NaN bracket never
+    # closes: this must raise before any shooting
+    star = detuned_profile(build_star(StarParameters(R=0.2, grid_n=801), solver="shooting"), 2.0)
+    _no_shooting(monkeypatch)
+    with pytest.raises(ConvergenceError,
+                       match=r"mode 1: discrete eigenvalue mu = -47\.\d+ .* not positive"):
+        find_modes(star, 1)
+
+
+@pytest.mark.parametrize("shift", [0.0, math.inf, math.nan])
+def test_find_modes_refuses_degenerate_half_width(star_r005, monkeypatch, shift):
+    monkeypatch.setattr(modes, "_discrete_x", lambda profile, count: ([2.1, 5.9], [shift, 1e-4]))
+    _no_shooting(monkeypatch)
+    with pytest.raises(ConvergenceError, match="mode 1: bracket half-width .* not positive"):
+        find_modes(star_r005, n_modes=1)
 
 
 def test_shooting_star_modes_pinned(star_r019_shooting):
