@@ -8,6 +8,8 @@ editing in place.
 
 from __future__ import annotations
 
+import math
+
 # Dual-route background agreement (fixed-point vs shooting), sup over
 # nodes of both m and rho, radius 0.1, grid 2001.
 BACKGROUND_CROSS_CHECK_TOL = 1e-10
@@ -33,16 +35,20 @@ RHO_CENTRAL_TOL = 1e-9
 # Criticality audit on a solved star: largest |first variation| over the
 # seeded perturbation set (measured ceiling 2e-10 at radius 0.1).
 SOLVED_FIRST_VARIATION_MAX = 1e-5
-# Same audit after detuning the density and mass by 1 percent at radius
-# 0.1: the surface term alone contributes 1.26e-3, so every draw clears
-# this (measured min|M_dot| 1.11e-3).  At other radii the checks use half
-# the surface factor, 0.5 * 4 pi R^2 * 0.01, as the floor.  The floor
-# does not follow the radius dependence of the detuned star: over the
-# default audit draws (50, shooting solve, grid 4001) min|M_dot| / floor
-# is 1.99 at radius 0.02, 1.77 at 0.1, 1.01 at 0.185, 0.99 at 0.186,
-# 0.24 at 0.22 and 0.07 at 0.24.  The floor holds for R <= 0.185, which
-# covers every fixed-point radius (R <= 0.1221).
-DETUNED_FIRST_VARIATION_MIN = 1e-3
+
+
+# Floor on min|M_dot| of the same audit after detuning the density and
+# mass by 1 percent: half the surface factor, 0.5 * 4 pi R^2 * 0.01.  At
+# radius 0.1 the surface term alone contributes 1.26e-3 (measured
+# min|M_dot| 1.11e-3).  The floor does not follow the radius dependence
+# of the detuned star: over the default audit draws (50, shooting solve,
+# grid 4001) min|M_dot| / floor is 1.99 at radius 0.02, 1.77 at 0.1,
+# 1.01 at 0.185, 0.99 at 0.186, 0.24 at 0.22 and 0.07 at 0.24.  The floor
+# holds for R <= 0.185, which covers every fixed-point radius
+# (R <= 0.1221).
+def detuned_floor(R: float) -> float:
+    return 0.5 * (4.0 * math.pi) * R * R * 0.01
+
 
 # Window for (second variation)/(variation energy) over the audit set.
 # The ratio is set mostly by the mode content of the draws, but its

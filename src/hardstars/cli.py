@@ -370,19 +370,19 @@ def _initial_data(preset: str, star: BackgroundProfile, coeffs):
 
 
 def _cmd_evolve(config: RunConfig, out: Path) -> int:
-    from .evolution import assemble_coefficients, evolve, reconstruct
+    from .evolution import _sample_steps, _time_step, _WaveRun, assemble_coefficients, reconstruct
 
     cfl = _get(config, "cfl")
     duration = _get(config, "duration")  # in units of R
     samples = _get(config, "samples")
-    n_snap = max(2, _get(config, "snapshots"))
+    n_snap = _get(config, "snapshots")
     preset = _get(config, "preset")
 
     star = build_star(config.star_parameters(), solver=config.solver)
     coeffs = assemble_coefficients(star, n_chi=_get(config, "n_chi"))
     u, v = _initial_data(preset, star, coeffs)
 
-    def snapshot(index: int, t: float, uu: np.ndarray, vv: np.ndarray) -> Path:
+    def snapshot(index: int, uu: np.ndarray, vv: np.ndarray) -> Path:
         fields = reconstruct(coeffs, uu)
         return _emit_csv(
             out / f"snapshot_{index:03d}.csv",
@@ -392,31 +392,23 @@ def _cmd_evolve(config: RunConfig, out: Path) -> int:
             "snapshot",
         )
 
+    # one unbroken run; snapshot j sits at j segment lengths, each segment
+    # sampled as an evolve of one segment length would be
     T_total = duration * config.R
-    seg_T = T_total / (n_snap - 1)
-    seg_samples = max(1, samples // (n_snap - 1))
-    times: list[float] = []
-    energies: list[float] = []
-    norms: dict[str, list[float]] = {"norm": [], "first": [], "second": []}
-    residuals: list[float] = []
-    snapshot(0, 0.0, u, v)
-    offset = 0.0
+    seg_steps, dt = _time_step(coeffs, T_total / (n_snap - 1), cfl)
+    seg_samples = _sample_steps(seg_steps, samples // (n_snap - 1))
+    run = _WaveRun(coeffs, u, v, dt, seg_steps * (n_snap - 1))
+    snapshot(0, u, v)
     for seg in range(1, n_snap):
-        res = evolve(coeffs, u, v, T=seg_T, cfl=cfl, samples=seg_samples)
-        skip = 1 if times else 0  # segment boundaries appear once
-        times.extend(offset + res.times[skip:])
-        energies.extend(res.energies[skip:])
-        for key in norms:
-            norms[key].extend(res.norm_series[key][skip:])
-        residuals.extend(res.residuals[skip:])
-        u, v = np.array(res.u), np.array(res.v)
-        offset += seg_T
-        snapshot(seg, offset, u, v)
+        for step in seg_samples:
+            u, v = run.advance((seg - 1) * seg_steps + step)
+        snapshot(seg, u, v)
+    times, energies, norms = run.times, run.energies, run.norm_series
 
     energy_path = _emit_csv(
         out / "energy.csv",
         ("phi", "energy", "norm", "first", "second", "constraint_residual"),
-        zip(times, energies, norms["norm"], norms["first"], norms["second"], residuals),
+        zip(times, energies, norms["norm"], norms["first"], norms["second"], run.residuals),
         config,
         "energy-history",
     )
@@ -592,7 +584,7 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     )
     det_report = criticality_audit(detuned_profile(star), perts)
     det_first = float(np.min(np.abs(det_report.first_variations)))
-    det_floor = 0.5 * FOUR_PI * R * R * 0.01
+    det_floor = calibration.detuned_floor(R)
     checks.record(
         "variation.detuned-detection",
         det_first >= det_floor,
@@ -692,8 +684,8 @@ _COMMANDS = {
         _Opt("cfl", "--cfl", float, 0.4, "time step over dchi/c_max (at most 0.5)"),
         _Opt("duration", "--T", float, 10.0, "duration in units of R", above=0.0),
         _Opt("preset", "--preset", str, "gaussian", "gaussian, mode:<j>, or file:<csv>"),
-        _Opt("samples", "--samples", int, 200, "energy samples"),
-        _Opt("snapshots", "--snapshots", int, 5, "snapshot files (at least 2)"),
+        _Opt("samples", "--samples", int, 200, "energy samples", above=0),
+        _Opt("snapshots", "--snapshots", int, 5, "snapshot files (at least 2)", above=1),
     )),
     "modes": ("radial eigenmodes by shooting", _cmd_modes, (
         _Opt("count", "--count", int, 3, "number of modes", above=0),

@@ -55,11 +55,12 @@ return v with an error of 3.5e-8, against 3.7e-10 when built in
 80-bit x87 format on x86-64 Linux, plain double on MSVC builds and arm64
 macOS (where the strides keep only the double accuracy), a slow software
 quad on aarch64 Linux.
-Each sample (energy, norms, constraint residual) is taken after at most
-k - 1 plain side steps on copies of the last stride boundary, and the
-surface probe between boundaries comes from one (k, 2k) block of rows of
-the second-kind polynomials U_j(C).  The stepper conserves the energy to
-O(dt^2) uniformly.
+The stepper is one resumable run, which ``hardstars evolve`` drives across
+all its snapshots.  Each sample (energy, norms, constraint residual, from
+one slope du/dchi) is taken after at most k - 1 plain side steps on copies
+of the last stride boundary, and the surface probe between boundaries
+comes from one (k, 2k) block of rows of the second-kind polynomials
+U_j(C).  The stepper conserves the energy to O(dt^2) uniformly.
 
 Near the centre the shell coordinate degenerates (r0 ~ chi^(1/3)), so mode
 frequencies on the chi grid converge at first order in dchi, not second;
@@ -75,7 +76,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -102,7 +102,6 @@ class WaveCoefficients:
     rho0: np.ndarray
     n0: np.ndarray
     n2: np.ndarray         # n0^2 = 2 rho0 - 1, as metric_terms forms it
-    m0: np.ndarray
     q: np.ndarray          # radial gradient of the lapse potential
     w: np.ndarray          # dchi/dr0 at the nodes (0 at the centre)
     drdchi: np.ndarray     # dr0/dchi at the nodes (inf at the centre)
@@ -264,7 +263,6 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         rho0=_readonly(rho0),
         n0=_readonly(np.sqrt(n2)),
         n2=_readonly(n2),
-        m0=_readonly(mor3 * r0**3),
         q=_readonly(q),
         w=_readonly(w),
         drdchi=_readonly(drdchi),
@@ -331,6 +329,12 @@ def energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> dict
     where L is the spatial operator.  These are diagnostics of boundedness,
     not invariants.
     """
+    return _energy_norms(coeffs, u, v, derivative_uniform(u, coeffs.dchi, order=2))
+
+
+def _energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray,
+                  du: np.ndarray) -> dict[str, float]:
+    """``energy_norms`` given the slope du = du/dchi."""
     dchi = coeffs.dchi
     r0 = coeffs.r0
 
@@ -340,7 +344,6 @@ def energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> dict
         out[0] = (f[1] / r0[1]) ** 2
         return out
 
-    du = derivative_uniform(u, dchi, order=2)
     dv = derivative_uniform(v, dchi, order=2)
     d2u = derivative_uniform(du, dchi, order=2)
     r4 = r0**4
@@ -357,6 +360,20 @@ def cfl_timestep(coeffs: WaveCoefficients, cfl: float) -> float:
             f"cfl must lie in (0, 0.5] for the explicit stepper, got {cfl}"
         )
     return cfl * coeffs.dchi / coeffs.cmax
+
+
+def _time_step(coeffs: WaveCoefficients, T: float, cfl: float) -> tuple[int, float]:
+    """(n_steps, dt): the CFL step shrunk so that n_steps * dt == T."""
+    if T <= 0.0:
+        raise DomainError(f"evolution duration must be positive, got {T}")
+    n_steps = max(1, math.ceil(T / cfl_timestep(coeffs, cfl)))
+    return n_steps, T / n_steps
+
+
+def _sample_steps(n_steps: int, samples: int) -> list[int]:
+    """Every ``n_steps // samples`` steps, and the last."""
+    every = max(1, n_steps // max(1, samples))
+    return [*range(every, n_steps, every), n_steps]
 
 
 @dataclass(frozen=True)
@@ -383,6 +400,7 @@ class EvolutionResult:
 
 STRIDE = 32            # steps per Chebyshev stride: the half-bandwidth of T_k(C)
 _BUILD_COLUMNS = 64    # columns of T_k(C) built per longdouble block
+INSTABILITY_FACTOR = 100.0  # energy growth over its initial value that counts as unstable
 
 
 class _KickDrift:
@@ -493,6 +511,108 @@ def _probe_block(scaled: np.ndarray, k: int) -> np.ndarray:
     return np.hstack([r[1:] - r[:-1], r[1:]]).astype(float)
 
 
+class _WaveRun:
+    """The stepper of ``evolve`` as one resumable run of ``n_steps`` steps
+    of size dt from (u0, v0).
+
+    ``advance(step)`` moves on to a sample step after the last one, records
+    the sample series there, raises ``InstabilityError`` as ``evolve``
+    does, and returns (u, v); u is the run's own buffer, valid until the
+    next call.  T_k(C) is built on first need.
+    """
+
+    def __init__(self, coeffs: WaveCoefficients, u0: np.ndarray, v0: np.ndarray,
+                 dt: float, n_steps: int) -> None:
+        u = np.array(u0, dtype=float)
+        v = np.array(v0, dtype=float)
+        if u.shape != (coeffs.n_chi,) or v.shape != (coeffs.n_chi,):
+            raise DomainError("initial data shape does not match the chi grid")
+        u[0] = 0.0
+        v[0] = 0.0
+        self.coeffs, self.dt, self.n_steps = coeffs, dt, n_steps
+        self.times, self.energies, self.residuals = [], [], []
+        self.norm_series: dict[str, list[float]] = {"norm": [], "first": [], "second": []}
+        self.e0 = self._record(0, u, v)
+        self.probe = np.empty(n_steps + 1)
+        self.probe[0] = u[-1]
+
+        k = STRIDE
+        self._scaled = dt * dt * coeffs.bands
+        self._u, self._w = u, dt * v + 0.5 * (dt * dt) * acceleration(coeffs, u)
+        # scipy's dgbmv wants at least 2k + 1 rows
+        self.strides = n_steps // k - 1 if n_steps >= 2 * k and coeffs.n_chi > 2 * k else 0
+        self._plain_end = k if self.strides else n_steps
+        self._main = _KickDrift(self._scaled, u, self._w)
+        self._back = u.copy(), self._w.copy()  # x_(n-k) at the first boundary n = k
+        self._at = 0            # last plain step, then last stride boundary
+        self._side = self._band = self._block = None  # made on first need
+        self._side_at: int | None = None
+
+    def _record(self, step: int, u: np.ndarray, v: np.ndarray) -> float:
+        c = self.coeffs
+        e = discrete_energy(c, u, v)
+        du = derivative_uniform(u, c.dchi, order=2)
+        self.times.append(step * self.dt)
+        self.energies.append(e)
+        for key, val in _energy_norms(c, u, v, du).items():
+            self.norm_series[key].append(val)
+        self.residuals.append(_interior_sup(c, _constraint_residual(c, u, du)))
+        return e
+
+    def _probe_ahead(self) -> None:
+        """Surface values from this stride boundary up to the next."""
+        k, at = STRIDE, self._at
+        stop = min(at + k, self.n_steps)
+        edge = np.concatenate((self._u[-k:], self._w[-k:]))
+        np.dot(self._block[:stop - at], edge, out=self.probe[at + 1:stop + 1])
+
+    def _stride(self) -> None:
+        k, n = STRIDE, self.coeffs.n_chi
+        if self._band is None:
+            self._band = _chebyshev_band(self._scaled, k)
+        # x_(n+k) = 2 T_k(C) x_n - x_(n-k), written over x_(n-k)
+        ahead = [dgbmv(n, n, k, k, 2.0, self._band, x, beta=-1.0, y=back, overwrite_y=1, trans=1)
+                 for x, back in zip((self._u, self._w), self._back)]
+        self._back = self._u, self._w
+        self._u, self._w = ahead
+        self._at += k
+        self._side_at = None
+        self._probe_ahead()
+        if self._at + k > self.n_steps:  # the last stride; T_k is 1 MB at n_chi 2000
+            self._band = None
+
+    def advance(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        if step <= self._plain_end:
+            state = self._main
+            state.run(self._at + 1, step, self.probe)
+            self._at = step
+        else:
+            if self._side is None:  # the first sample past the plain steps
+                self._main.run(self._at + 1, self._plain_end, self.probe)
+                self._at = self._plain_end
+                self._block = _probe_block(self._scaled, STRIDE)
+                self._side = _KickDrift(self._scaled, np.empty_like(self._u),
+                                        np.empty_like(self._w))
+                self._probe_ahead()
+            while step >= self._at + STRIDE:
+                self._stride()
+            state = self._side
+            if self._side_at is None:
+                state.load(self._u, self._w)
+                self._side_at = self._at
+            state.run(self._side_at + 1, step)
+            self._side_at = step
+        v = (state.w - 0.5 * state.kick) / self.dt
+        e, e0 = self._record(step, state.u, v), self.e0
+        if e0 > 0.0 and (not math.isfinite(e) or e > INSTABILITY_FACTOR * e0):
+            raise InstabilityError(
+                f"discrete energy grew by {e / e0:.3g} at t={step * self.dt:.6g}",
+                step=step,
+                energy_ratio=e / e0,
+            )
+        return state.u, v
+
+
 def evolve(
     coeffs: WaveCoefficients,
     u0: np.ndarray,
@@ -500,130 +620,34 @@ def evolve(
     T: float,
     cfl: float = 0.4,
     samples: int = 200,
-    instability_factor: float = 100.0,
-    progress: Callable[[int, int], None] | None = None,
 ) -> EvolutionResult:
     """Velocity-Verlet evolution for duration T (landing on T exactly).
 
     The time step is the CFL step shrunk so that n_steps * dt == T.  The
-    scheme is kick-drift Verlet on the dt^2-scaled bands S of A with
-    w = dt v(t + dt/2): a plain step is u += w, then w += S u.  Both u and
-    w obey u_(n+1) + u_(n-1) = 2 C u_n with C = I + S/2, so
-    x_(n+k) = 2 T_k(C) x_n - x_(n-k) for k = ``STRIDE``.  After k plain
-    steps, u and w advance k steps per stride, one ``dgbmv`` call each
-    with the banded T_k(C) (built in ``np.longdouble``, rounded once).
-    Runs shorter than 2k steps, and grids of at most 2k nodes, stay plain.
+    scheme is kick-drift Verlet on S = dt^2 A, which after k = ``STRIDE``
+    plain steps advances u and w = dt v(t + dt/2) k steps per ``dgbmv``
+    call with T_k(C), C = I + S/2 (see the module docstring).  Runs shorter
+    than 2k steps, and grids of at most 2k nodes, stay plain.
 
-    The energy, the norms and the constraint residual are recorded at the
-    sample steps (every ``n_steps // samples`` steps, and the last), from
-    the full-step velocity v = (w - S u / 2)/dt.  Each sample state, and
-    the final state, comes from at most k - 1 plain steps on copies of the
-    last stride boundary, so the stride sequences never restart.
-    ``probe_values`` holds the surface displacement after every step; after
-    a stride boundary n it is u_(n+j) = (U_(j-1) - U_(j-2))(C) u_n
-    + U_(j-1)(C) w_n at the surface node, from the last k entries of u_n
-    and w_n through ``_probe_block``.  Raises ``InstabilityError`` at the first sample where
-    the discrete energy is non-finite or above ``instability_factor`` times
-    its initial value.  ``provenance`` records ``max_dt2_mu``, the exact
-    stability margin (stable below 4), and ``stride`` (k), ``strides`` and
-    ``plain_steps``, with k * strides + plain_steps == n_steps.
+    The stepper is resumable: it stops at each sample step (every
+    ``n_steps // samples`` steps, and the last), records the energy, the
+    norms and the constraint residual from the full-step velocity
+    v = (w - S u / 2)/dt, and goes on.  Sample states and the final state
+    come from at most k - 1 plain steps on copies of the last stride
+    boundary, so the strides never restart and u, v and ``probe_values``
+    do not depend on ``samples``.  ``probe_values`` holds the surface
+    displacement after every step, between stride boundaries through
+    ``_probe_block``.  Raises ``InstabilityError`` at the first sample
+    where the discrete energy is non-finite or above ``INSTABILITY_FACTOR``
+    times its initial value.  ``provenance`` records ``max_dt2_mu``, the
+    exact stability margin (stable below 4), and ``stride`` (k),
+    ``strides`` and ``plain_steps``, with k * strides + plain_steps ==
+    n_steps.
     """
-    if T <= 0.0:
-        raise DomainError(f"evolution duration must be positive, got {T}")
-    dt_cfl = cfl_timestep(coeffs, cfl)
-    n_steps = max(1, math.ceil(T / dt_cfl))
-    dt = T / n_steps
-
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
-    if u.shape != (coeffs.n_chi,) or v.shape != (coeffs.n_chi,):
-        raise DomainError("initial data shape does not match the chi grid")
-    u[0] = 0.0
-    v[0] = 0.0
-
-    e0 = discrete_energy(coeffs, u, v)
-    every = max(1, n_steps // max(1, samples))
-    times = [0.0]
-    energies = [e0]
-    norm_series = {key: [val] for key, val in energy_norms(coeffs, u, v).items()}
-    residuals = [residual_norm(coeffs, u)]
-    probe = np.empty(n_steps + 1)
-    probe[0] = u[-1]
-
-    dt2 = dt * dt
-    scaled = dt2 * coeffs.bands
-    w = dt * v + 0.5 * dt2 * acceleration(coeffs, u)
-
-    sample_steps = list(range(every, n_steps + 1, every))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
-    pending = iter(sample_steps)
-    next_sample = next(pending)
-
-    def record(step: int, state: _KickDrift) -> np.ndarray:
-        nonlocal next_sample
-        v = (state.w - 0.5 * state.kick) / dt
-        e = discrete_energy(coeffs, state.u, v)
-        times.append(step * dt)
-        energies.append(e)
-        for key, val in energy_norms(coeffs, state.u, v).items():
-            norm_series[key].append(val)
-        residuals.append(residual_norm(coeffs, state.u))
-        if e0 > 0.0 and (not math.isfinite(e) or e > instability_factor * e0):
-            raise InstabilityError(
-                f"discrete energy grew by {e / e0:.3g} at t={step * dt:.6g}",
-                step=step,
-                energy_ratio=e / e0,
-            )
-        if progress is not None:
-            progress(step, n_steps)
-        next_sample = next(pending, math.inf)
-        return v
-
-    k = STRIDE
-    # scipy's dgbmv wants at least 2k + 1 rows
-    strides = n_steps // k - 1 if n_steps >= 2 * k and coeffs.n_chi > 2 * k else 0
-    if strides:
-        u_back, w_back = u.copy(), w.copy()  # x_(n-k) at the first boundary n = k
-    state = _KickDrift(scaled, u, w)
-    plain_end = k if strides else n_steps
-    at = 0
-    while next_sample <= plain_end:
-        state.run(at + 1, next_sample, probe)
-        at = next_sample
-        v = record(at, state)
-    state.run(at + 1, plain_end, probe)
-
-    if strides:
-        band = _chebyshev_band(scaled, k)
-        block = _probe_block(scaled, k)
-        edge = np.empty(2 * k)
-        n = coeffs.n_chi
-        side = _KickDrift(scaled, np.empty_like(u), np.empty_like(w))
-        at = k
-        while True:
-            # samples and probe values from this boundary up to the next
-            stop = min(at + k, n_steps)
-            edge[:k] = u[-k:]
-            edge[k:] = w[-k:]
-            np.dot(block[:stop - at], edge, out=probe[at + 1:stop + 1])
-            side_at = None
-            while next_sample < at + k:
-                if side_at is None:
-                    side.load(u, w)
-                    side_at = at
-                side.run(side_at + 1, next_sample)
-                side_at = next_sample
-                v = record(side_at, side)
-            if at + k > n_steps:
-                break
-            u_back = dgbmv(n, n, k, k, 2.0, band, u, beta=-1.0, y=u_back, overwrite_y=1, trans=1)
-            w_back = dgbmv(n, n, k, k, 2.0, band, w, beta=-1.0, y=w_back, overwrite_y=1, trans=1)
-            u, u_back = u_back, u
-            w, w_back = w_back, w
-            at += k
-        u = side.u
-        del band  # 1 MB at n_chi 2000; not held while the results are built
+    n_steps, dt = _time_step(coeffs, T, cfl)
+    run = _WaveRun(coeffs, u0, v0, dt, n_steps)
+    for step in _sample_steps(n_steps, samples):
+        u, v = run.advance(step)
 
     top = coeffs.n_chi - 2  # index of the largest eigenvalue
     probe_times = np.arange(n_steps + 1, dtype=float)
@@ -633,20 +657,20 @@ def evolve(
         n_steps=n_steps,
         u=_readonly(u),
         v=_readonly(v),
-        times=_readonly(np.array(times)),
-        energies=_readonly(np.array(energies)),
-        norm_series={key: _readonly(np.array(vals)) for key, vals in norm_series.items()},
-        residuals=_readonly(np.array(residuals)),
+        times=_readonly(np.array(run.times)),
+        energies=_readonly(np.array(run.energies)),
+        norm_series={key: _readonly(np.array(vals)) for key, vals in run.norm_series.items()},
+        residuals=_readonly(np.array(run.residuals)),
         probe_times=_readonly(probe_times),
-        probe_values=_readonly(probe),
-        initial_energy=e0,
+        probe_values=_readonly(run.probe),
+        initial_energy=run.e0,
         provenance={
             "cfl": cfl,
             "samples": samples,
-            "max_dt2_mu": dt2 * float(operator_eigenvalues(coeffs, top, top)[0]),
-            "stride": k,
-            "strides": strides,
-            "plain_steps": n_steps - k * strides,
+            "max_dt2_mu": dt * dt * float(operator_eigenvalues(coeffs, top, top)[0]),
+            "stride": STRIDE,
+            "strides": run.strides,
+            "plain_steps": n_steps - STRIDE * run.strides,
         },
     )
 
@@ -691,8 +715,11 @@ def reconstruct(coeffs: WaveCoefficients, u: np.ndarray) -> LinearizedFields:
     estimated from the first interior node.
     """
     u = np.asarray(u, dtype=float)
+    return _reconstruct(coeffs, u, derivative_uniform(u, coeffs.dchi, order=2))
+
+
+def _reconstruct(coeffs: WaveCoefficients, u: np.ndarray, du_dchi: np.ndarray) -> LinearizedFields:
     r0 = coeffs.r0
-    du_dchi = derivative_uniform(u, coeffs.dchi, order=2)
     du_dr0 = du_dchi * coeffs.w  # = (du/dchi)/(dr0/dchi)
 
     psi1 = np.empty_like(u)
@@ -723,10 +750,13 @@ def constraint_residual(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
     at second order away from the centre.  Node 0 is reported as 0.
     """
     u = np.asarray(u, dtype=float)
-    fields = reconstruct(coeffs, u)
-    dchi = coeffs.dchi
-    lhs = derivative_uniform(fields.m1, dchi, order=4)
-    du_dchi = derivative_uniform(u, dchi, order=2)
+    return _constraint_residual(coeffs, u, derivative_uniform(u, coeffs.dchi, order=2))
+
+
+def _constraint_residual(coeffs: WaveCoefficients, u: np.ndarray,
+                         du_dchi: np.ndarray) -> np.ndarray:
+    fields = _reconstruct(coeffs, u, du_dchi)
+    lhs = derivative_uniform(fields.m1, coeffs.dchi, order=4)
     r0 = coeffs.r0
     with np.errstate(invalid="ignore"):
         rhs = FOUR_PI * (
@@ -740,6 +770,8 @@ def constraint_residual(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
 
 def residual_norm(coeffs: WaveCoefficients, u: np.ndarray, interior: float = 0.1) -> float:
     """Sup of the constraint residual over chi >= interior * B."""
-    res = constraint_residual(coeffs, u)
-    mask = coeffs.chi >= interior * coeffs.B
-    return float(np.max(np.abs(res[mask])))
+    return _interior_sup(coeffs, constraint_residual(coeffs, u), interior)
+
+
+def _interior_sup(coeffs: WaveCoefficients, res: np.ndarray, interior: float = 0.1) -> float:
+    return float(np.max(np.abs(res[coeffs.chi >= interior * coeffs.B])))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardstars
-from hardstars import calibration
+from hardstars import StarParameters, build_star, calibration, evolution
 from hardstars.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -30,7 +30,8 @@ from hardstars.cli import (
     main,
 )
 from hardstars.errors import ConfigError
-from hardstars.storage import read_profile_csv
+from hardstars.evolution import assemble_coefficients, evolve, gaussian_pulse, reconstruct
+from hardstars.storage import read_profile_csv, read_table
 
 
 def run(*argv: str) -> int:
@@ -167,8 +168,8 @@ _OPTION_FLAGS = {
         "cfl": ("--cfl", _floats),
         "duration": ("--T", _positive),
         "preset": ("--preset", _texts),
-        "samples": ("--samples", _ints),
-        "snapshots": ("--snapshots", _ints),
+        "samples": ("--samples", st.integers(1, 10**12)),
+        "snapshots": ("--snapshots", st.integers(2, 10**12)),
     },
     "modes": {
         "count": ("--count", st.integers(1, 10**6)),
@@ -276,10 +277,17 @@ _MALFORMED = {
     "count-bool": (["variation-audit"], {"options": {"count": True}}),
     "profile-number": (["variation-audit"], {"options": {"profile": 5}}),
     "snapshots-string": (["evolve"], {"options": {"snapshots": "a"}}),
+    "snapshots-one": (["evolve"], {"options": {"snapshots": 1}}),
+    "snapshots-zero": (["evolve"], {"options": {"snapshots": 0}}),
+    "snapshots-negative": (["evolve"], {"options": {"snapshots": -3}}),
+    "samples-zero": (["evolve"], {"options": {"samples": 0}}),
+    "samples-negative": (["evolve"], {"options": {"samples": -1}}),
     "radii-entry-string": (["family"], {"options": {"radii": [0.05, "x"]}}),
     "radii-string": (["family"], {"options": {"radii": "0.1"}}),
     "count-flag-zero": (["variation-audit", "--count", "0"], None),
     "T-flag-nan": (["evolve", "--T", "nan"], None),
+    "snapshots-flag-one": (["evolve", "--snapshots", "1"], None),
+    "samples-flag-zero": (["evolve", "--samples", "0"], None),
     "radii-flag-word": (["family", "--radii", "a"], None),
     "radii-flag-nan": (["family", "--radii", "0.05,nan"], None),
 }
@@ -474,6 +482,62 @@ def test_evolve_artifacts(tmp_path):
         assert len(srows) == 202
     svg = (tmp_path / "energy.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+# four snapshots, three segments of 992 steps each: every segment is strided
+_STRIDED_EVOLVE = ("evolve", "--R", "0.05", "--grid-n", "801", "--n-chi", "201",
+                   "--T", "2", "--samples", "30", "--snapshots", "4")
+
+
+def _segment_restart_evolve(coeffs, u, v, T_total, n_snap, cfl, samples):
+    """``evolve`` as the CLI once ran it: one ``evolve`` per snapshot
+    segment, each restarted from the (u, v) the last one ended on, with the
+    sample series spliced.  Returns (phi, energies, [(u, v) per snapshot])."""
+    seg_T = T_total / (n_snap - 1)
+    seg_samples = max(1, samples // (n_snap - 1))
+    times, energies, snaps = [], [], [(u, v)]
+    offset = 0.0
+    for _ in range(1, n_snap):
+        res = evolve(coeffs, u, v, T=seg_T, cfl=cfl, samples=seg_samples)
+        skip = 1 if times else 0  # segment boundaries appear once
+        times.extend(offset + res.times[skip:])
+        energies.extend(res.energies[skip:])
+        u, v = np.array(res.u), np.array(res.v)
+        offset += seg_T
+        snaps.append((u, v))
+    return np.array(times), np.array(energies), snaps
+
+
+def test_evolve_builds_chebyshev_band_once(tmp_path, monkeypatch):
+    built = []
+    band = evolution._chebyshev_band
+    monkeypatch.setattr(evolution, "_chebyshev_band", lambda *args: built.append(args) or band(*args))
+    assert run(*_STRIDED_EVOLVE, "--output-dir", str(tmp_path)) == EXIT_OK
+    assert len(built) == 1
+
+
+def test_evolve_matches_segment_restarts(tmp_path):
+    # one unbroken run against one run per segment: w is no longer rebuilt
+    # from v and the strides no longer restart at each snapshot, so the
+    # states part at roundoff; measured gap 4e-14 (u), 7e-14 (m1),
+    # 6.9e-13 (v, psi1, omega1, rho1), 2.9e-15 (energy), 2.2e-16 (phi)
+    assert run(*_STRIDED_EVOLVE, "--output-dir", str(tmp_path)) == EXIT_OK
+    coeffs = assemble_coefficients(build_star(StarParameters(R=0.05, grid_n=801)), n_chi=201)
+    u0, v0 = gaussian_pulse(coeffs)
+    phi, energies, snaps = _segment_restart_evolve(coeffs, u0, v0, 0.1, 4, 0.4, 30)
+    names, table = read_table(tmp_path / "energy.csv")
+    assert table.shape[0] == len(phi)
+    assert np.all(np.abs(table[1:, 0] / phi[1:] - 1.0) <= 1e-12)
+    assert np.max(np.abs(table[:, 1] - energies)) <= 1e-13 * np.max(energies)
+    for j, (u, v) in enumerate(snaps):
+        names, table = read_table(tmp_path / f"snapshot_{j:03d}.csv")
+        assert table[:, 0].tobytes() == coeffs.chi.tobytes()
+        fields = reconstruct(coeffs, u)
+        expected = {"u": u, "v": v, "psi1": fields.psi1, "omega1": fields.omega1,
+                    "m1": fields.m1, "rho1": fields.rho1}
+        for key, col in expected.items():
+            gap = np.max(np.abs(table[:, names.index(key)] - col))
+            assert gap <= 1e-11 * np.max(np.abs(col)), (j, key)
 
 
 def test_mode_preset_round_trip(tmp_path):
