@@ -44,11 +44,6 @@ from .numerics import cumulative_simpson_uniform
 
 FOUR_PI = 4.0 * math.pi
 
-#: Radius at which the uniform rho = 1 ball reaches 1 - 2m/r = 0; every
-#: static star is smaller than ``calibration.R_MAX``, which ``StarParameters``
-#: enforces.
-MAX_REGULAR_RADIUS = math.sqrt(3.0 / (8.0 * math.pi))
-
 #: Radius bound enforced for the fixed-point solver; inside it the update map
 #: contracts with factor <= 3/4 in the weighted norm used below.
 MAX_CONTRACTION_RADIUS = 0.25 * math.sqrt(3.0 / FOUR_PI)
@@ -139,9 +134,7 @@ def tov_rhs(r: float, m: float, rho: float) -> tuple[float, float]:
         return 0.0, 0.0
     if r < 0.0 or r <= 2.0 * m:
         raise DomainError(f"shell at r={r} with m={m} is trapped (requires r > 2m)")
-    dm = FOUR_PI * r * r * rho
-    drho = -((2.0 * rho - 1.0) / (r - 2.0 * m)) * (FOUR_PI * r * r * (rho - 1.0) + m / r)
-    return dm, drho
+    return tuple(_tov_rhs_raw(r, (m, rho)))
 
 
 def _tov_rhs_raw(r: float, y: np.ndarray) -> list[float]:

@@ -361,10 +361,17 @@ def _initial_data(preset: str, star: BackgroundProfile, coeffs):
         if not {"chi", "u", "v"} <= set(names):
             raise ConfigError(f"initial data {path} needs chi,u,v columns")
         cols = dict(zip(names, table.T))
-        u0 = np.interp(coeffs.chi, cols["chi"], cols["u"])
-        v0 = np.interp(coeffs.chi, cols["chi"], cols["v"])
+        chi, u, v = cols["chi"], cols["u"], cols["v"]
+        if not np.isfinite([chi, u, v]).all():
+            raise ConfigError(f"initial data {path} holds a non-finite value")
+        if np.any(np.diff(chi) <= 0.0):
+            raise ConfigError(f"initial data {path} needs a strictly increasing chi column")
+        u0 = np.interp(coeffs.chi, chi, u)
+        v0 = np.interp(coeffs.chi, chi, v)
         u0[0] = 0.0
         v0[0] = 0.0
+        if not (np.any(u0) or np.any(v0)):
+            raise ConfigError(f"initial data {path} is zero on every free node")
         return u0, v0
     raise ConfigError(f"unknown initial-data preset {preset!r}")
 
@@ -644,8 +651,8 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
             "modes.flat-shape", dist <= ceiling, f"shape distance {dist:.4f} <= {ceiling:g}"
         )
     um, vm = mode_to_initial_data(coeffs, modes[0])
-    resm = evolve(coeffs, um, vm, T=3.0 * modes[0].period, cfl=0.3, samples=5)
-    period = estimate_period(resm.probe_times, resm.probe_values)
+    resm = evolve(coeffs, um, vm, T=3.0 * modes[0].period, cfl=0.3, samples=60)
+    period = estimate_period(resm.times, resm.surface)
     rel = abs(period - modes[0].period) / modes[0].period
     checks.record(
         "modes.period-roundtrip",

@@ -56,11 +56,10 @@ return v with an error of 3.5e-8, against 3.7e-10 when built in
 macOS (where the strides keep only the double accuracy), a slow software
 quad on aarch64 Linux.
 The stepper is one resumable run, which ``hardstars evolve`` drives across
-all its snapshots.  Each sample (energy, norms, constraint residual, from
-one slope du/dchi) is taken after at most k - 1 plain side steps on copies
-of the last stride boundary, and the surface probe between boundaries
-comes from one (k, 2k) block of rows of the second-kind polynomials
-U_j(C).  The stepper conserves the energy to O(dt^2) uniformly.
+all its snapshots.  Each sample (surface displacement, energy, norms,
+constraint residual, from one slope du/dchi) is taken after at most k - 1
+plain side steps on copies of the last stride boundary.  The stepper
+conserves the energy to O(dt^2) uniformly.
 
 Near the centre the shell coordinate degenerates (r0 ~ chi^(1/3)), so mode
 frequencies on the chi grid converge at first order in dchi, not second;
@@ -388,8 +387,7 @@ class EvolutionResult:
     energies: np.ndarray
     norm_series: dict[str, np.ndarray]
     residuals: np.ndarray
-    probe_times: np.ndarray
-    probe_values: np.ndarray
+    surface: np.ndarray    # u at the surface node, at ``times``
     initial_energy: float
     provenance: dict = field(default_factory=dict)
 
@@ -430,15 +428,12 @@ class _KickDrift:
         np.copyto(self.w, w)
         self._form_kick()
 
-    def run(self, first: int, last: int, probe: np.ndarray | None = None) -> None:
-        """Steps ``first``..``last``, writing u[-1] to ``probe[step]``."""
+    def run(self, steps: int) -> None:
         u, w, kick, form_kick = self.u, self.w, self.kick, self._form_kick
-        for step in range(first, last + 1):
+        for _ in range(steps):
             np.add(u, w, out=u)
             form_kick()
             np.add(w, kick, out=w)
-            if probe is not None:
-                probe[step] = u[-1]
 
 
 def _chebyshev_band(scaled: np.ndarray, k: int) -> np.ndarray:
@@ -488,35 +483,13 @@ def _chebyshev_band(scaled: np.ndarray, k: int) -> np.ndarray:
     return band
 
 
-def _probe_block(scaled: np.ndarray, k: int) -> np.ndarray:
-    """The (k, 2k) block that maps the last k entries of u_n and of w_n to
-    the surface values of u_(n+1)..u_(n+k).
-
-    From u_(n+1) = u_n + w_n and the two-step recurrence,
-    u_(n+j) = (U_(j-1) - U_(j-2))(C) u_n + U_(j-1)(C) w_n, with U the
-    Chebyshev polynomials of the second kind.  The surface row r_i of
-    U_i(C) lives on the last i + 1 nodes; the rows follow
-    r_i = 2 r_(i-1) C - r_(i-2), in ``np.longdouble``.
-    """
-    s = scaled[:, -k:].astype(np.longdouble)
-    c = np.zeros((k, k), dtype=np.longdouble)   # C on the last k nodes
-    i = np.arange(k)
-    c[i, i] = 1.0 + 0.5 * s[1]
-    c[i[:-1], i[1:]] = 0.5 * s[0, 1:]
-    c[i[1:], i[:-1]] = 0.5 * s[2, :-1]
-    r = np.zeros((k + 1, k), dtype=np.longdouble)  # r[i + 1] = e_last^T U_i(C)
-    r[1, -1] = 1.0
-    for j in range(2, k + 1):
-        r[j] = 2.0 * (r[j - 1] @ c) - r[j - 2]
-    return np.hstack([r[1:] - r[:-1], r[1:]]).astype(float)
-
-
 class _WaveRun:
     """The stepper of ``evolve`` as one resumable run of ``n_steps`` steps
     of size dt from (u0, v0).
 
     ``advance(step)`` moves on to a sample step after the last one, records
-    the sample series there, raises ``InstabilityError`` as ``evolve``
+    the sample series there (time, surface displacement u[-1], energy,
+    norms, constraint residual), raises ``InstabilityError`` as ``evolve``
     does, and returns (u, v); u is the run's own buffer, valid until the
     next call.  T_k(C) is built on first need.
     """
@@ -530,11 +503,9 @@ class _WaveRun:
         u[0] = 0.0
         v[0] = 0.0
         self.coeffs, self.dt, self.n_steps = coeffs, dt, n_steps
-        self.times, self.energies, self.residuals = [], [], []
+        self.times, self.surface, self.energies, self.residuals = [], [], [], []
         self.norm_series: dict[str, list[float]] = {"norm": [], "first": [], "second": []}
         self.e0 = self._record(0, u, v)
-        self.probe = np.empty(n_steps + 1)
-        self.probe[0] = u[-1]
 
         k = STRIDE
         self._scaled = dt * dt * coeffs.bands
@@ -545,7 +516,7 @@ class _WaveRun:
         self._main = _KickDrift(self._scaled, u, self._w)
         self._back = u.copy(), self._w.copy()  # x_(n-k) at the first boundary n = k
         self._at = 0            # last plain step, then last stride boundary
-        self._side = self._band = self._block = None  # made on first need
+        self._side = self._band = None  # made on first need
         self._side_at: int | None = None
 
     def _record(self, step: int, u: np.ndarray, v: np.ndarray) -> float:
@@ -553,18 +524,12 @@ class _WaveRun:
         e = discrete_energy(c, u, v)
         du = derivative_uniform(u, c.dchi, order=2)
         self.times.append(step * self.dt)
+        self.surface.append(float(u[-1]))
         self.energies.append(e)
         for key, val in _energy_norms(c, u, v, du).items():
             self.norm_series[key].append(val)
         self.residuals.append(_interior_sup(c, _constraint_residual(c, u, du)))
         return e
-
-    def _probe_ahead(self) -> None:
-        """Surface values from this stride boundary up to the next."""
-        k, at = STRIDE, self._at
-        stop = min(at + k, self.n_steps)
-        edge = np.concatenate((self._u[-k:], self._w[-k:]))
-        np.dot(self._block[:stop - at], edge, out=self.probe[at + 1:stop + 1])
 
     def _stride(self) -> None:
         k, n = STRIDE, self.coeffs.n_chi
@@ -577,30 +542,27 @@ class _WaveRun:
         self._u, self._w = ahead
         self._at += k
         self._side_at = None
-        self._probe_ahead()
         if self._at + k > self.n_steps:  # the last stride; T_k is 1 MB at n_chi 2000
             self._band = None
 
     def advance(self, step: int) -> tuple[np.ndarray, np.ndarray]:
         if step <= self._plain_end:
             state = self._main
-            state.run(self._at + 1, step, self.probe)
+            state.run(step - self._at)
             self._at = step
         else:
             if self._side is None:  # the first sample past the plain steps
-                self._main.run(self._at + 1, self._plain_end, self.probe)
+                self._main.run(self._plain_end - self._at)
                 self._at = self._plain_end
-                self._block = _probe_block(self._scaled, STRIDE)
                 self._side = _KickDrift(self._scaled, np.empty_like(self._u),
                                         np.empty_like(self._w))
-                self._probe_ahead()
             while step >= self._at + STRIDE:
                 self._stride()
             state = self._side
             if self._side_at is None:
                 state.load(self._u, self._w)
                 self._side_at = self._at
-            state.run(self._side_at + 1, step)
+            state.run(step - self._side_at)
             self._side_at = step
         v = (state.w - 0.5 * state.kick) / self.dt
         e, e0 = self._record(step, state.u, v), self.e0
@@ -630,19 +592,18 @@ def evolve(
     than 2k steps, and grids of at most 2k nodes, stay plain.
 
     The stepper is resumable: it stops at each sample step (every
-    ``n_steps // samples`` steps, and the last), records the energy, the
-    norms and the constraint residual from the full-step velocity
-    v = (w - S u / 2)/dt, and goes on.  Sample states and the final state
-    come from at most k - 1 plain steps on copies of the last stride
-    boundary, so the strides never restart and u, v and ``probe_values``
-    do not depend on ``samples``.  ``probe_values`` holds the surface
-    displacement after every step, between stride boundaries through
-    ``_probe_block``.  Raises ``InstabilityError`` at the first sample
-    where the discrete energy is non-finite or above ``INSTABILITY_FACTOR``
-    times its initial value.  ``provenance`` records ``max_dt2_mu``, the
-    exact stability margin (stable below 4), and ``stride`` (k),
-    ``strides`` and ``plain_steps``, with k * strides + plain_steps ==
-    n_steps.
+    ``n_steps // samples`` steps, and the last), records the surface
+    displacement u[-1], and the energy, the norms and the constraint
+    residual from the full-step velocity v = (w - S u / 2)/dt, and goes
+    on; ``times`` and every series start with the initial state.  Sample
+    states and the final state come from at most k - 1 plain steps on
+    copies of the last stride boundary, so the strides never restart: u, v
+    and each sample's values do not depend on ``samples``.  Raises
+    ``InstabilityError`` at the first sample where the discrete energy is
+    non-finite or above ``INSTABILITY_FACTOR`` times its initial value.
+    ``provenance`` records ``max_dt2_mu``, the exact stability margin
+    (stable below 4), and ``stride`` (k), ``strides`` and ``plain_steps``,
+    with k * strides + plain_steps == n_steps.
     """
     n_steps, dt = _time_step(coeffs, T, cfl)
     run = _WaveRun(coeffs, u0, v0, dt, n_steps)
@@ -650,8 +611,6 @@ def evolve(
         u, v = run.advance(step)
 
     top = coeffs.n_chi - 2  # index of the largest eigenvalue
-    probe_times = np.arange(n_steps + 1, dtype=float)
-    probe_times *= dt
     return EvolutionResult(
         dt=dt,
         n_steps=n_steps,
@@ -661,8 +620,7 @@ def evolve(
         energies=_readonly(np.array(run.energies)),
         norm_series={key: _readonly(np.array(vals)) for key, vals in run.norm_series.items()},
         residuals=_readonly(np.array(run.residuals)),
-        probe_times=_readonly(probe_times),
-        probe_values=_readonly(run.probe),
+        surface=_readonly(np.array(run.surface)),
         initial_energy=run.e0,
         provenance={
             "cfl": cfl,
@@ -768,10 +726,14 @@ def _constraint_residual(coeffs: WaveCoefficients, u: np.ndarray,
     return out
 
 
-def residual_norm(coeffs: WaveCoefficients, u: np.ndarray, interior: float = 0.1) -> float:
-    """Sup of the constraint residual over chi >= interior * B."""
-    return _interior_sup(coeffs, constraint_residual(coeffs, u), interior)
+# chi-stencils lose accuracy at the centre; the norm starts at this fraction of B
+RESIDUAL_INTERIOR = 0.1
 
 
-def _interior_sup(coeffs: WaveCoefficients, res: np.ndarray, interior: float = 0.1) -> float:
-    return float(np.max(np.abs(res[coeffs.chi >= interior * coeffs.B])))
+def residual_norm(coeffs: WaveCoefficients, u: np.ndarray) -> float:
+    """Sup of the constraint residual over chi >= ``RESIDUAL_INTERIOR`` * B."""
+    return _interior_sup(coeffs, constraint_residual(coeffs, u))
+
+
+def _interior_sup(coeffs: WaveCoefficients, res: np.ndarray) -> float:
+    return float(np.max(np.abs(res[coeffs.chi >= RESIDUAL_INTERIOR * coeffs.B])))

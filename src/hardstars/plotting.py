@@ -17,6 +17,8 @@ _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 46.0
+_WIDTH = 900
+_HEIGHT = 560
 
 
 def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -48,8 +50,6 @@ def render_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 900,
-    height: int = 560,
     ylog: bool = False,
 ) -> Path:
     """Write one SVG with a polyline per (label, x, y) triple.
@@ -83,8 +83,8 @@ def render_svg(
     y_lo -= y_pad
     y_hi += y_pad
 
-    box_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    box_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    box_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    box_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + box_w * (x - x_lo) / (x_hi - x_lo)
@@ -93,15 +93,15 @@ def render_svg(
         return _MARGIN_TOP + box_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{box_w:.1f}" '
         f'height="{box_h:.1f}" fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
     for t in _tick_positions(x_lo, x_hi):
@@ -127,7 +127,7 @@ def render_svg(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + box_w / 2:.1f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_LEFT + box_w / 2:.1f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
         )
     if ylabel:

@@ -288,9 +288,9 @@ def audit_perturbations(
     profile: BackgroundProfile,
     count: int = 50,
     seed: int = DEFAULT_AUDIT_SEED,
-    modes: int = DEFAULT_AUDIT_MODES,
 ) -> list[AuditPerturbation]:
-    """Reproducible random deformations built from quarter-wave sines of chi.
+    """Reproducible random deformations built from the first
+    ``DEFAULT_AUDIT_MODES`` quarter-wave sines of chi.
 
     Coefficients fall off like 1/k^2 so the shapes stay slope-dominated
     rather than oscillation-dominated; each rdot is rescaled to unit surface
@@ -299,6 +299,7 @@ def audit_perturbations(
     same basis.
     """
     profile.require_metric()
+    modes = DEFAULT_AUDIT_MODES
     xi = profile.chi / profile.N_total
     basis = [np.sin((k - 0.5) * math.pi * xi) for k in range(1, modes + 1)]
     rng = np.random.default_rng(seed)

@@ -22,7 +22,6 @@ from hardstars import (
 )
 from hardstars.background import (
     MAX_CONTRACTION_RADIUS,
-    MAX_REGULAR_RADIUS,
     chi_weight,
     metric_terms,
 )
@@ -59,7 +58,8 @@ def test_tov_rhs_centre_and_domain_guards():
 
 def test_parameter_validation():
     with pytest.raises(DomainError):
-        StarParameters(R=MAX_REGULAR_RADIUS * 1.001)
+        StarParameters(R=calibration.R_MAX * (1 + 1e-9))
+    assert StarParameters(R=calibration.R_MAX).R == calibration.R_MAX
     with pytest.raises(DomainError):
         StarParameters(R=-0.1)
     with pytest.raises(DomainError):

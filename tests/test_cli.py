@@ -595,7 +595,15 @@ def test_modes_h0_only_needs_no_star(tmp_path):
 def test_bad_preset_is_config_error(tmp_path, capsys):
     short_row = tmp_path / "short_row.csv"
     short_row.write_text("chi,u,v\n0,0,0\n1,0\n")
-    presets = ("sawtooth", "mode:x", f"file:{short_row}", f"file:{tmp_path / 'missing.csv'}")
+    tables = {
+        "nan.csv": "chi,u,v\n0,0,0\n0.5,nan,0\n1,1e-6,0\n",
+        "unsorted.csv": "chi,u,v\n0,0,0\n1,1e-6,0\n0.5,1e-6,0\n",
+        "zero.csv": "chi,u,v\n0,0,0\n1,0,0\n",
+    }
+    for name, text in tables.items():
+        (tmp_path / name).write_text(text)
+    presets = ("sawtooth", "mode:x", f"file:{short_row}", f"file:{tmp_path / 'missing.csv'}",
+               *(f"file:{tmp_path / name}" for name in tables))
     for preset in presets:
         code = run(
             "evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101",

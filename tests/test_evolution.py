@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def _flux_form_acceleration(coeffs, u):
 
 def _reference_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
     """Velocity Verlet as a plain per-step loop on the flux-form operator;
-    the oracle for ``evolve``.  Returns (u, v, probe, energies, n_steps)."""
+    the oracle for ``evolve``.  Returns (u, v, surface, energies, n_steps)."""
     dt_cfl = cfl_timestep(coeffs, cfl)
     n_steps = max(1, math.ceil(T / dt_cfl))
     dt = T / n_steps
@@ -69,8 +70,7 @@ def _reference_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
     v[0] = 0.0
     stride = max(1, n_steps // max(1, samples))
     energies = [discrete_energy(coeffs, u, v)]
-    probe = np.empty(n_steps + 1)
-    probe[0] = u[-1]
+    surface = [u[-1]]
     a = _flux_form_acceleration(coeffs, u)
     for step in range(1, n_steps + 1):
         v += 0.5 * dt * a
@@ -79,17 +79,17 @@ def _reference_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
         a = _flux_form_acceleration(coeffs, u)
         v += 0.5 * dt * a
         v[0] = 0.0
-        probe[step] = u[-1]
         if step % stride == 0 or step == n_steps:
             energies.append(discrete_energy(coeffs, u, v))
-    return u, v, probe, np.array(energies), n_steps
+            surface.append(u[-1])
+    return u, v, np.array(surface), np.array(energies), n_steps
 
 
 def _kick_drift_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
     """Kick-drift Verlet one fused step at a time on the dt^2-scaled bands,
     as ``evolve`` ran before its Chebyshev strides; the oracle for them.
     Raises ``InstabilityError`` at the same samples as ``evolve``.
-    Returns (u, v, probe, energies)."""
+    Returns (u, v, surface, energies)."""
     dt_cfl = cfl_timestep(coeffs, cfl)
     n_steps = max(1, math.ceil(T / dt_cfl))
     dt = T / n_steps
@@ -99,8 +99,7 @@ def _kick_drift_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
     v[0] = 0.0
     e0 = discrete_energy(coeffs, u, v)
     energies = [e0]
-    probe = np.empty(n_steps + 1)
-    probe[0] = u[-1]
+    surface = [u[-1]]
     dt2 = dt * dt
     scaled = dt2 * coeffs.bands
     up, diag, low = scaled[0, 1:], scaled[1], scaled[2, :-1]
@@ -116,14 +115,14 @@ def _kick_drift_evolve(coeffs, u0, v0, T, cfl=0.4, samples=200):
         np.multiply(up, u[1:], out=part)
         np.add(kick[:-1], part, out=kick[:-1])
         np.add(w, kick, out=w)
-        probe[step] = u[-1]
         if step % every == 0 or step == n_steps:
             v = (w - 0.5 * kick) / dt
             e = discrete_energy(coeffs, u, v)
             energies.append(e)
+            surface.append(u[-1])
             if e0 > 0.0 and (not math.isfinite(e) or e > INSTABILITY_FACTOR * e0):
                 raise InstabilityError("energy grew", step=step, energy_ratio=e / e0)
-    return u, v, probe, np.array(energies)
+    return u, v, np.array(surface), np.array(energies)
 
 
 def _rel(a, b):
@@ -391,8 +390,12 @@ def test_final_state_does_not_depend_on_samples(star_r005, run, samples):
     T = (n_steps - 0.5) * cfl_timestep(c, 0.4)
     a, b = (evolve(c, u0, v0, T=T, samples=s) for s in samples)
     assert a.n_steps == n_steps
-    for name in ("u", "v", "probe_values"):
+    for name in ("u", "v"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    # and so is the surface at every sample time the two schedules share
+    _, ia, ib = np.intersect1d(a.times, b.times, assume_unique=True, return_indices=True)
+    assert len(ia) >= 2  # the initial state and the last step
+    assert a.surface[ia].tobytes() == b.surface[ib].tobytes()
 
 
 @pytest.mark.parametrize("which", ["co", "flat_coeffs"])
@@ -430,7 +433,7 @@ def test_evolve_matches_reference_loop(star_r005, co):
     u0, v0 = gaussian_pulse(co)
     T = 10.0 * star_r005.R
     res = evolve(co, u0, v0, T=T, cfl=0.4, samples=40)
-    u, v, probe, energies, n_steps = _reference_evolve(co, u0, v0, T, cfl=0.4, samples=40)
+    u, v, surface, energies, n_steps = _reference_evolve(co, u0, v0, T, cfl=0.4, samples=40)
     assert res.n_steps == n_steps
     assert len(res.energies) == len(energies)
 
@@ -439,23 +442,23 @@ def test_evolve_matches_reference_loop(star_r005, co):
 
     assert rel(res.u, u) <= 1e-9
     assert rel(res.v, v) <= 1e-9
-    assert rel(res.probe_values, probe) <= 1e-9
+    assert rel(res.surface, surface) <= 1e-9
     assert rel(res.energies, energies) <= 1e-9
 
 
 def test_strides_match_kick_drift_oracle(star_r005):
     # 10 R at n_chi 2000 is 4644 strides; measured against the one-step
-    # loop: u 3.5e-12, v 4.9e-11, probe 1.3e-12, energies 1.3e-13
+    # loop: u 3.5e-12, v 4.9e-11, surface 1.3e-12, energies 1.3e-13
     c = assemble_coefficients(star_r005, n_chi=2000)
     u0, v0 = gaussian_pulse(c)
     T = 10.0 * star_r005.R
     res = evolve(c, u0, v0, T=T)
-    u, v, probe, energies = _kick_drift_evolve(c, u0, v0, T)
+    u, v, surface, energies = _kick_drift_evolve(c, u0, v0, T)
     assert res.provenance["strides"] > 4000
     assert len(res.energies) == len(energies)
     assert _rel(res.u, u) <= 1e-10
     assert _rel(res.v, v) <= 1e-9
-    assert _rel(res.probe_values, probe) <= 1e-10
+    assert _rel(res.surface, surface) <= 1e-10
     assert _rel(res.energies, energies) <= 1e-11
 
 
@@ -474,9 +477,9 @@ def test_stride_provenance_accounts_for_every_step(co, n_steps):
     else:
         assert prov["strides"] == res.n_steps // k - 1
         assert k <= prov["plain_steps"] < 2 * k
-    u, v, probe, _ = _kick_drift_evolve(co, u0, v0, T, samples=7)
+    u, v, surface, _ = _kick_drift_evolve(co, u0, v0, T, samples=7)
     assert _rel(res.u, u) <= 1e-12
-    assert _rel(res.probe_values, probe) <= 1e-12
+    assert _rel(res.surface, surface) <= 1e-12
 
 
 def test_energy_pieces_nonnegative(co):
@@ -561,11 +564,12 @@ def test_instability_detection(co):
 def test_sampling_layout(co):
     u0, v0 = gaussian_pulse(co)
     res = evolve(co, u0, v0, T=0.02, cfl=0.4, samples=20)
-    assert len(res.probe_times) == res.n_steps + 1
-    assert len(res.probe_values) == res.n_steps + 1
-    assert res.probe_times[0] == 0.0
-    assert res.probe_times[-1] == pytest.approx(0.02, rel=1e-12)
-    assert np.all(np.diff(res.probe_times) > 0.0)
+    assert res.times[0] == 0.0
+    assert res.times[-1] == pytest.approx(0.02, rel=1e-12)
+    assert np.all(np.diff(res.times) > 0.0)
+    assert len(res.surface) == len(res.times)
+    assert res.surface[0] == u0[-1]
+    assert res.surface[-1] == res.u[-1]
     assert res.energies[0] == pytest.approx(res.initial_energy, rel=1e-14)
     assert res.dt * res.n_steps == pytest.approx(0.02, rel=1e-12)
     assert set(res.norm_series) == {"norm", "first", "second"}
@@ -575,6 +579,22 @@ def test_sampling_layout(co):
         assert np.all(np.asarray(series) > 0.0)
     assert len(res.residuals) == len(res.times)
     assert np.all(np.isfinite(res.residuals))
+
+
+def test_evolve_memory_does_not_grow_with_steps(co):
+    # samples hold the diagnostics; nothing else may scale with n_steps
+    u0, v0 = gaussian_pulse(co)
+    evolve(co, u0, v0, T=0.01, samples=10)  # warm up numpy and scipy
+    peaks = []
+    for n_steps in (4_000, 40_000):
+        T = (n_steps - 0.5) * cfl_timestep(co, 0.4)
+        tracemalloc.start()
+        try:
+            assert evolve(co, u0, v0, T=T, samples=10).n_steps == n_steps
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.1e6
 
 
 def test_gaussian_pulse_shape(co):

@@ -527,8 +527,8 @@ def test_period_from_evolution_matches_eigenvalue(star_r005, modes_r005):
     m = modes_r005[0]
     co = assemble_coefficients(star_r005, n_chi=501)
     u0, v0 = mode_to_initial_data(co, m, amplitude=1e-6)
-    res = evolve(co, u0, v0, T=3.0 * m.period, cfl=0.3, samples=5)
-    measured = estimate_period(res.probe_times, res.probe_values)
+    res = evolve(co, u0, v0, T=3.0 * m.period, cfl=0.3, samples=150)
+    measured = estimate_period(res.times, res.surface)
     assert measured == pytest.approx(m.period, rel=5e-3)
 
 
@@ -540,8 +540,8 @@ def test_period_discretisation_first_order(star_r005, modes_r005):
     for n in (251, 501, 1001):
         co = assemble_coefficients(star_r005, n_chi=n)
         u0, v0 = mode_to_initial_data(co, m, amplitude=1e-6)
-        res = evolve(co, u0, v0, T=3.0 * m.period, cfl=0.3, samples=5)
-        periods.append(estimate_period(res.probe_times, res.probe_values))
+        res = evolve(co, u0, v0, T=3.0 * m.period, cfl=0.3, samples=150)
+        periods.append(estimate_period(res.times, res.surface))
     d1 = abs(periods[0] - periods[1])
     d2 = abs(periods[1] - periods[2])
     assert 1.5 <= d1 / d2 <= 2.7
