@@ -366,6 +366,13 @@ def _initial_data(preset: str, star: BackgroundProfile, coeffs):
             raise ConfigError(f"initial data {path} holds a non-finite value")
         if np.any(np.diff(chi) <= 0.0):
             raise ConfigError(f"initial data {path} needs a strictly increasing chi column")
+        # np.interp would hold the end values constant beyond the table
+        lo, hi = float(coeffs.chi[0]), float(coeffs.chi[-1])
+        if chi[0] > lo or chi[-1] < hi:
+            raise ConfigError(
+                f"initial data {path} covers chi in [{float(chi[0])!r}, {float(chi[-1])!r}], "
+                f"not the whole grid [{lo!r}, {hi!r}]"
+            )
         u0 = np.interp(coeffs.chi, chi, u)
         v0 = np.interp(coeffs.chi, chi, v)
         u0[0] = 0.0

@@ -20,16 +20,19 @@ h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are exactly
 the eigenvalues.  The right-hand side is evaluated in plain floats from the
 background spline and stepped by the Dormand-Prince 8(5,3) pair (Hairer,
 Norsett and Wanner, *Solving ODEs I*, II.10) compiled in scipy's ``ode``
-interface, so no Python runs between right-hand-side calls;
-``eigenfunction`` samples the same solution with the same pair and
-tolerances through ``solve_ivp``'s dense output.
+interface, so no Python runs between right-hand-side calls except a
+one-line record of each accepted step.  ``eigenfunction`` reads h on the
+profile grid from those steps through the pair's own 7th-order dense output
+(*Solving ODEs I*, II.6), evaluated for all steps at once in numpy, so the
+shape costs no second integration.
 
 ``find_modes`` brackets the eigenvalues from the discrete spectrum of the
 wave operator on the chi grid (``evolution``), whose j-th eigenvalue belongs
 to the j-th mode by Sturm ordering: the lowest eigenvalues on two grids,
 extrapolated in the grid spacing, centre one bracket per mode, and
 ``brentq`` on the shooting defect refines it.  Each trial x is shot once per
-``find_modes`` call: the bracket ends and the converged root are reused.
+``find_modes`` call: the bracket ends and the converged root are reused, and
+the root's recorded steps give ``Mode.h``.
 ``apply_H0``/``apply_H1`` split the radial operator into its flat Bessel part
 and the stellar correction, which shrinks like R^2.
 """
@@ -42,13 +45,13 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import DOP853, ode
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .evolution import (
     WaveCoefficients,
     assemble_coefficients,
@@ -141,9 +144,13 @@ class _RadialOperator:
         self._pieces = np.column_stack([profile.r[:-1], pieces]).tolist()
         self._inv_dr = 1.0 / profile.dr
         self._last = len(pieces) - 1
-        R = profile.R
+        R = self.R = profile.R
         q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))[2]
         self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
+        # accepted steps (rows r, h, h') of the latest shooting_defect on
+        # this operator, None if it failed; find_modes reads them back, so
+        # an operator is not shared between threads that need them
+        self.last_steps: np.ndarray | None = None
 
     def coefficients(self, r):
         r = np.asarray(r, dtype=float)
@@ -182,14 +189,13 @@ def _series_start(lam: float, r_s: float) -> tuple[float, float]:
 class _Severable:
     """Forwarder to ``fn`` that is cut when its ``with`` block ends.
 
-    ``solve_ivp`` and ``brentq`` keep the callable they are given in objects
-    that refer to themselves (scipy's solver object stores a closure over
-    itself; brentq's NaN guard is a closure over itself), so it lingers in
-    cyclic garbage until a full collection.  Scipy's compiled ``dop853``
-    runner keeps one reference to its right-hand side per integration and
-    never drops it.  Handing them a forwarder that is cut afterwards keeps
-    that garbage from holding the operator's tables and the background
-    profile meanwhile.
+    ``brentq`` keeps the callable it is given in an object that refers to
+    itself (its NaN guard is a closure over itself), so it lingers in cyclic
+    garbage until a full collection.  Scipy's compiled ``dop853`` runner
+    keeps one reference to its right-hand side per integration and never
+    drops it.  Handing them a forwarder that is cut afterwards keeps that
+    garbage from holding the operator's tables and the background profile
+    meanwhile.
     """
 
     __slots__ = ("fn",)
@@ -208,19 +214,57 @@ class _Severable:
 
 
 #: The right-hand side every cached ``dop853`` integrator calls; pointed at
-#: one operator's ``rhs`` for the length of one ``shooting_defect``.
+#: one operator's ``rhs``, with lam bound, for the length of one integration.
 _DEFECT_RHS = _Severable(None)
-#: Guards ``_DEFECT_RHS`` and the cached integrators, which are shared.
+#: The step recorder every cached integrator calls after each accepted step
+#: (and once at the start); pointed at one integration's list likewise.
+_DEFECT_SOLOUT = _Severable(None)
+#: Guards the two forwarders and the cached integrators, which are shared.
 _DEFECT_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=16)
 def _dop853(atol: float) -> ode:
     """One ``dop853`` integrator per absolute tolerance, reused by every
-    defect: a fresh one per call would leave its per-call references (to the
-    right-hand side and to its own ``_solout``) behind, about 1.1 KB each."""
-    return ode(_DEFECT_RHS).set_integrator("dop853", rtol=SHOOTING_RTOL, atol=atol,
-                                           nsteps=MAX_STEPS)
+    integration: a fresh one per call would leave its per-call references
+    (to the right-hand side and to its own ``_solout``) behind, about 1.1 KB
+    each.  lam is bound in the right-hand side, not passed through
+    ``set_f_params``, because the runner hands those parameters to the step
+    recorder as well."""
+    solver = ode(_DEFECT_RHS).set_integrator("dop853", rtol=SHOOTING_RTOL, atol=atol,
+                                             nsteps=MAX_STEPS)
+    solver.set_solout(_DEFECT_SOLOUT)
+    return solver
+
+
+def _shoot(op: _RadialOperator, lam: float) -> np.ndarray | None:
+    """Accepted steps, rows (r, h, h'), of the regular solution at trial
+    eigenvalue lam, from the series start at 1e-4 R (the first row) out to
+    R (the last), or None if the compiled integration fails.  An array, not
+    the recorded tuples, since ``find_modes`` holds one per trial x."""
+    R = op.R
+    r_s = 1e-4 * R
+    steps: list[tuple[float, float, float]] = []
+
+    def record(r, y):
+        steps.append((r, *y.tolist()))
+
+    solver = _dop853(SHOOTING_RTOL * R)
+    with _DEFECT_LOCK:
+        _DEFECT_RHS.fn = functools.partial(op.rhs, lam=lam)
+        _DEFECT_SOLOUT.fn = record
+        try:
+            solver.set_initial_value(_series_start(lam, r_s), r_s)
+            solver.integrate(R)
+            if not solver.successful():
+                return None
+        except ValueError:
+            # how the compiled runner reports an exception raised in the
+            # right-hand side
+            return None
+        finally:
+            _DEFECT_RHS.fn = _DEFECT_SOLOUT.fn = None
+    return np.array(steps)
 
 
 def shooting_defect(profile: BackgroundProfile, lam: float,
@@ -229,25 +273,14 @@ def shooting_defect(profile: BackgroundProfile, lam: float,
     integrated from the series start at 1e-4 R out to R.
 
     Analytic in lam, so its sign changes are exactly the eigenvalues.
-    Returns NaN if the integration fails or ends non-finite.
+    Returns NaN if the integration fails or ends non-finite.  The accepted
+    steps are left on the operator as ``last_steps``.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    R = profile.R
-    r_s = 1e-4 * R
-    solver = _dop853(SHOOTING_RTOL * R)
-    with _DEFECT_LOCK:
-        _DEFECT_RHS.fn = op.rhs
-        try:
-            solver.set_initial_value(_series_start(lam, r_s), r_s).set_f_params(lam)
-            h, hp = solver.integrate(R).tolist()
-            if not solver.successful():
-                return math.nan
-        except ValueError:
-            # how the compiled runner reports an exception raised in the
-            # right-hand side
-            return math.nan
-        finally:
-            _DEFECT_RHS.fn = None
+    steps = op.last_steps = _shoot(op, lam)
+    if steps is None:
+        return math.nan
+    _, h, hp = steps[-1].tolist()
     defect = hp - op.kappa * h
     return defect if math.isfinite(defect) else math.nan
 
@@ -258,7 +291,8 @@ class Mode:
 
     eigenvalue: float
     x: float                  # sqrt(lambda) R
-    h: np.ndarray             # eigenfunction on profile.r
+    h: np.ndarray             # eigenfunction on profile.r, read from the
+                              # dense output of the run that gave defect
     defect: float             # shooting defect at the converged eigenvalue
     # True when the first bracket of find_modes held no sign change of the
     # defect and had to be widened
@@ -277,24 +311,81 @@ def eigenfunction(profile: BackgroundProfile, lam: float,
                   operator: _RadialOperator | None = None) -> np.ndarray:
     """Regular solution h on the profile grid, normalised to unit central slope.
 
-    The integration is ``shooting_defect``'s (same start, pair and
-    tolerances); ``solve_ivp`` reads it on the grid from the pair's dense
-    output.
+    One compiled integration, ``shooting_defect``'s (same start, pair and
+    tolerances), read on the grid from the pair's dense output over its
+    accepted steps (``_dense_profile``).  A failed integration raises
+    ``ConvergenceError``.
+    """
+    op = operator if operator is not None else _RadialOperator(profile)
+    steps = _shoot(op, lam)
+    if steps is None:
+        raise ConvergenceError(f"eigenfunction integration failed at lam={lam}")
+    return _dense_profile(profile, op, lam, steps)
+
+
+#: Nodes of the 16 stages of one DOP853 step as fractions of the step: the
+#: 12 of the step, the FSAL stage at its end, and the 3 extra stages of the
+#: dense output.
+_STAGE_C = np.concatenate([DOP853.C, [1.0], DOP853.C_EXTRA])
+#: Their coupling rows, padded to 16 columns (the FSAL row is unused: that
+#: stage is taken at the recorded end value).
+_STAGE_A = np.zeros((16, 16))
+_STAGE_A[:DOP853.n_stages, :DOP853.n_stages] = DOP853.A
+_STAGE_A[DOP853.n_stages + 1:] = DOP853.A_EXTRA
+
+
+def _dense_profile(profile: BackgroundProfile, op: _RadialOperator, lam: float,
+                   steps: np.ndarray) -> np.ndarray:
+    """h on ``profile.r`` from the accepted ``steps`` of one compiled run,
+    normalised to unit central slope.
+
+    Each step's 7th-order continuous extension is ``solve_ivp``'s
+    ``Dop853DenseOutput``: the 12 stages, the FSAL stage f(r_new, y_new) and
+    the 3 extra stages are recomputed for all steps at once, with every
+    stage's coefficients from one ``op.coefficients`` call (the stage nodes
+    do not depend on the stage values), and the interpolant runs between
+    the recorded end values.  A node r in (r_old, r_new] is read from that
+    step, as ``solve_ivp``'s ``t_eval`` does.
 
     The slope is fitted as h = a r + b r^3 over the innermost grid nodes;
     dividing by a removes the O(r^2) bias a single-node ratio would keep.
     """
-    op = operator if operator is not None else _RadialOperator(profile)
-    R = profile.R
-    r_s = 1e-4 * R
-    with _Severable(op.rhs) as rhs:
-        sol = solve_ivp(rhs, (r_s, R), _series_start(lam, r_s), args=(lam,), method="DOP853",
-                        t_eval=profile.r[1:], rtol=SHOOTING_RTOL, atol=SHOOTING_RTOL * R)
-    if not sol.success:
-        raise ConvergenceError(f"eigenfunction integration failed at lam={lam}")
+    t = steps[:, 0]
+    y = steps[:, 1:].T                       # rows h, h'; a column per point
+    t0, y0, y1 = t[:-1], y[:, :-1], y[:, 1:]
+    dt = np.diff(t)
+    n = DOP853.n_stages
+    nodes = t0 + _STAGE_C[:, None] * dt
+    nodes[n] = t[1:]
+    alpha1, alpha2, U = op.coefficients(nodes)
+    K = np.empty((len(_STAGE_C),) + y0.shape)
+    for s in range(len(_STAGE_C)):
+        if s == 0:
+            ys = y0
+        elif s == n:
+            ys = y1
+        else:
+            ys = y0 + (_STAGE_A[s, :s] @ K[:s].reshape(s, -1)).reshape(y0.shape) * dt
+        K[s, 0] = ys[1]
+        K[s, 1] = (-alpha1[s] * ys[1] + (U[s] - lam) * ys[0]) / alpha2[s]
+    k = K[:, 0]                              # stages of h' = dh/dr
+    rise = y1[0] - y0[0]
+    F = np.empty((7, len(dt)))
+    F[0] = rise
+    F[1] = dt * k[0] - rise
+    F[2] = 2.0 * rise - dt * (k[n] + k[0])
+    F[3:] = dt * (DOP853.D @ k)
+
+    r = profile.r[1:]
+    i = np.clip(np.searchsorted(t, r), 1, len(dt)) - 1
+    x = (r - t0[i]) / dt[i]
+    h_r = np.zeros_like(r)
+    for j, f in enumerate(F[::-1, i]):
+        h_r += f
+        h_r *= x if j % 2 == 0 else 1.0 - x
     h = np.empty(profile.grid_n)
     h[0] = 0.0
-    h[1:] = sol.y[0]
+    h[1:] = h_r + y0[0, i]
     pts = slice(1, 9)
     basis = np.column_stack([profile.r[pts], profile.r[pts] ** 3])
     coef, *_ = np.linalg.lstsq(basis, h[pts], rcond=None)
@@ -345,19 +436,20 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
     (before any shooting).  ``brentq`` then refines the sign change; a failed
     defect evaluation (NaN) inside the bracket raises ``ConvergenceError``.
 
-    Each call keeps its defects by x, so ``brentq`` starts from the two
-    bracket ends already shot, and ``Mode.defect`` is the value at brentq's
-    root, not a fresh integration.
+    Each call keeps its defects by x, with the accepted steps of each
+    integration, so ``brentq`` starts from the two bracket ends already
+    shot, and ``Mode.defect`` is the value at brentq's root and ``Mode.h``
+    the dense output of that same integration, not a fresh one.
     """
     op = _RadialOperator(profile)
     R = profile.R
     x_est, shift = _discrete_x(profile, n_modes + 1)
-    shot: dict[float, float] = {}
+    shot: dict[float, tuple[float, np.ndarray | None]] = {}
 
     def defect_at_x(x: float) -> float:
         if x not in shot:
-            shot[x] = shooting_defect(profile, (x / R) ** 2, op)
-        return shot[x]
+            shot[x] = (shooting_defect(profile, (x / R) ** 2, op), op.last_steps)
+        return shot[x][0]
 
     modes = []
     with _Severable(defect_at_x) as defect:
@@ -368,12 +460,13 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
             except ValueError as exc:  # brentq's guard against a NaN value
                 raise ConvergenceError(f"mode {j + 1}: {exc}") from exc
             lam = (x / R) ** 2
+            root_defect, steps = shot[x]
             modes.append(
                 Mode(
                     eigenvalue=lam,
                     x=x,
-                    h=eigenfunction(profile, lam, op),
-                    defect=defect(x),
+                    h=_dense_profile(profile, op, lam, steps),
+                    defect=root_defect,
                     rescanned=widened,
                 )
             )
@@ -506,13 +599,16 @@ def estimate_period(times: np.ndarray, values: np.ndarray) -> float:
     mode, ``evolve``'s ``times`` and ``surface`` at 20 samples per period
     (``hardstars verify`` takes ``samples=60`` over three periods) give the
     period of every-step sampling to within 1e-5 relative.  At least two
-    upward crossings are needed.
+    upward crossings are needed; with fewer the run did not oscillate as a
+    mode, and ``ConvergenceError`` is raised.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     sign = np.sign(y)
     ups = np.where((sign[:-1] < 0) & (sign[1:] >= 0))[0]
     if len(ups) < 2:
-        raise DomainError("need at least two upward zero crossings to estimate a period")
+        raise ConvergenceError(
+            f"need at least two upward zero crossings to estimate a period, found {len(ups)}"
+        )
     crossings = t[ups] - y[ups] * (t[ups + 1] - t[ups]) / (y[ups + 1] - y[ups])
     return float(np.mean(np.diff(crossings)))

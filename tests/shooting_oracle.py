@@ -1,10 +1,15 @@
-"""Reference shooting on scipy's Python-stepped RK45, and a reference form
-of the float right-hand side.
+"""Reference shooting on scipy's Python-stepped RK45 and DOP853, and a
+reference form of the float right-hand side.
 
 ``hardstars.modes`` steps the radial problem with the compiled
 Dormand-Prince 8(5,3) pair.  This oracle integrates the same right-hand side
 from the same series start with ``solve_ivp``'s RK45, a different pair with
 different step control, so the two agree only as far as both are accurate.
+
+``dop853_ivp_eigenfunction`` is the path ``modes.eigenfunction`` once took:
+the same pair and tolerances stepped by ``solve_ivp`` and read on the grid
+from its dense output.  Its steps differ from the compiled runner's, so it
+too agrees only to the integration accuracy.
 
 ``NdarrayRowRhs`` reads the spline pieces the way ``_RadialOperator`` once
 did, one ndarray row converted by ``tolist`` per call; the arithmetic is the
@@ -17,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from hardstars.modes import _radial_coefficients, _series_start
+from hardstars.modes import SHOOTING_RTOL, _radial_coefficients, _series_start
 
 
 class NdarrayRowRhs:
@@ -65,7 +70,22 @@ def rk45_eigenfunction(profile, op, lam, rtol=1e-10):
     """RK45 dense output on the profile grid, normalised to unit central
     slope by the fit h = a r + b r^3 over the innermost nodes."""
     sol = rk45_solution(profile, op, lam, rtol, t_eval=profile.r[1:])
-    h = np.concatenate([[0.0], sol.y[0]])
+    return _unit_slope(profile, sol.y[0])
+
+
+def dop853_ivp_eigenfunction(profile, op, lam):
+    """``solve_ivp`` DOP853 dense output on the profile grid at the shooting
+    tolerances, normalised like ``rk45_eigenfunction``."""
+    R = profile.R
+    r_s = 1e-4 * R
+    sol = solve_ivp(op.rhs, (r_s, R), _series_start(lam, r_s), args=(lam,), method="DOP853",
+                    t_eval=profile.r[1:], rtol=SHOOTING_RTOL, atol=SHOOTING_RTOL * R)
+    assert sol.success, sol.message
+    return _unit_slope(profile, sol.y[0])
+
+
+def _unit_slope(profile, h_inner):
+    h = np.concatenate([[0.0], h_inner])
     pts = slice(1, 9)
     basis = np.column_stack([profile.r[pts], profile.r[pts] ** 3])
     coef, *_ = np.linalg.lstsq(basis, h[pts], rcond=None)

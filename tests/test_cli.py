@@ -7,6 +7,7 @@ fresh interpreter, runs one in a subprocess.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -614,6 +615,26 @@ def test_bad_preset_is_config_error(tmp_path, capsys):
         assert "preset" in err or "initial data" in err, preset
 
 
+@pytest.mark.parametrize("part", ["inner-half", "outer-half"])
+def test_initial_data_must_cover_the_grid(tmp_path, capsys, part):
+    # a table over half the chi range used to be extended by its end value
+    star = build_star(StarParameters(R=0.05, grid_n=401))
+    B = float(assemble_coefficients(star, n_chi=101).B)
+    chi = (np.linspace(0.0, 0.5 * B, 51) + (0.5 * B if part == "outer-half" else 0.0)).tolist()
+    u = (1e-6 * np.linspace(0.0, 1.0, 51)).tolist()
+    table = tmp_path / "half.csv"
+    table.write_text("chi,u,v\n" + "".join(f"{c!r},{x!r},0\n" for c, x in zip(chi, u)))
+    out = tmp_path / "out"
+    code = run(
+        "evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101",
+        "--preset", f"file:{table}", "--output-dir", str(out),
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"covers chi in [{chi[0]!r}, {chi[-1]!r}], not the whole grid [0.0, {B!r}]" in err
+    assert not (out / "snapshot_000.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def profile_lines(tmp_path_factory):
     out = tmp_path_factory.mktemp("profile")
@@ -678,6 +699,23 @@ def test_verify_passes_at_default_radius(tmp_path, capsys):
     assert code == EXIT_OK, out
     assert "ok   background.small-radius-closure" in out
     assert json.loads((tmp_path / "verify.json").read_text())["R"] == 0.1
+
+
+def test_verify_period_without_crossings_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # a mode run whose surface never crosses zero has no period: that is a
+    # numerical failure (exit 3), not a configuration error (exit 2)
+    real = evolution.evolve
+
+    def no_crossings(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, surface=np.abs(res.surface) + 1.0)
+
+    monkeypatch.setattr(evolution, "evolve", no_crossings)
+    code = run("verify", "--R", "0.05", "--output-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER
+    assert "solver failure: need at least two upward zero crossings" in err
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_verify_flags_violations(tmp_path, capsys, monkeypatch):

@@ -11,11 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from hardstars import StarParameters, build_star, modes
-from hardstars.errors import ConvergenceError, DomainError
+from hardstars.errors import ConvergenceError
 from hardstars.evolution import assemble_coefficients, evolve
 from hardstars.modes import (
     X1_LIMIT,
@@ -25,6 +26,7 @@ from hardstars.modes import (
     apply_H1,
     dispersion_function,
     dispersion_roots,
+    eigenfunction,
     estimate_period,
     find_modes,
     mode_to_initial_data,
@@ -33,7 +35,12 @@ from hardstars.modes import (
 )
 from hardstars.numerics import scan_sign_changes
 from hardstars.variation import detuned_profile
-from shooting_oracle import NdarrayRowRhs, rk45_defect, rk45_eigenfunction
+from shooting_oracle import (
+    NdarrayRowRhs,
+    dop853_ivp_eigenfunction,
+    rk45_defect,
+    rk45_eigenfunction,
+)
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -205,6 +212,18 @@ def test_eigenfunction_center_normalisation(star_r005, modes_r005):
     assert m.h[1] / star_r005.r[1] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_eigenfunction_on_nodes_inside_the_series_start():
+    # at grid_n 20001 the first node r = 5e-5 R lies inside the series start
+    # 1e-4 R; it is read from the first step's dense output (solve_ivp's
+    # t_eval refused such nodes with a ValueError)
+    star = build_star(StarParameters(R=0.05, grid_n=20001))
+    assert star.r[1] < 1e-4 * star.R
+    m = find_modes(star, n_modes=1)[0]
+    assert m.h[1] / star.r[1] == pytest.approx(1.0, abs=1e-6)
+    flat = 3.0 * star.R / m.x * spherical_j1(m.x * star.r / star.R)
+    assert np.max(np.abs(m.h - flat)) / np.max(np.abs(m.h)) <= 0.03
+
+
 def test_eigen_residual_interior(star_r005, modes_r005):
     m = modes_r005[0]
     resid = apply_H(star_r005, m.h) - m.eigenvalue * m.h
@@ -249,26 +268,54 @@ def test_shooting_matches_rk45_oracle(which, request):
         assert np.max(np.abs(m.h - h_rk45)) <= 1e-9 * np.max(np.abs(m.h))
 
 
+@pytest.mark.parametrize("which", ["r005", "r019"])
+def test_eigenfunction_is_the_located_run(which, request):
+    # find_modes reads Mode.h from the root's own integration; a standalone
+    # eigenfunction repeats that integration step for step
+    star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
+    op = _RadialOperator(star)
+    for m in request.getfixturevalue(f"modes_{which}"):
+        assert np.array_equal(eigenfunction(star, m.eigenvalue, op), m.h)
+        assert np.array_equal(eigenfunction(star, m.eigenvalue), m.h)
+
+
+@pytest.mark.parametrize("which", ["r005", "r019"])
+def test_dense_output_matches_solve_ivp_oracle(which, request):
+    # the compiled run's dense output against solve_ivp's DOP853 dense
+    # output at the same tolerances, the path eigenfunction took before;
+    # the two step sequences differ, so they agree only as far as both are
+    # accurate (measured worst gap 3.9e-10 of the peak over both stars)
+    star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
+    op = _RadialOperator(star)
+    for m in request.getfixturevalue(f"modes_{which}"):
+        for lam in (m.eigenvalue, 0.97 * m.eigenvalue):
+            h = eigenfunction(star, lam, op)
+            h_ivp = dop853_ivp_eigenfunction(star, op, lam)
+            assert np.max(np.abs(h - h_ivp)) <= 1e-9 * np.max(np.abs(h_ivp))
+
+
 def test_shooting_defect_retains_no_memory_per_call(star_r005):
     # scipy's dop853 runner keeps references on every integration; the
-    # shared integrator and the cut forwarder keep that from growing with
-    # the number of calls (a fresh integrator per call retains about 1.1 KB).
-    # A small lam keeps the traced integrations short.
+    # shared integrator and the cut forwarders (right-hand side and step
+    # recorder) keep that from growing with the number of calls (a fresh
+    # integrator per call retains about 1.1 KB), for the defect and for the
+    # eigenfunction alike.  A small lam keeps the traced integrations short.
     op = _RadialOperator(star_r005)
     lam = 1.0
     calls = 200
-    shooting_defect(star_r005, lam, op)
-    # only what is allocated after start() is traced, so no collection is
-    # needed before it (and one there triples the traced run time)
-    tracemalloc.start()
-    try:
-        for _ in range(calls):
-            shooting_defect(star_r005, lam, op)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert retained / calls < 512
+    for integrate in (shooting_defect, eigenfunction):
+        integrate(star_r005, lam, op)
+        # only what is allocated after start() is traced, so no collection
+        # is needed before it (and one there triples the traced run time)
+        tracemalloc.start()
+        try:
+            for _ in range(calls):
+                integrate(star_r005, lam, op)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / calls < 512, integrate.__name__
 
 
 def test_shooting_defect_is_thread_safe(star_r005, star_r01):
@@ -330,23 +377,23 @@ def test_rhs_matches_ndarray_row_oracle(which, request):
 
 class _FailsWhere:
     """Stand-in for a cached ``dop853`` integrator that runs the real one but
-    reports failure for the trial eigenvalues ``fails(lam)`` selects."""
+    reports failure for the trial eigenvalues ``fails(lam)`` selects.  It
+    reads lam from the right-hand side the integrator is about to call,
+    where ``modes`` binds it, and logs each integration's lam."""
 
-    def __init__(self, solver, fails):
+    def __init__(self, solver, fails, log):
         self.solver = solver
         self.fails = fails
+        self.log = log
         self.lam = None
 
     def set_initial_value(self, y, t):
         self.solver.set_initial_value(y, t)
         return self
 
-    def set_f_params(self, lam):
-        self.lam = lam
-        self.solver.set_f_params(lam)
-        return self
-
     def integrate(self, t):
+        self.lam = modes._DEFECT_RHS.fn.keywords["lam"]
+        self.log.append(self.lam)
         return self.solver.integrate(t)
 
     def successful(self):
@@ -354,8 +401,12 @@ class _FailsWhere:
 
 
 def _fail_defects(monkeypatch, fails):
+    """Make the compiled integrations at the lam ``fails`` selects report
+    failure; returns the list of every integration's lam."""
     real = modes._dop853
-    monkeypatch.setattr(modes, "_dop853", lambda atol: _FailsWhere(real(atol), fails))
+    log = []
+    monkeypatch.setattr(modes, "_dop853", lambda atol: _FailsWhere(real(atol), fails, log))
+    return log
 
 
 def test_find_modes_rejects_sentinel_bracket(star_r005, monkeypatch):
@@ -375,6 +426,15 @@ def test_failed_defect_is_nan(star_r005, monkeypatch):
     assert math.isfinite(shooting_defect(star_r005, lam))
     _fail_defects(monkeypatch, lambda trial: True)
     assert math.isnan(shooting_defect(star_r005, lam))
+
+
+def test_failed_eigenfunction_integration_raises(star_r005, monkeypatch):
+    lam = 1.5e3
+    assert np.all(np.isfinite(eigenfunction(star_r005, lam)))
+    log = _fail_defects(monkeypatch, lambda trial: trial == lam)
+    with pytest.raises(ConvergenceError, match="eigenfunction integration failed"):
+        eigenfunction(star_r005, lam)
+    assert log == [lam]
 
 
 def test_nan_inside_bracket_raises(star_r005, modes_r005, monkeypatch):
@@ -414,6 +474,24 @@ def test_find_modes_evaluates_each_defect_once(star_r005, modes_r005, monkeypatc
     for m, want in zip(got, modes_r005):
         assert (m.x, m.eigenvalue, m.defect) == (want.x, want.eigenvalue, want.defect)
         assert m.defect == real(star_r005, m.eigenvalue)
+
+
+def test_find_modes_integrates_once_per_trial(star_r005, modes_r005, monkeypatch):
+    # the 20 defects are the only ODE solves: each Mode.h comes from the
+    # dense output of its root's own integration
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second ODE solver ran")
+
+    assert not hasattr(modes, "solve_ivp")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(scipy.integrate, "odeint", refuse)
+    log = _fail_defects(monkeypatch, lambda lam: False)
+    got = find_modes(star_r005, n_modes=3)
+    assert len(log) == 20
+    assert len(set(log)) == 20
+    assert all(m.eigenvalue in log for m in got)
+    for m, want in zip(got, modes_r005):
+        assert np.array_equal(m.h, want.h)
 
 
 def _no_shooting(monkeypatch):
@@ -519,7 +597,7 @@ def test_estimate_period_synthetic():
     t = np.linspace(0.0, 10.0, 4001)
     y = np.sin(2.0 * math.pi * t / 1.7 + 0.3)
     assert estimate_period(t, y) == pytest.approx(1.7, rel=1e-6)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConvergenceError, match="two upward zero crossings"):
         estimate_period(t, t + 1.0)
 
 
