@@ -228,7 +228,7 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
         # density update from the current pair
         denom = 1.0 - (8.0 * math.pi / 3.0) * r2 - 2.0 * new_ratio * r2
         if np.any(denom <= 0.0):
-            raise DomainError("denominator vanished during fixed-point sweep")
+            raise ConvergenceError("denominator vanished during fixed-point sweep")
         g = (
             (1.0 + 2.0 * rhot)
             / denom

@@ -57,18 +57,18 @@ macOS (where the strides keep only the double accuracy), a slow software
 quad on aarch64 Linux.
 The stepper is one resumable run, which ``hardstars evolve`` drives across
 all its snapshots.  Each sample (surface displacement, energy, norms,
-constraint residual, from one slope du/dchi) is taken after at most k - 1
-plain side steps on copies of the last stride boundary.  The stepper
-conserves the energy to O(dt^2) uniformly.
+constraint residual) is taken after at most k - 1 plain side steps on
+copies of the last stride boundary.  The stepper conserves the energy to
+O(dt^2) uniformly.
 
 Near the centre the shell coordinate degenerates (r0 ~ chi^(1/3)), so mode
 frequencies on the chi grid converge at first order in dchi, not second;
 ``test_period_discretisation_first_order`` pins this.
 
 ``reconstruct`` maps a displacement field to the remaining linearized metric
-and matter fields, and ``constraint_residual`` measures how well a state
-satisfies the linearized mass constraint; its meaningful norm is over a fixed
-interior fraction, since chi-stencils lose accuracy at the centre.
+and matter fields; ``constraint_residual`` measures how well a state meets
+the linearized mass constraint.  A run folds the weights and star factors of
+its sample diagnostics into vectors once (``_SampleForms``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dgbmv
 
 from .background import FOUR_PI, BackgroundProfile, _chi_jacobians, _readonly, metric_terms
-from .errors import CflViolationError, DomainError, InstabilityError
+from .errors import CflViolationError, ConvergenceError, DomainError, InstabilityError
 from .numerics import cumulative_simpson_uniform, derivative_uniform
 
 
@@ -99,7 +99,6 @@ class WaveCoefficients:
     chi: np.ndarray
     r0: np.ndarray
     rho0: np.ndarray
-    n0: np.ndarray
     n2: np.ndarray         # n0^2 = 2 rho0 - 1, as metric_terms forms it
     q: np.ndarray          # radial gradient of the lapse potential
     w: np.ndarray          # dchi/dr0 at the nodes (0 at the centre)
@@ -240,7 +239,7 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     with np.errstate(divide="ignore", invalid="ignore"):  # the centre node
         bracket, n2, D, q = potential_bracket(r0, rho0, mor3)
     if np.any(D <= 0.0) or np.any(n2 <= 0.0):
-        raise DomainError("coefficient assembly left the regular domain")
+        raise ConvergenceError("coefficient assembly left the regular domain")
     eF = np.exp(F)
     V = eF * bracket
     V[0] = 0.0
@@ -260,7 +259,6 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         chi=_readonly(chi),
         r0=_readonly(r0),
         rho0=_readonly(rho0),
-        n0=_readonly(np.sqrt(n2)),
         n2=_readonly(n2),
         q=_readonly(q),
         w=_readonly(w),
@@ -288,21 +286,6 @@ def acceleration(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def discrete_energy(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> float:
-    """The exact invariant of the semi-discrete system: kinetic, gradient,
-    potential and surface pieces, each nonnegative except the potential one
-    where V > 0 (outer shells of stars with R above about 0.208)."""
-    dchi = coeffs.dchi
-    wgt = np.full(coeffs.n_chi, dchi)
-    wgt[0] = 0.0
-    wgt[-1] = 0.5 * dchi
-    kinetic = 0.5 * float(np.sum(coeffs.mass * v * v * wgt))
-    gradient = 0.5 * float(np.sum(coeffs.flux_half * np.diff(u) ** 2)) / dchi
-    potential = -0.5 * float(np.sum(coeffs.V * u * u * wgt))
-    surface = -0.5 * coeffs.flux_surface * coeffs.alpha * u[-1] ** 2
-    return kinetic + gradient + potential + surface
-
-
 def operator_eigenvalues(coeffs: WaveCoefficients, first: int, last: int) -> np.ndarray:
     """Eigenvalues ``first``..``last`` (0-based, ascending) of the spectrum -mu
     of A on the free nodes 1..n-1.
@@ -319,6 +302,68 @@ def operator_eigenvalues(coeffs: WaveCoefficients, first: int, last: int) -> np.
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(first, last))
 
 
+# chi-stencils lose accuracy at the centre; the residual's sup starts at this fraction of B
+RESIDUAL_INTERIOR = 0.1
+
+
+class _SampleForms:
+    """The sample diagnostics of a run with step dt: slopes and dot products."""
+
+    def __init__(self, coeffs: WaveCoefficients, dt: float = 1.0) -> None:
+        c, r0, dchi = coeffs, coeffs.r0, coeffs.dchi
+        self.coeffs, self.dchi = c, dchi
+        self.wgt = np.concatenate(([0.0], np.full(c.n_chi - 2, dchi), [0.5 * dchi]))  # energy
+        self.trap = np.concatenate(([0.5 * dchi], self.wgt[1:]))  # norms
+        # f^2/r0^2 at the centre is its node-1 value, so node 1 takes the centre weight
+        self.inv_r2 = np.concatenate(([0.0], self.trap[1:] / r0[1:] ** 2))
+        self.inv_r2[1] += self.trap[0] / r0[1] ** 2
+        self.kick_r2 = self.inv_r2 / dt**4  # the "second" norm's L u is the kick S u / dt^2
+        self.r4 = self.trap * r0**4
+        self.r10 = self.trap * r0**10
+        self.m1 = -FOUR_PI * r0 * r0 * (c.rho0 - 1.0)
+        # with reconstruct's rho1 = -n^2 psi1, n^2 = 2 rho0 - 1 and w dr0/dchi = 1,
+        # the constraint flux is alpha u + m1 du/dchi; written out, its terms
+        # in u cancel to about R^2 of their size
+        self.alpha = np.divide(FOUR_PI * (r0 * r0 * c.n2 * c.q - 2.0 * r0 * (c.rho0 - 1.0)), c.w,
+                               out=np.zeros(c.n_chi), where=c.w > 0.0)
+        self.interior = int(np.searchsorted(c.chi, RESIDUAL_INTERIOR * c.B))
+
+    def energy(self, u: np.ndarray, v: np.ndarray) -> float:
+        c, wgt = self.coeffs, self.wgt
+        kinetic = 0.5 * float(np.sum(c.mass * v * v * wgt))
+        gradient = 0.5 * float(np.sum(c.flux_half * np.diff(u) ** 2)) / self.dchi
+        potential = -0.5 * float(np.sum(c.V * u * u * wgt))
+        surface = -0.5 * c.flux_surface * c.alpha * u[-1] ** 2
+        return kinetic + gradient + potential + surface
+
+    def norms(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
+              kick: np.ndarray) -> dict[str, float]:
+        dv = derivative_uniform(v, self.dchi)
+        d2u = derivative_uniform(du, self.dchi)
+        u_terms = np.dot(self.inv_r2 * u, u) + np.dot(self.r4 * du, du)
+        first = u_terms + np.dot(self.inv_r2 * v, v)
+        norm = u_terms + np.dot(self.trap * v, v)
+        second = (np.dot(self.kick_r2 * kick, kick) + np.dot(self.r4 * dv, dv)
+                  + np.dot(self.r10 * d2u, d2u))
+        return {"norm": float(norm), "first": float(first), "second": float(second)}
+
+    def residual(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+        out = derivative_uniform(self.m1 * u, self.dchi, order=4)
+        out -= self.alpha * u + self.m1 * du
+        out[0] = 0.0
+        return out
+
+    def residual_sup(self, u: np.ndarray, du: np.ndarray) -> float:
+        return float(np.max(np.abs(self.residual(u, du)[self.interior:])))
+
+
+def discrete_energy(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> float:
+    """The exact invariant of the semi-discrete system: kinetic, gradient,
+    potential and surface pieces, each nonnegative except the potential one
+    where V > 0 (outer shells of stars with R above about 0.208)."""
+    return _SampleForms(coeffs).energy(u, v)
+
+
 def energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> dict[str, float]:
     """Weighted field norms (trapezoid in chi; centre values by shell ratio).
 
@@ -328,29 +373,24 @@ def energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray) -> dict
     where L is the spatial operator.  These are diagnostics of boundedness,
     not invariants.
     """
-    return _energy_norms(coeffs, u, v, derivative_uniform(u, coeffs.dchi, order=2))
+    du = derivative_uniform(u, coeffs.dchi)
+    return _SampleForms(coeffs).norms(u, v, du, acceleration(coeffs, u))
 
 
-def _energy_norms(coeffs: WaveCoefficients, u: np.ndarray, v: np.ndarray,
-                  du: np.ndarray) -> dict[str, float]:
-    """``energy_norms`` given the slope du = du/dchi."""
-    dchi = coeffs.dchi
-    r0 = coeffs.r0
+def constraint_residual(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
+    """Defect of the linearized mass constraint for the state u.
 
-    def ratio_sq(f: np.ndarray) -> np.ndarray:
-        out = np.empty_like(f)
-        out[1:] = (f[1:] / r0[1:]) ** 2
-        out[0] = (f[1] / r0[1]) ** 2
-        return out
+    Compares the chi-derivative of the algebraic m1 (wide stencil) against
+    the linearized constraint flux (which itself uses the narrow stencil of
+    ``reconstruct``); the mismatch is pure discretisation defect and shrinks
+    at second order away from the centre.  Node 0 is reported as 0.
+    """
+    return _SampleForms(coeffs).residual(u, derivative_uniform(u, coeffs.dchi))
 
-    dv = derivative_uniform(v, dchi, order=2)
-    d2u = derivative_uniform(du, dchi, order=2)
-    r4 = r0**4
-    norm = np.trapezoid(ratio_sq(u) + v * v + r4 * du * du, dx=dchi)
-    first = np.trapezoid(ratio_sq(u) + ratio_sq(v) + r4 * du * du, dx=dchi)
-    lu = acceleration(coeffs, u)
-    second = np.trapezoid(ratio_sq(lu) + r4 * dv * dv + r0**10 * d2u * d2u, dx=dchi)
-    return {"norm": float(norm), "first": float(first), "second": float(second)}
+
+def residual_norm(coeffs: WaveCoefficients, u: np.ndarray) -> float:
+    """Sup of the constraint residual over chi >= ``RESIDUAL_INTERIOR`` * B."""
+    return _SampleForms(coeffs).residual_sup(u, derivative_uniform(u, coeffs.dchi))
 
 
 def cfl_timestep(coeffs: WaveCoefficients, cfl: float) -> float:
@@ -503,13 +543,15 @@ class _WaveRun:
         u[0] = 0.0
         v[0] = 0.0
         self.coeffs, self.dt, self.n_steps = coeffs, dt, n_steps
+        self.forms = _SampleForms(coeffs, dt)
         self.times, self.surface, self.energies, self.residuals = [], [], [], []
         self.norm_series: dict[str, list[float]] = {"norm": [], "first": [], "second": []}
-        self.e0 = self._record(0, u, v)
+        lu = acceleration(coeffs, u)
+        self.e0 = self._record(0, u, v, (dt * dt) * lu)
 
         k = STRIDE
         self._scaled = dt * dt * coeffs.bands
-        self._u, self._w = u, dt * v + 0.5 * (dt * dt) * acceleration(coeffs, u)
+        self._u, self._w = u, dt * v + 0.5 * (dt * dt) * lu
         # scipy's dgbmv wants at least 2k + 1 rows
         self.strides = n_steps // k - 1 if n_steps >= 2 * k and coeffs.n_chi > 2 * k else 0
         self._plain_end = k if self.strides else n_steps
@@ -519,16 +561,15 @@ class _WaveRun:
         self._side = self._band = None  # made on first need
         self._side_at: int | None = None
 
-    def _record(self, step: int, u: np.ndarray, v: np.ndarray) -> float:
-        c = self.coeffs
-        e = discrete_energy(c, u, v)
-        du = derivative_uniform(u, c.dchi, order=2)
+    def _record(self, step: int, u: np.ndarray, v: np.ndarray, kick: np.ndarray) -> float:
+        e = self.forms.energy(u, v)
+        du = derivative_uniform(u, self.forms.dchi)
         self.times.append(step * self.dt)
         self.surface.append(float(u[-1]))
         self.energies.append(e)
-        for key, val in _energy_norms(c, u, v, du).items():
+        for key, val in self.forms.norms(u, v, du, kick).items():
             self.norm_series[key].append(val)
-        self.residuals.append(_interior_sup(c, _constraint_residual(c, u, du)))
+        self.residuals.append(self.forms.residual_sup(u, du))
         return e
 
     def _stride(self) -> None:
@@ -565,7 +606,7 @@ class _WaveRun:
             state.run(step - self._side_at)
             self._side_at = step
         v = (state.w - 0.5 * state.kick) / self.dt
-        e, e0 = self._record(step, state.u, v), self.e0
+        e, e0 = self._record(step, state.u, v, state.kick), self.e0
         if e0 > 0.0 and (not math.isfinite(e) or e > INSTABILITY_FACTOR * e0):
             raise InstabilityError(
                 f"discrete energy grew by {e / e0:.3g} at t={step * self.dt:.6g}",
@@ -594,11 +635,11 @@ def evolve(
     The stepper is resumable: it stops at each sample step (every
     ``n_steps // samples`` steps, and the last), records the surface
     displacement u[-1], and the energy, the norms and the constraint
-    residual from the full-step velocity v = (w - S u / 2)/dt, and goes
-    on; ``times`` and every series start with the initial state.  Sample
-    states and the final state come from at most k - 1 plain steps on
-    copies of the last stride boundary, so the strides never restart: u, v
-    and each sample's values do not depend on ``samples``.  Raises
+    residual from the full-step velocity v = (w - S u / 2)/dt and the kick
+    S u, and goes on; ``times`` and every series start with the initial
+    state.  Sample states and the final state come from at most k - 1 plain
+    steps on copies of the last stride boundary, so the strides never
+    restart: u, v and each sample's values do not depend on ``samples``.  Raises
     ``InstabilityError`` at the first sample where the discrete energy is
     non-finite or above ``INSTABILITY_FACTOR`` times its initial value.
     ``provenance`` records ``max_dt2_mu``, the exact stability margin
@@ -673,12 +714,8 @@ def reconstruct(coeffs: WaveCoefficients, u: np.ndarray) -> LinearizedFields:
     estimated from the first interior node.
     """
     u = np.asarray(u, dtype=float)
-    return _reconstruct(coeffs, u, derivative_uniform(u, coeffs.dchi, order=2))
-
-
-def _reconstruct(coeffs: WaveCoefficients, u: np.ndarray, du_dchi: np.ndarray) -> LinearizedFields:
     r0 = coeffs.r0
-    du_dr0 = du_dchi * coeffs.w  # = (du/dchi)/(dr0/dchi)
+    du_dr0 = derivative_uniform(u, coeffs.dchi) * coeffs.w  # = (du/dchi)/(dr0/dchi)
 
     psi1 = np.empty_like(u)
     omega1 = np.empty_like(u)
@@ -689,7 +726,7 @@ def _reconstruct(coeffs: WaveCoefficients, u: np.ndarray, du_dchi: np.ndarray) -
     omega1[0] = slope0
     m1 = -FOUR_PI * r0 * r0 * (coeffs.rho0 - 1.0) * u
     rho1 = -coeffs.n2 * psi1
-    n1 = rho1 / coeffs.n0
+    n1 = rho1 / np.sqrt(coeffs.n2)
     return LinearizedFields(
         psi1=_readonly(psi1),
         omega1=_readonly(omega1),
@@ -697,43 +734,3 @@ def _reconstruct(coeffs: WaveCoefficients, u: np.ndarray, du_dchi: np.ndarray) -
         rho1=_readonly(rho1),
         n1=_readonly(n1),
     )
-
-
-def constraint_residual(coeffs: WaveCoefficients, u: np.ndarray) -> np.ndarray:
-    """Defect of the linearized mass constraint for the state u.
-
-    Compares the chi-derivative of the algebraic m1 (wide stencil) against
-    the linearized constraint flux (which itself uses the narrow stencil of
-    ``reconstruct``); the mismatch is pure discretisation defect and shrinks
-    at second order away from the centre.  Node 0 is reported as 0.
-    """
-    u = np.asarray(u, dtype=float)
-    return _constraint_residual(coeffs, u, derivative_uniform(u, coeffs.dchi, order=2))
-
-
-def _constraint_residual(coeffs: WaveCoefficients, u: np.ndarray,
-                         du_dchi: np.ndarray) -> np.ndarray:
-    fields = _reconstruct(coeffs, u, du_dchi)
-    lhs = derivative_uniform(fields.m1, coeffs.dchi, order=4)
-    r0 = coeffs.r0
-    with np.errstate(invalid="ignore"):
-        rhs = FOUR_PI * (
-            (2.0 * r0 * coeffs.rho0 * u + r0 * r0 * fields.rho1) * coeffs.drdchi
-            + r0 * r0 * coeffs.rho0 * du_dchi
-        )
-    out = lhs - rhs
-    out[0] = 0.0
-    return out
-
-
-# chi-stencils lose accuracy at the centre; the norm starts at this fraction of B
-RESIDUAL_INTERIOR = 0.1
-
-
-def residual_norm(coeffs: WaveCoefficients, u: np.ndarray) -> float:
-    """Sup of the constraint residual over chi >= ``RESIDUAL_INTERIOR`` * B."""
-    return _interior_sup(coeffs, constraint_residual(coeffs, u))
-
-
-def _interior_sup(coeffs: WaveCoefficients, res: np.ndarray) -> float:
-    return float(np.max(np.abs(res[coeffs.chi >= RESIDUAL_INTERIOR * coeffs.B])))

@@ -74,7 +74,12 @@ def derivative_uniform(y: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     n = y.size
     if order == 2:
-        return np.gradient(y, dx, edge_order=2)
+        # the arithmetic of np.gradient(y, dx, edge_order=2), without its per-call cost
+        d = np.empty_like(y)
+        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
+        d[0] = (-1.5 / dx) * y[0] + (2.0 / dx) * y[1] + (-0.5 / dx) * y[2]
+        d[-1] = (0.5 / dx) * y[-3] + (-2.0 / dx) * y[-2] + (1.5 / dx) * y[-1]
+        return d
     if order != 4:
         raise ValueError("order must be 2 or 4")
     if n < 6:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -54,8 +54,8 @@ def render_svg(
 ) -> Path:
     """Write one SVG with a polyline per (label, x, y) triple.
 
-    With ``ylog`` the vertical axis is log10; every y value must then be
-    positive.  Returns the written path.
+    With ``ylog`` the vertical axis is log10; a y value that is not positive
+    there is a failed result and raises ``ConvergenceError``.  Returns the path.
     """
     if not series:
         raise DomainError("nothing to plot")
@@ -68,7 +68,7 @@ def render_svg(
         if ylog:
             for v in ys:
                 if not v > 0.0:
-                    raise DomainError(f"series {label!r} has nonpositive value on a log axis")
+                    raise ConvergenceError(f"series {label!r} has nonpositive value on a log axis")
             ys_all.extend(math.log10(float(v)) for v in ys)
         else:
             ys_all.extend(float(v) for v in ys)

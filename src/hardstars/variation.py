@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .background import FOUR_PI, BackgroundProfile, _readonly, derive_metric_fields, metric_terms
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import cumulative_simpson_uniform, derivative_uniform, simpson_weights
 
 DEFAULT_AUDIT_SEED = 20260823
@@ -229,7 +229,7 @@ def mass_aspect_bound_ratio(
     weighted = r ** (exponent - 0.5) * (rate[1:] ** 2 if squared else np.abs(rate[1:]))
     d2m = second_variation(profile, rdot, dphi_rdot)
     if d2m <= 0.0:
-        raise DomainError("second variation not positive; mass-aspect bound undefined")
+        raise ConvergenceError("second variation not positive; mass-aspect bound undefined")
     return float(np.max(weighted) / d2m)
 
 

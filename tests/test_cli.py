@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardstars
-from hardstars import StarParameters, build_star, calibration, evolution
+from hardstars import StarParameters, background, build_star, calibration, evolution, variation
 from hardstars.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -366,6 +366,61 @@ def test_bad_cfl_is_solver_failure(tmp_path):
         "--cfl", "0.9", "--T", "0.5", "--output-dir", str(tmp_path),
     )
     assert code == EXIT_SOLVER
+
+
+def _grow_picard_mass(monkeypatch):
+    # a thousandfold mass per sweep drives the second sweep's denominator negative
+    real = background.cumulative_simpson_uniform
+    monkeypatch.setattr(background, "cumulative_simpson_uniform", lambda y, dx: 1e3 * real(y, dx))
+
+
+def _trap_wave_grid(monkeypatch):
+    real = evolution.potential_bracket
+
+    def trapped(*args):
+        bracket, n2, D, q = real(*args)
+        return bracket, n2, -D, q
+
+    monkeypatch.setattr(evolution, "potential_bracket", trapped)
+
+
+def _flatten_second_variation(monkeypatch):
+    monkeypatch.setattr(variation, "second_variation", lambda *args, **kwargs: 0.0)
+
+
+def _flip_second_norm(monkeypatch):
+    # every sample after the first reports a negative "second" norm
+    real = evolution._SampleForms.norms
+    calls = []
+
+    def flipped(self, *args):
+        norms = real(self, *args)
+        calls.append(norms)
+        return norms if len(calls) == 1 else {**norms, "second": -norms["second"]}
+
+    monkeypatch.setattr(evolution._SampleForms, "norms", flipped)
+
+
+_SMALL_EVOLVE = ("evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101", "--T", "0.5")
+
+
+@pytest.mark.parametrize("breakdown, argv, message", [
+    (_grow_picard_mass, ("build", "--R", "0.1", "--grid-n", "401"),
+     "denominator vanished during fixed-point sweep"),
+    (_trap_wave_grid, _SMALL_EVOLVE, "coefficient assembly left the regular domain"),
+    (_flatten_second_variation, ("verify", "--R", "0.05", "--grid-n", "401"),
+     "second variation not positive"),
+    (_flip_second_norm, _SMALL_EVOLVE, "nonpositive value on a log axis"),
+], ids=["picard-denominator", "assembly-domain", "second-variation", "log-axis"])
+def test_numerical_breakdown_is_solver_failure(tmp_path, capsys, monkeypatch, breakdown, argv,
+                                               message):
+    # each breaks down in the middle of a solve on valid input: exit 3, not 2
+    breakdown(monkeypatch)
+    code = run(*argv, "--output-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER, err
+    assert "solver failure: " in err and message in err
+    assert "Traceback" not in err
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

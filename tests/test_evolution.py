@@ -26,6 +26,8 @@ from hardstars.evolution import (
     INSTABILITY_FACTOR,
     STRIDE,
     _invert_chi,
+    _SampleForms,
+    _WaveRun,
     acceleration,
     assemble_coefficients,
     cfl_timestep,
@@ -38,6 +40,8 @@ from hardstars.evolution import (
     reconstruct,
     residual_norm,
 )
+from hardstars.modes import find_modes, mode_to_initial_data
+import diagnostics_oracle
 from family_oracle import DeformedFamily
 
 FOUR_PI = 4.0 * math.pi
@@ -674,3 +678,100 @@ def test_constraint_residual_second_order(star_r005):
     p2 = math.log2(norms[1] / norms[2])
     assert 1.8 <= p1 <= 2.2
     assert 1.8 <= p2 <= 2.2
+
+
+# ------------------------------------------------ folded sample diagnostics
+
+# gaps to ``diagnostics_oracle``, measured over both stars, n_chi 501 and
+# 2000 and the data below, and over 150 random runs like the drawn ones:
+# - norms 8.9e-16 relative;
+# - the residual 8.0e-13 of max |d m1/dchi| (the oracle's expanded
+#   constraint flux cancels terms about 1/R^2 larger than the folded one's);
+# - in a run, the "second" norm 3.1e-14 relative.  Its L u is the stepper's
+#   kick, which rounds A u its own way; smooth data magnify that by
+#   |A| |u| / |A u|: 2.2e-12 for a gaussian pulse at n_chi 2000, 5.3e-11 for
+#   mode 1 of R = 0.1 at n_chi 2000.
+NORM_GAP = 2e-15
+SECOND_IN_RUN_GAP = 1e-12
+RESIDUAL_GAP = 5e-12
+
+
+def _oracle_gaps(c, u, v, norms=None, sup=None):
+    """(relative gap of each norm, residual gap over max |d m1/dchi|,
+    interior sup gap on the same scale) of the given or public diagnostics."""
+    ref = diagnostics_oracle.energy_norms(c, u, v)
+    norms = energy_norms(c, u, v) if norms is None else norms
+    norm_gaps = {key: abs(norms[key] / ref[key] - 1.0) for key in ref}
+    res, dm1 = diagnostics_oracle.constraint_residual(c, u)
+    scale = float(np.max(np.abs(dm1[1:])))
+    sup = residual_norm(c, u) if sup is None else sup
+    sup_ref = float(np.max(np.abs(diagnostics_oracle.interior(c, res))))
+    res_gap = float(np.max(np.abs(constraint_residual(c, u) - res))) / scale
+    return norm_gaps, res_gap, abs(sup - sup_ref) / scale
+
+
+@pytest.fixture(scope="module")
+def oracle_stars(star_r005):
+    # the shooting star at 0.235 has V > 0 in its outer shell
+    stars = {"picard 0.05": star_r005,
+             "shooting 0.235": build_star(StarParameters(R=0.235, grid_n=2001), solver="shooting")}
+    return {name: (star, find_modes(star, 1)[0]) for name, star in stars.items()}
+
+
+@pytest.mark.parametrize("n_chi", [501, 2000])
+@pytest.mark.parametrize("name", ["picard 0.05", "shooting 0.235"])
+def test_folded_diagnostics_match_oracle(oracle_stars, name, n_chi):
+    star, mode = oracle_stars[name]
+    c = assemble_coefficients(star, n_chi=n_chi)
+    rng = np.random.default_rng(23)
+    states = [gaussian_pulse(c), (rng.standard_normal(n_chi), rng.standard_normal(n_chi)),
+              mode_to_initial_data(c, mode)]
+    for u, v in states:
+        u[0] = v[0] = 0.0
+        norm_gaps, res_gap, sup_gap = _oracle_gaps(c, u, v)
+        assert max(norm_gaps.values()) <= NORM_GAP
+        assert res_gap <= RESIDUAL_GAP
+        assert sup_gap <= RESIDUAL_GAP
+
+
+def test_oracle_catches_a_dropped_centre_weight(co, monkeypatch):
+    # the mutant integrates u^2/r0^2 without the centre's half cell
+    build = _SampleForms.__init__
+
+    def dropped(self, coeffs, dt=1.0):
+        build(self, coeffs, dt)
+        self.inv_r2[1] -= self.trap[0] / coeffs.r0[1] ** 2
+
+    u, v = gaussian_pulse(co, center=0.2, width=0.3)
+    monkeypatch.setattr(_SampleForms, "__init__", dropped)
+    norm_gaps = _oracle_gaps(co, u, v)[0]
+    assert norm_gaps["norm"] > 1e6 * NORM_GAP
+    assert norm_gaps["first"] > 1e6 * NORM_GAP
+
+
+@settings(_PROPERTY, max_examples=25)
+@given(run=_drawn_reversal(), data=st.data())
+def test_run_samples_are_the_public_diagnostics(star_r005, run, data):
+    # at every state a run returns, on a drawn schedule: the energy and the
+    # surface bit for bit, the norms and the residual within the oracle's gaps
+    n_chi, n_steps, v_exponent, seed = run
+    schedule = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1, max_size=40)))
+    c = assemble_coefficients(star_r005, n_chi=n_chi)
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(n_chi)
+    v0 = 10.0**v_exponent * rng.standard_normal(n_chi)
+    u0[0] = v0[0] = 0.0
+    wave = _WaveRun(c, u0, v0, cfl_timestep(c, 0.4), n_steps)
+    states = [(u0, v0)]
+    for step in schedule:
+        u, v = wave.advance(step)
+        states.append((u.copy(), v))  # u is the run's buffer
+    assert len(wave.energies) == len(states)
+    for j, (u, v) in enumerate(states):
+        assert wave.energies[j] == discrete_energy(c, u, v)
+        assert wave.surface[j] == u[-1]
+        norms = {key: series[j] for key, series in wave.norm_series.items()}
+        norm_gaps, _, sup_gap = _oracle_gaps(c, u, v, norms, wave.residuals[j])
+        assert max(norm_gaps["norm"], norm_gaps["first"]) <= NORM_GAP
+        assert norm_gaps["second"] <= SECOND_IN_RUN_GAP
+        assert sup_gap <= RESIDUAL_GAP

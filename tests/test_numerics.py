@@ -75,6 +75,18 @@ def test_derivative_stencil_orders():
         assert np.max(np.abs(got - exact)) <= 1e-12
 
 
+def test_second_order_slope_is_numpy_gradient():
+    # the explicit stencil keeps np.gradient's arithmetic, so every slope
+    # the package takes (audit, eigenfunctions, wave samples) keeps its bits
+    rng = np.random.default_rng(41)
+    for n in (3, 4, 5, 17, 2000):
+        for _ in range(20):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20)
+            dx = float(10.0 ** rng.uniform(-6, 2))
+            ref = np.gradient(y, dx, edge_order=2)
+            assert derivative_uniform(y, dx).tobytes() == ref.tobytes()
+
+
 def test_derivative_convergence_rates():
     for order, lo, hi in ((2, 3.5, 4.5), (4, 13.0, 20.0)):
         errs = []
