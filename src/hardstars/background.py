@@ -341,7 +341,7 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
 def metric_terms(r, rho, m_over_r3):
     """n^2 = 2 rho - 1, D = 1 - 2m/r and the lapse gradient
     q = dpsi/dr = (m/r^2 + 4 pi r (rho - 1))/D at r; plain arithmetic, so it
-    takes the floats of the shooting right-hand side as well as arrays."""
+    takes floats (the surface values of the modes' kappa) as well as arrays."""
     n2 = 2.0 * rho - 1.0
     D = 1.0 - 2.0 * m_over_r3 * r * r
     q = (m_over_r3 * r + FOUR_PI * r * (rho - 1.0)) / D

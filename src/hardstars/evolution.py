@@ -77,7 +77,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dgbmv
 
@@ -143,7 +143,7 @@ def _operator_bands(c: WaveCoefficients) -> np.ndarray:
     return ab
 
 
-def _invert_chi(chi_spline: CubicSpline, targets: np.ndarray, R: float) -> np.ndarray:
+def _invert_chi(chi_spline: PPoly, targets: np.ndarray, R: float) -> np.ndarray:
     """Radii r in [0, R] with chi(r) = target, for all targets at once.
 
     Newton on the spline, safeguarded by bisection inside a bracket that
@@ -184,9 +184,8 @@ def potential_bracket(r0, rho, mor3):
 
     The bracket is the potential stripped of its e^F weight:
     2 q^2 D + 2 m/r^3 + 4 pi r n^2 (2/r - q) - D (2/r^2 + q') with
-    D = 1 - 2m/r.  It diverges like -2/r^2 at the centre.  Plain arithmetic,
-    so it takes the floats of the shooting right-hand side (r > 0) as well as
-    arrays; an array caller holding the centre node enters ``np.errstate``
+    D = 1 - 2m/r.  It diverges like -2/r^2 at the centre.  Plain arithmetic
+    on arrays; a caller holding the centre node enters ``np.errstate``
     around the call.
     """
     n2, D, q = metric_terms(r0, rho, mor3)
@@ -211,8 +210,8 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
 
     The radius of each shell is found by inverting the background chi(r)
     map (root-finding in r, where everything is smooth); the coefficient
-    formulas are then evaluated pointwise from one spline of the regular
-    background fields (rho, m/r^3, F).
+    formulas are then evaluated pointwise from the same spline, of chi and
+    the regular background fields (rho, m/r^3, F).
     """
     profile.require_metric()
     if n_chi < 16:
@@ -228,14 +227,14 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     D_bg = metric_terms(r_bg, rho_bg, mor3_bg)[1]
     F_bg = cumulative_simpson_uniform(r_bg * (8.0 * math.pi * rho_bg - 2.0 * mor3_bg) / D_bg,
                                       profile.dr)
-    chi_sp = CubicSpline(r_bg, profile.chi)
-    fields_sp = CubicSpline(r_bg, np.column_stack([rho_bg, mor3_bg, F_bg]))
+    spline = CubicSpline(r_bg, np.column_stack([profile.chi, rho_bg, mor3_bg, F_bg]))
 
-    r0 = _invert_chi(chi_sp, chi, R)
+    # the nodes and the half nodes in one pass, on the chi column alone
+    r0, r0_half = np.split(_invert_chi(PPoly(spline.c[..., 0], spline.x),
+                                       np.concatenate([chi, chi[:-1] + 0.5 * dchi]), R), [n])
     r0[-1] = R
-    r0_half = _invert_chi(chi_sp, chi[:-1] + 0.5 * dchi, R)
 
-    rho0, mor3, F = fields_sp(r0).T
+    rho0, mor3, F = spline(r0)[:, 1:].T
     with np.errstate(divide="ignore", invalid="ignore"):  # the centre node
         bracket, n2, D, q = potential_bracket(r0, rho0, mor3)
     if np.any(D <= 0.0) or np.any(n2 <= 0.0):
@@ -246,7 +245,7 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     mass = eF * n2
     w, drdchi = _chi_jacobians(r0, n2, D)
 
-    rho_h, mor3_h, F_h = fields_sp(r0_half).T
+    rho_h, mor3_h, F_h = spline(r0_half)[:, 1:].T
     n2_h = metric_terms(r0_half, rho_h, mor3_h)[0]
     flux_half = 16.0 * math.pi**2 * r0_half**4 * n2_h * np.exp(F_h)
     flux_surface = float(16.0 * math.pi**2 * R**4 * n2[-1] * eF[-1])
@@ -306,6 +305,11 @@ def operator_eigenvalues(coeffs: WaveCoefficients, first: int, last: int) -> np.
 RESIDUAL_INTERIOR = 0.1
 
 
+def _m1_coefficient(coeffs: WaveCoefficients) -> np.ndarray:
+    """-4 pi r0^2 (rho0 - 1): the linearised mass m1 of a unit displacement."""
+    return -FOUR_PI * coeffs.r0 * coeffs.r0 * (coeffs.rho0 - 1.0)
+
+
 class _SampleForms:
     """The sample diagnostics of a run with step dt: slopes and dot products."""
 
@@ -320,7 +324,7 @@ class _SampleForms:
         self.kick_r2 = self.inv_r2 / dt**4  # the "second" norm's L u is the kick S u / dt^2
         self.r4 = self.trap * r0**4
         self.r10 = self.trap * r0**10
-        self.m1 = -FOUR_PI * r0 * r0 * (c.rho0 - 1.0)
+        self.m1 = _m1_coefficient(c)
         # with reconstruct's rho1 = -n^2 psi1, n^2 = 2 rho0 - 1 and w dr0/dchi = 1,
         # the constraint flux is alpha u + m1 du/dchi; written out, its terms
         # in u cancel to about R^2 of their size
@@ -724,7 +728,7 @@ def reconstruct(coeffs: WaveCoefficients, u: np.ndarray) -> LinearizedFields:
     psi1[0] = 3.0 * slope0
     omega1[1:] = du_dr0[1:] - coeffs.q[1:] * u[1:]
     omega1[0] = slope0
-    m1 = -FOUR_PI * r0 * r0 * (coeffs.rho0 - 1.0) * u
+    m1 = _m1_coefficient(coeffs) * u
     rho1 = -coeffs.n2 * psi1
     n1 = rho1 / np.sqrt(coeffs.n2)
     return LinearizedFields(

@@ -17,14 +17,14 @@ the admissible x = sqrt(lambda) R approach the roots of
 
 ``shooting_defect`` integrates the regular solution outward and returns
 h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are exactly
-the eigenvalues.  The right-hand side is evaluated in plain floats from the
-background spline and stepped by the Dormand-Prince 8(5,3) pair (Hairer,
-Norsett and Wanner, *Solving ODEs I*, II.10) compiled in scipy's ``ode``
-interface, so no Python runs between right-hand-side calls except a
-one-line record of each accepted step.  ``eigenfunction`` reads h on the
-profile grid from those steps through the pair's own 7th-order dense output
-(*Solving ODEs I*, II.6), evaluated for all steps at once in numpy, so the
-shape costs no second integration.
+the eigenvalues.  Each right-hand-side call reads three cubic pieces from one
+table per star (``_RadialOperator``) and is stepped by the Dormand-Prince
+8(5,3) pair (Hairer, Norsett and Wanner, *Solving ODEs I*, II.10) compiled in
+scipy's ``ode`` interface, so no Python runs between calls except a one-line
+record of each accepted step.  ``eigenfunction`` reads h on the profile grid
+from those steps through the pair's own 7th-order dense output (*Solving
+ODEs I*, II.6), evaluated for all steps at once in numpy, so the shape costs
+no second integration.
 
 ``find_modes`` brackets the eigenvalues from the discrete spectrum of the
 wave operator on the chi grid (``evolution``), whose j-th eigenvalue belongs
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -121,29 +122,34 @@ def dispersion_roots(n_roots: int, R: float = 0.0) -> list[float]:
 # ------------------------------------------------------------ shooting solver
 
 
-class _RadialOperator:
-    """Coefficients alpha1, alpha2, U of the radial problem.
+#: One row of the radial table: the knot its pieces start from, then the
+#: cubic pieces of r P, r^2 Q and W, highest power first.
+_ROW = struct.Struct("13d")
 
-    Both background fields come from one two-column spline of (rho, m/r^3) on
-    the uniform profile grid.  ``coefficients`` evaluates it on arrays;
-    ``coefficients_at`` evaluates one radius in plain floats by reading the
-    spline's cubic pieces at the interval int(r/dr) directly from a list of
-    Python floats built once, which is what the shooting right-hand side
-    needs.  Both hand the fields to ``potential_bracket``, which also returns
-    the ``metric_terms`` (n^2, D, q); q supplies the equilibrium slope
-    (rho'/n^2 = -q).
+
+class _RadialOperator:
+    """The radial problem as h'' = -P h' + (Q - lam W) h, read from one table.
+
+    P = alpha1/alpha2, Q = U/alpha2 and W = 1/alpha2 come from one
+    ``_radial_coefficients`` call on the profile knots r > 0.  P and Q are
+    singular at the centre (like 2/r and 2/r^2), so the table holds the
+    regular r P, r^2 Q and W: one cubic spline of the three, one ``_ROW`` per
+    interval of the profile grid.  Interval 0, [0, r_1], continues the first
+    piece and a row past R the last, so row int(r/dr) exists for every r in
+    [0, R]; ``rhs`` unpacks it into floats, ``coefficients`` reads arrays.
     """
 
     def __init__(self, profile: BackgroundProfile):
         profile.require_metric()
-        self._spline = CubicSpline(profile.r, np.column_stack([profile.rho, profile.m_over_r3]))
-        # one row per interval: left knot, then the cubic pieces of rho and
-        # m/r^3, highest power first; a list, since indexing an ndarray row
-        # and converting it costs about ten times more per call
-        pieces = self._spline.c.transpose(1, 2, 0).reshape(-1, 8)
-        self._pieces = np.column_stack([profile.r[:-1], pieces]).tolist()
+        r = profile.r[1:]
+        alpha1, alpha2, U = _radial_coefficients(r, profile.rho[1:], profile.m_over_r3[1:])
+        spline = CubicSpline(r, np.column_stack([r * alpha1 / alpha2, r * r * U / alpha2,
+                                                 1.0 / alpha2]))
+        rows = np.column_stack([r[:-1], spline.c.transpose(1, 2, 0).reshape(-1, 12)])
+        # bytes: 104 per row, where a list of 13 Python floats takes about
+        # 480, and unpacking a row costs about as much as indexing one
+        self._table = np.vstack([rows[:1], rows, rows[-1:]]).tobytes()
         self._inv_dr = 1.0 / profile.dr
-        self._last = len(pieces) - 1
         R = self.R = profile.R
         q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))[2]
         self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
@@ -153,23 +159,21 @@ class _RadialOperator:
         self.last_steps: np.ndarray | None = None
 
     def coefficients(self, r):
-        r = np.asarray(r, dtype=float)
-        fields = self._spline(r)
-        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0
-            return _radial_coefficients(r, fields[..., 0], fields[..., 1])
-
-    def coefficients_at(self, r: float) -> tuple[float, float, float]:
-        i = min(int(r * self._inv_dr), self._last)
-        x0, a3, a2, a1, a0, b3, b2, b1, b0 = self._pieces[i]
-        t = r - x0
-        rho = ((a3 * t + a2) * t + a1) * t + a0
-        mor3 = ((b3 * t + b2) * t + b1) * t + b0
-        return _radial_coefficients(r, rho, mor3)
+        """r P, r^2 Q and W at an array of radii, from the rows ``rhs`` reads."""
+        row = np.frombuffer(self._table).reshape(-1, 13)[(r * self._inv_dr).astype(int)]
+        t = r - row[..., 0]
+        return tuple(((row[..., k] * t + row[..., k + 1]) * t + row[..., k + 2]) * t
+                     + row[..., k + 3] for k in (1, 5, 9))
 
     def rhs(self, r, y, lam):
         h, hp = y.tolist()
-        alpha1, alpha2, U = self.coefficients_at(float(r))
-        return [hp, (-alpha1 * hp + (U - lam) * h) / alpha2]
+        x0, p3, p2, p1, p0, q3, q2, q1, q0, w3, w2, w1, w0 = _ROW.unpack_from(
+            self._table, int(r * self._inv_dr) * _ROW.size)
+        t = r - x0
+        rP = ((p3 * t + p2) * t + p1) * t + p0
+        r2Q = ((q3 * t + q2) * t + q1) * t + q0
+        W = ((w3 * t + w2) * t + w1) * t + w0
+        return [hp, (r2Q * h / r - rP * hp) / r - lam * W * h]
 
 
 def _radial_coefficients(r, rho, mor3):
@@ -342,7 +346,7 @@ def _dense_profile(profile: BackgroundProfile, op: _RadialOperator, lam: float,
     Each step's 7th-order continuous extension is ``solve_ivp``'s
     ``Dop853DenseOutput``: the 12 stages, the FSAL stage f(r_new, y_new) and
     the 3 extra stages are recomputed for all steps at once, with every
-    stage's coefficients from one ``op.coefficients`` call (the stage nodes
+    stage's table values from one ``op.coefficients`` call (the stage nodes
     do not depend on the stage values), and the interpolant runs between
     the recorded end values.  A node r in (r_old, r_new] is read from that
     step, as ``solve_ivp``'s ``t_eval`` does.
@@ -357,7 +361,7 @@ def _dense_profile(profile: BackgroundProfile, op: _RadialOperator, lam: float,
     n = DOP853.n_stages
     nodes = t0 + _STAGE_C[:, None] * dt
     nodes[n] = t[1:]
-    alpha1, alpha2, U = op.coefficients(nodes)
+    rP, r2Q, W = op.coefficients(nodes)
     K = np.empty((len(_STAGE_C),) + y0.shape)
     for s in range(len(_STAGE_C)):
         if s == 0:
@@ -367,7 +371,7 @@ def _dense_profile(profile: BackgroundProfile, op: _RadialOperator, lam: float,
         else:
             ys = y0 + (_STAGE_A[s, :s] @ K[:s].reshape(s, -1)).reshape(y0.shape) * dt
         K[s, 0] = ys[1]
-        K[s, 1] = (-alpha1[s] * ys[1] + (U[s] - lam) * ys[0]) / alpha2[s]
+        K[s, 1] = (r2Q[s] * ys[0] / nodes[s] - rP[s] * ys[1]) / nodes[s] - lam * W[s] * ys[0]
     k = K[:, 0]                              # stages of h' = dh/dr
     rise = y1[0] - y0[0]
     F = np.empty((7, len(dt)))
@@ -512,19 +516,14 @@ def apply_H(profile: BackgroundProfile, h: np.ndarray) -> np.ndarray:
     Node 0 is reported as 0; accuracy degrades at the first few nodes where
     the 2/r terms amplify stencil error.
     """
-    op = _RadialOperator(profile)
-    return _apply_operator(profile, h, op)
-
-
-def _apply_operator(profile, h, op):
     h = np.asarray(h, dtype=float)
     dr = profile.dr
     hp = derivative_uniform(h, dr, order=2)
     hpp = second_derivative_uniform(h, dr)
-    r = profile.r
+    r = profile.r[1:]
     out = np.zeros_like(h)
-    alpha1, alpha2, U = op.coefficients(r[1:])
-    out[1:] = -alpha2 * hpp[1:] - alpha1 * hp[1:] + U * h[1:]
+    rP, r2Q, W = _RadialOperator(profile).coefficients(r)
+    out[1:] = ((r2Q * h[1:] / r - rP * hp[1:]) / r - hpp[1:]) / W
     return out
 
 

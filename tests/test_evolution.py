@@ -41,6 +41,7 @@ from hardstars.evolution import (
     residual_norm,
 )
 from hardstars.modes import find_modes, mode_to_initial_data
+import assembly_oracle
 import diagnostics_oracle
 from family_oracle import DeformedFamily
 
@@ -261,6 +262,22 @@ def test_chi_inversion_stops_once_newton_converges(star, request):
     assert _CountingSpline.calls <= 15
     exact = CubicSpline(prof.r, prof.chi)
     assert np.max(np.abs(exact(r[1:-1]) - targets[1:-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("n_chi", [16, 501, 2000])
+@pytest.mark.parametrize("star", ["star_r002", "star_r005", "star_r01"])
+def test_assembly_matches_two_spline_oracle(star, n_chi, request):
+    # one spline of (chi, rho, m/r^3, F) and one inversion pass over the
+    # nodes and the half nodes reproduce the two-spline assembly bit for bit
+    prof = request.getfixturevalue(star)
+    got = assemble_coefficients(prof, n_chi=n_chi)
+    want = assembly_oracle.assemble_coefficients(prof, n_chi)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_evolve_cli_at_small_radius(tmp_path):

@@ -249,8 +249,9 @@ def test_find_modes_matches_window_scan(star_r005, modes_r005):
 def test_shooting_matches_rk45_oracle(which, request):
     # RK45 at rtol 1e-12 is good to about 1e-12 in the defect (it moves by
     # 1e-12 against rtol 1e-13).  Measured worst gaps over modes 1-3 of both
-    # stars: defect 1.8e-11, located x 4.7e-11, eigenfunction 4.5e-10 of its
+    # stars: defect 1.8e-11, located x 4.7e-11, eigenfunction 2.8e-10 of its
     # peak against the RK45 rtol 1e-10 dense output the modes used before.
+    # The oracle integrates the exact-formula right-hand side, not the table.
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     found = request.getfixturevalue(f"modes_{which}")
     op = _RadialOperator(star)
@@ -264,7 +265,7 @@ def test_shooting_matches_rk45_oracle(which, request):
                  - shooting_defect(star, ((m.x - dx) / R) ** 2, op)) / (2.0 * dx)
         # one Newton step on the oracle's defect from the located x
         assert abs(rk45_defect(star, op, m.eigenvalue) / slope) <= 1e-10
-        h_rk45 = rk45_eigenfunction(star, op, m.eigenvalue)
+        h_rk45 = rk45_eigenfunction(star, m.eigenvalue)
         assert np.max(np.abs(m.h - h_rk45)) <= 1e-9 * np.max(np.abs(m.h))
 
 
@@ -290,7 +291,7 @@ def test_dense_output_matches_solve_ivp_oracle(which, request):
     for m in request.getfixturevalue(f"modes_{which}"):
         for lam in (m.eigenvalue, 0.97 * m.eigenvalue):
             h = eigenfunction(star, lam, op)
-            h_ivp = dop853_ivp_eigenfunction(star, op, lam)
+            h_ivp = dop853_ivp_eigenfunction(star, lam)
             assert np.max(np.abs(h - h_ivp)) <= 1e-9 * np.max(np.abs(h_ivp))
 
 
@@ -340,7 +341,10 @@ def test_shooting_defect_is_thread_safe(star_r005, star_r01):
     assert got == [[w] * 5 for w in want]
 
 
-def test_float_path_coefficients_match_array_path(star_r005):
+def test_rhs_reads_the_vectorised_table(star_r005):
+    # each right-hand-side call reads one row of the table in Python floats;
+    # the dense output and apply_H read the same rows on arrays.  The three
+    # probes give -P, Q and Q - 1e30 W (W dominates by over 1e18).
     op = _RadialOperator(star_r005)
     R = star_r005.R
     rng = np.random.default_rng(29)
@@ -349,30 +353,49 @@ def test_float_path_coefficients_match_array_path(star_r005):
         rng.uniform(1e-4 * R, R, 48),
         [star_r005.r[1000], R],                             # a knot and the surface
     ])
-    ref = np.array(op.coefficients(radii))
-    got = np.array([op.coefficients_at(float(r)) for r in radii]).T
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    rP, r2Q, W = op.coefficients(radii)
+    P, Q = rP / radii, r2Q / radii**2
+    for (h, hp), lam in (((0.0, 1.0), 0.0), ((1.0, 0.0), 0.0), ((1.0, 0.0), 1e30)):
+        want = -P * hp + (Q - lam * W) * h
+        got = np.array([op.rhs(r, np.array([h, hp]), lam)[1] for r in radii.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (h, hp, lam)
 
 
 @pytest.mark.parametrize("which", ["r005", "r019"])
-def test_rhs_matches_ndarray_row_oracle(which, request):
+def test_rhs_matches_exact_formula_oracle(which, request):
+    # the table interpolates r P, r^2 Q and W between the profile knots; the
+    # oracle evaluates alpha1, alpha2 and U by their formulas at every call.
+    # Gaps are relative to the sum of the magnitudes of the terms.  Measured
+    # worst: 3.9e-14 over 400 radii between the knots of each star, and
+    # 4.1e-16 at the knots, where the table holds the formulas' values (a
+    # table read one interval off misses them by 1.5e-15 at R = 0.05 and
+    # 2.1e-13 at R = 0.19).
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     op = _RadialOperator(star)
     oracle = NdarrayRowRhs(star)
     R, r = star.R, star.r
     rng = np.random.default_rng(31)
-    radii = [
+
+    def gap(k, rad):
+        lam = (2.0 + k % 9) ** 2 / R**2
+        h, hp = rng.uniform(-1.0, 1.0) * rad, rng.uniform(-2.0, 2.0)
+        y = np.array([h, hp])
+        alpha1, alpha2, U = oracle.coefficients_at(rad)
+        got, want = op.rhs(rad, y, lam), oracle(rad, y, lam)
+        assert got[0] == want[0]
+        return abs(got[1] - want[1]) * alpha2 / (abs(alpha1 * hp) + abs(U * h) + abs(lam * h))
+
+    between = [
         *(R * np.exp(rng.uniform(math.log(1e-4), 0.0, 48))).tolist(),  # dense near the centre
         *rng.uniform(1e-4 * R, R, 48).tolist(),
-        float(r[1000]),                       # a knot
+        float(0.5 * r[1]),                    # interval 0, [0, r_1]
         float(0.5 * (r[-2] + r[-1])),         # the last interval
         float(np.nextafter(r[-2], 0.0)),      # just below it
-        R,                                    # the surface
     ]
-    for k, rad in enumerate(radii):
-        lam = (2.0 + k % 9) ** 2 / R**2
-        y = np.array([rng.uniform(-1.0, 1.0) * rad, rng.uniform(-2.0, 2.0)])
-        assert op.rhs(rad, y, lam) == oracle(rad, y, lam), rad
+    for k, rad in enumerate(between):
+        assert gap(k, rad) <= 1e-13, rad
+    for k, rad in enumerate(r[1:].tolist()):  # every knot, the surface last
+        assert gap(k, rad) <= 1e-15, rad
 
 
 class _FailsWhere:
