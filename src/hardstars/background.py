@@ -14,9 +14,12 @@ with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
   The iteration is a contraction for small stars; the update map is applied
   until the weighted sup norm of the increment falls below ``picard_tol``.
 * ``solve_tov_shooting`` integrates the differential system outward from the
-  centre with a high-order adaptive integrator and bisects on the central
-  density until the surface condition holds.  It imports scipy when it
-  runs, so the fixed-point route needs numpy alone.
+  centre and finds the central density at which the surface condition holds
+  with ``brentq``.  Each trial is one run of the compiled Dormand-Prince
+  8(5,3) pair that ``modes`` shoots on too (``_shooting.run``), and the
+  profile on the grid is the root run's own 7th-order dense output
+  (``_shooting.dense_output``), so no trial is integrated twice.  It
+  imports scipy when it runs, so the fixed-point route needs numpy alone.
 
 Both return the same ``BackgroundProfile``; their agreement is the primary
 cross-check of the module.  ``derive_metric_fields`` completes a solved
@@ -138,8 +141,9 @@ def tov_rhs(r: float, m: float, rho: float) -> tuple[float, float]:
 
 
 def _tov_rhs_raw(r: float, y: np.ndarray) -> list[float]:
-    # Unvalidated variant for the shooting integrator: trial solutions may
-    # dip below rho = 1 before the bracket closes.
+    # Unvalidated variant for the shooting runs: trial solutions may dip
+    # below rho = 1 before the bracket closes.  y holds floats in the
+    # compiled runner's calls and rows of stage values in the dense output.
     m, rho = y
     dm = FOUR_PI * r * r * rho
     drho = -((2.0 * rho - 1.0) / (r - 2.0 * m)) * (FOUR_PI * r * r * (rho - 1.0) + m / r)
@@ -265,66 +269,71 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
     return _pack_profile(params, r, m, rho, m_over_r3, provenance)
 
 
-def _integrate_outward(rho_c: float, R: float, r_eval: np.ndarray | None = None):
-    from scipy.integrate import solve_ivp
+def _outward_run(rho_c: float, R: float) -> np.ndarray:
+    """Accepted steps, rows (r, m, rho), of one compiled run from the series
+    start just off the centre out to R; the neglected terms of the start
+    are O(r_start^4)."""
+    from ._shooting import run
 
-    # Series start just off the centre; the neglected terms are O(r_start^4).
     r_start = 1e-6 * R
     m0 = (FOUR_PI / 3.0) * rho_c * r_start ** 3
     rho0 = rho_c - (2.0 * rho_c - 1.0) * 2.0 * math.pi * ((rho_c - 1.0) + rho_c / 3.0) * r_start ** 2
-    sol = solve_ivp(
-        _tov_rhs_raw,
-        (r_start, R),
-        [m0, rho0],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-14,
-        t_eval=r_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"outward integration failed: {sol.message}")
-    return sol
+    try:
+        return run(lambda r, y: _tov_rhs_raw(r, y.tolist()), r_start, [m0, rho0], R,
+                   rtol=1e-13, atol=1e-14)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"outward integration at rho_c = {rho_c!r} failed: {exc}") from exc
+
+
+def _tov_stages(nodes: np.ndarray):
+    # the dense output's stages: the same formula on rows of stage values
+    return lambda s, y: _tov_rhs_raw(nodes[s], y)
 
 
 def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     """Solve the static star by shooting on the central density.
 
-    The central density is bisected inside [1, 1 + (16 pi/3) R^2] until the
-    integrated surface density matches the stiff floor to 1e-12.
+    ``brentq`` finds the central density inside [1, 1 + (16 pi/3) R^2] at
+    which the surface density matches the stiff floor to 1e-12.  Each trial
+    central density is integrated once (``_outward_run``), the mismatch
+    check reads the root's own run, and the profile on the grid is that
+    run's dense output.
     """
     from scipy.optimize import brentq
 
+    from ._shooting import _Severable, dense_output
+
     R = params.R
     hi = 1.0 + (16.0 * math.pi / 3.0) * R * R
+    runs: dict[float, np.ndarray] = {}
 
     def surface_mismatch(rho_c: float) -> float:
-        sol = _integrate_outward(rho_c, R)
-        return float(sol.y[1][-1]) - 1.0
+        if rho_c not in runs:
+            runs[rho_c] = _outward_run(rho_c, R)
+        return float(runs[rho_c][-1, 2]) - 1.0
 
-    f_lo = surface_mismatch(1.0)
-    f_hi = surface_mismatch(hi)
-    if f_lo * f_hi > 0.0:
-        raise ConvergenceError(
-            f"central-density bracket [1, {hi}] does not straddle the surface condition"
-        )
-    rho_c, res = brentq(surface_mismatch, 1.0, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
-    final_mismatch = surface_mismatch(rho_c)
+    with _Severable(surface_mismatch) as mismatch:
+        f_lo = mismatch(1.0)
+        f_hi = mismatch(hi)
+        if f_lo * f_hi > 0.0:
+            raise ConvergenceError(
+                f"central-density bracket [1, {hi}] does not straddle the surface condition"
+            )
+        rho_c, res = brentq(mismatch, 1.0, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
+        final_mismatch = mismatch(rho_c)
     if abs(final_mismatch) > 1e-12:
         raise ConvergenceError(
-            "surface density mismatch above tolerance after bisection",
+            "surface density mismatch above tolerance after root finding",
             iterations=res.iterations,
             residual=abs(final_mismatch),
         )
 
     r = np.linspace(0.0, R, params.grid_n)
-    sol = _integrate_outward(rho_c, R, r_eval=r[1:])
     m = np.empty_like(r)
     rho = np.empty_like(r)
     m[0] = 0.0
     rho[0] = rho_c
-    m[1:] = sol.y[0]
-    rho[1:] = sol.y[1]
+    m[1:], rho[1:] = dense_output(runs[rho_c], r[1:], _tov_stages)
     m_over_r3 = np.empty_like(r)
     m_over_r3[0] = (FOUR_PI / 3.0) * rho_c
     m_over_r3[1:] = m[1:] / r[1:] ** 3

@@ -18,13 +18,14 @@ the admissible x = sqrt(lambda) R approach the roots of
 ``shooting_defect`` integrates the regular solution outward and returns
 h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are exactly
 the eigenvalues.  Each right-hand-side call reads three cubic pieces from one
-table per star (``_RadialOperator``) and is stepped by the Dormand-Prince
-8(5,3) pair (Hairer, Norsett and Wanner, *Solving ODEs I*, II.10) compiled in
-scipy's ``ode`` interface, so no Python runs between calls except a one-line
-record of each accepted step.  ``eigenfunction`` reads h on the profile grid
-from those steps through the pair's own 7th-order dense output (*Solving
-ODEs I*, II.6), evaluated for all steps at once in numpy, so the shape costs
-no second integration.
+table per star (``_RadialOperator``) and is stepped by the runner the
+background's shooting solver uses too (``_shooting.run``): the
+Dormand-Prince 8(5,3) pair (Hairer, Norsett and Wanner, *Solving ODEs I*,
+II.5) compiled in scipy's ``ode`` interface, with no Python between calls
+except a one-line record of each accepted step.  ``eigenfunction`` reads h
+on the profile grid from those steps through the pair's own 7th-order dense
+output (``_shooting.dense_output``; *Solving ODEs I*, II.6), evaluated for
+all steps at once in numpy, so the shape costs no second integration.
 
 ``find_modes`` brackets the eigenvalues from the discrete spectrum of the
 wave operator on the chi grid (``evolution``), whose j-th eigenvalue belongs
@@ -42,15 +43,14 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, ode
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
+from ._shooting import _Severable, dense_output, run
 from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
 from .errors import ConvergenceError
 from .evolution import (
@@ -67,11 +67,6 @@ X1_LIMIT = 2.0815759778181
 #: Relative tolerance of the shooting integrations; the absolute one is
 #: this times R.
 SHOOTING_RTOL = 1e-10
-
-#: Step budget of one ``shooting_defect`` integration.  lam = 1e9 at
-#: R = 0.05 (about 500 oscillations) takes 4.6e3 steps; scipy's default of
-#: 500 fails there.
-MAX_STEPS = 100_000
 
 #: Shells of the coarser of the two chi grids whose discrete spectra seed
 #: the brackets of ``find_modes`` (the finer grid has twice as many); past
@@ -175,6 +170,19 @@ class _RadialOperator:
         W = ((w3 * t + w2) * t + w1) * t + w0
         return [hp, (r2Q * h / r - rP * hp) / r - lam * W * h]
 
+    def stages(self, nodes, lam):
+        """The right-hand side at every stage node of a dense output at once:
+        the table is read once for all ``nodes``, and ``f(s, y)`` gives
+        (h', h'') at stage row s for stage values y = (h, h')."""
+        rP, r2Q, W = self.coefficients(nodes)
+
+        def f(s, y):
+            h, hp = y
+            r = nodes[s]
+            return hp, (r2Q[s] * h / r - rP[s] * hp) / r - lam * W[s] * h
+
+        return f
+
 
 def _radial_coefficients(r, rho, mor3):
     bracket, n2, D, q = potential_bracket(r, rho, mor3)
@@ -190,85 +198,17 @@ def _series_start(lam: float, r_s: float) -> tuple[float, float]:
     return h, hp
 
 
-class _Severable:
-    """Forwarder to ``fn`` that is cut when its ``with`` block ends.
-
-    ``brentq`` keeps the callable it is given in an object that refers to
-    itself (its NaN guard is a closure over itself), so it lingers in cyclic
-    garbage until a full collection.  Scipy's compiled ``dop853`` runner
-    keeps one reference to its right-hand side per integration and never
-    drops it.  Handing them a forwarder that is cut afterwards keeps that
-    garbage from holding the operator's tables and the background profile
-    meanwhile.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, *args):
-        return self.fn(*args)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.fn = None
-
-
-#: The right-hand side every cached ``dop853`` integrator calls; pointed at
-#: one operator's ``rhs``, with lam bound, for the length of one integration.
-_DEFECT_RHS = _Severable(None)
-#: The step recorder every cached integrator calls after each accepted step
-#: (and once at the start); pointed at one integration's list likewise.
-_DEFECT_SOLOUT = _Severable(None)
-#: Guards the two forwarders and the cached integrators, which are shared.
-_DEFECT_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=16)
-def _dop853(atol: float) -> ode:
-    """One ``dop853`` integrator per absolute tolerance, reused by every
-    integration: a fresh one per call would leave its per-call references
-    (to the right-hand side and to its own ``_solout``) behind, about 1.1 KB
-    each.  lam is bound in the right-hand side, not passed through
-    ``set_f_params``, because the runner hands those parameters to the step
-    recorder as well."""
-    solver = ode(_DEFECT_RHS).set_integrator("dop853", rtol=SHOOTING_RTOL, atol=atol,
-                                             nsteps=MAX_STEPS)
-    solver.set_solout(_DEFECT_SOLOUT)
-    return solver
-
-
 def _shoot(op: _RadialOperator, lam: float) -> np.ndarray | None:
     """Accepted steps, rows (r, h, h'), of the regular solution at trial
     eigenvalue lam, from the series start at 1e-4 R (the first row) out to
-    R (the last), or None if the compiled integration fails.  An array, not
-    the recorded tuples, since ``find_modes`` holds one per trial x."""
+    R (the last), or None if the compiled run fails."""
     R = op.R
     r_s = 1e-4 * R
-    steps: list[tuple[float, float, float]] = []
-
-    def record(r, y):
-        steps.append((r, *y.tolist()))
-
-    solver = _dop853(SHOOTING_RTOL * R)
-    with _DEFECT_LOCK:
-        _DEFECT_RHS.fn = functools.partial(op.rhs, lam=lam)
-        _DEFECT_SOLOUT.fn = record
-        try:
-            solver.set_initial_value(_series_start(lam, r_s), r_s)
-            solver.integrate(R)
-            if not solver.successful():
-                return None
-        except ValueError:
-            # how the compiled runner reports an exception raised in the
-            # right-hand side
-            return None
-        finally:
-            _DEFECT_RHS.fn = _DEFECT_SOLOUT.fn = None
-    return np.array(steps)
+    try:
+        return run(functools.partial(op.rhs, lam=lam), r_s, _series_start(lam, r_s), R,
+                   SHOOTING_RTOL, SHOOTING_RTOL * R)
+    except ConvergenceError:
+        return None
 
 
 def shooting_defect(profile: BackgroundProfile, lam: float,
@@ -327,69 +267,19 @@ def eigenfunction(profile: BackgroundProfile, lam: float,
     return _dense_profile(profile, op, lam, steps)
 
 
-#: Nodes of the 16 stages of one DOP853 step as fractions of the step: the
-#: 12 of the step, the FSAL stage at its end, and the 3 extra stages of the
-#: dense output.
-_STAGE_C = np.concatenate([DOP853.C, [1.0], DOP853.C_EXTRA])
-#: Their coupling rows, padded to 16 columns (the FSAL row is unused: that
-#: stage is taken at the recorded end value).
-_STAGE_A = np.zeros((16, 16))
-_STAGE_A[:DOP853.n_stages, :DOP853.n_stages] = DOP853.A
-_STAGE_A[DOP853.n_stages + 1:] = DOP853.A_EXTRA
-
-
 def _dense_profile(profile: BackgroundProfile, op: _RadialOperator, lam: float,
                    steps: np.ndarray) -> np.ndarray:
     """h on ``profile.r`` from the accepted ``steps`` of one compiled run,
     normalised to unit central slope.
 
-    Each step's 7th-order continuous extension is ``solve_ivp``'s
-    ``Dop853DenseOutput``: the 12 stages, the FSAL stage f(r_new, y_new) and
-    the 3 extra stages are recomputed for all steps at once, with every
-    stage's table values from one ``op.coefficients`` call (the stage nodes
-    do not depend on the stage values), and the interpolant runs between
-    the recorded end values.  A node r in (r_old, r_new] is read from that
-    step, as ``solve_ivp``'s ``t_eval`` does.
-
-    The slope is fitted as h = a r + b r^3 over the innermost grid nodes;
+    The run's dense output (``_shooting.dense_output``) takes every stage's
+    table values from one ``op.coefficients`` call (``op.stages``).  The
+    slope is fitted as h = a r + b r^3 over the innermost grid nodes;
     dividing by a removes the O(r^2) bias a single-node ratio would keep.
     """
-    t = steps[:, 0]
-    y = steps[:, 1:].T                       # rows h, h'; a column per point
-    t0, y0, y1 = t[:-1], y[:, :-1], y[:, 1:]
-    dt = np.diff(t)
-    n = DOP853.n_stages
-    nodes = t0 + _STAGE_C[:, None] * dt
-    nodes[n] = t[1:]
-    rP, r2Q, W = op.coefficients(nodes)
-    K = np.empty((len(_STAGE_C),) + y0.shape)
-    for s in range(len(_STAGE_C)):
-        if s == 0:
-            ys = y0
-        elif s == n:
-            ys = y1
-        else:
-            ys = y0 + (_STAGE_A[s, :s] @ K[:s].reshape(s, -1)).reshape(y0.shape) * dt
-        K[s, 0] = ys[1]
-        K[s, 1] = (r2Q[s] * ys[0] / nodes[s] - rP[s] * ys[1]) / nodes[s] - lam * W[s] * ys[0]
-    k = K[:, 0]                              # stages of h' = dh/dr
-    rise = y1[0] - y0[0]
-    F = np.empty((7, len(dt)))
-    F[0] = rise
-    F[1] = dt * k[0] - rise
-    F[2] = 2.0 * rise - dt * (k[n] + k[0])
-    F[3:] = dt * (DOP853.D @ k)
-
-    r = profile.r[1:]
-    i = np.clip(np.searchsorted(t, r), 1, len(dt)) - 1
-    x = (r - t0[i]) / dt[i]
-    h_r = np.zeros_like(r)
-    for j, f in enumerate(F[::-1, i]):
-        h_r += f
-        h_r *= x if j % 2 == 0 else 1.0 - x
     h = np.empty(profile.grid_n)
     h[0] = 0.0
-    h[1:] = h_r + y0[0, i]
+    h[1:] = dense_output(steps, profile.r[1:], functools.partial(op.stages, lam=lam))[0]
     pts = slice(1, 9)
     basis = np.column_stack([profile.r[pts], profile.r[pts] ** 3])
     coef, *_ = np.linalg.lstsq(basis, h[pts], rcond=None)

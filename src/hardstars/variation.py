@@ -224,13 +224,28 @@ def mass_aspect_bound_ratio(
     plain form is kept because its peak value is a useful fixed diagnostic
     for the unit-surface-displacement audit family.
     """
-    rate = mass_aspect_rate(profile, rdot, exponent)
+    return mass_aspect_bound_ratios(profile, rdot, (exponent,), dphi_rdot, squared)[0]
+
+
+def mass_aspect_bound_ratios(
+    profile: BackgroundProfile,
+    rdot: np.ndarray,
+    exponents: Sequence[float],
+    dphi_rdot: np.ndarray | None = None,
+    squared: bool = False,
+) -> list[float]:
+    """``mass_aspect_bound_ratio`` at each of ``exponents``, with the second
+    variation of the deformation evaluated once for all of them."""
+    rates = [mass_aspect_rate(profile, rdot, exponent) for exponent in exponents]
     r = profile.r[1:]
-    weighted = r ** (exponent - 0.5) * (rate[1:] ** 2 if squared else np.abs(rate[1:]))
+    peaks = [
+        np.max(r ** (exponent - 0.5) * (rate[1:] ** 2 if squared else np.abs(rate[1:])))
+        for exponent, rate in zip(exponents, rates)
+    ]
     d2m = second_variation(profile, rdot, dphi_rdot)
     if d2m <= 0.0:
         raise ConvergenceError("second variation not positive; mass-aspect bound undefined")
-    return float(np.max(weighted) / d2m)
+    return [float(peak / d2m) for peak in peaks]
 
 
 # ------------------------------------------------------------------ controls

@@ -7,8 +7,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 from hardstars import (
+    ConvergenceError,
     DomainError,
     StarParameters,
     approximate_profile,
@@ -20,11 +23,14 @@ from hardstars import (
     solve_tov_shooting,
     tov_rhs,
 )
+from hardstars import _shooting
+from hardstars import background as bg
 from hardstars.background import (
     MAX_CONTRACTION_RADIUS,
     chi_weight,
     metric_terms,
 )
+from tov_oracle import ivp_shooting
 
 FOUR_PI = 4.0 * math.pi
 
@@ -133,6 +139,81 @@ def test_shooting_covers_larger_radii():
     prof = derive_metric_fields(solve_tov_shooting(StarParameters(R=0.2, grid_n=801)))
     assert prof.rho_central > 1.0
     assert 3.0 * prof.M_total / prof.R < 1.0
+
+
+@pytest.mark.parametrize("grid_n", [801, 4001])
+@pytest.mark.parametrize("R", [0.02, 0.1, 0.19, 0.235, 0.247])
+def test_shooting_matches_solve_ivp_oracle(R, grid_n):
+    # the compiled run and its dense output against the route they replaced
+    # (solve_ivp DOP853 at the same tolerances, a t_eval run at the root).
+    # The two step sequences differ, so they agree as far as both are
+    # accurate.  Measured worst gaps over these ten cases: rho_c 1.8e-14,
+    # M 2.8e-16, sup|rho| 3.7e-13, sup|m| 4.6e-15 (all at R = 0.247).
+    prof = solve_tov_shooting(StarParameters(R=R, grid_n=grid_n))
+    rho_c, m, rho = ivp_shooting(R, grid_n)
+    assert abs(prof.rho_central - rho_c) <= 1e-13
+    assert abs(prof.m[-1] - m[-1]) <= 2e-15
+    assert np.max(np.abs(prof.rho - rho)) <= 1e-12
+    assert np.max(np.abs(prof.m - m)) <= 2e-14
+    assert abs(prof.rho[-1] - 1.0) <= 1e-12
+
+
+def test_shooting_runs_each_trial_once(monkeypatch):
+    # one compiled run per distinct trial central density: brentq's repeats
+    # of the bracket ends, the mismatch check and the grid profile read the
+    # runs already made, and no run follows brentq
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp ran")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    trials, runs, after_root = [], [], []
+    real_trial, real_run, real_brentq = bg._outward_run, _shooting.run, scipy.optimize.brentq
+
+    def trial(rho_c, R):
+        trials.append(rho_c)
+        return real_trial(rho_c, R)
+
+    def run(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    def watched(*args, **kwargs):
+        root = real_brentq(*args, **kwargs)
+        after_root.append(len(runs))
+        return root
+
+    monkeypatch.setattr(bg, "_outward_run", trial)
+    monkeypatch.setattr(_shooting, "run", run)
+    monkeypatch.setattr(scipy.optimize, "brentq", watched)
+    prof = solve_tov_shooting(StarParameters(R=0.19, grid_n=801))
+    assert len(runs) == len(trials) == len(set(trials))
+    # brentq evaluates both bracket ends and, on every iteration but the
+    # converging one, one new point
+    assert len(runs) == 2 + prof.provenance["iterations"] - 1
+    assert after_root == [len(runs)]
+    assert prof.rho_central in trials
+
+
+def test_shooting_rhs_exception_is_convergence_error(monkeypatch):
+    # from its first call past 0.99 R on, the right-hand side raises past
+    # 0.99 R for 50 calls and is finite after them: the run must end within
+    # those calls, and the solver report it, not finish on the values after
+    R = 0.2
+    real = bg._tov_rhs_raw
+    calls = []  # every float call from the first raise on
+
+    def flaky(r, y):
+        if isinstance(r, float) and (calls or r > 0.99 * R):
+            calls.append(r)
+            if r > 0.99 * R and len(calls) <= 50:
+                raise FloatingPointError("injected")
+        return real(r, y)
+
+    monkeypatch.setattr(bg, "_tov_rhs_raw", flaky)
+    with pytest.raises(ConvergenceError, match="outward integration at rho_c = 1.0 failed: "
+                                               "the right-hand side raised FloatingPointError"):
+        solve_tov_shooting(StarParameters(R=R, grid_n=801))
+    assert 0 < len(calls) < 50
 
 
 # ------------------------------------------------------------- approximation

@@ -374,6 +374,15 @@ def _grow_picard_mass(monkeypatch):
     monkeypatch.setattr(background, "cumulative_simpson_uniform", lambda y, dx: 1e3 * real(y, dx))
 
 
+def _raise_in_hydrostatic_rhs(monkeypatch):
+    # the compiled runner does not stop on an exception in the right-hand
+    # side by itself; the shooting solver must still report the failure
+    def raising(r, y):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(background, "_tov_rhs_raw", raising)
+
+
 def _trap_wave_grid(monkeypatch):
     real = evolution.potential_bracket
 
@@ -407,11 +416,14 @@ _SMALL_EVOLVE = ("evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101", "
 @pytest.mark.parametrize("breakdown, argv, message", [
     (_grow_picard_mass, ("build", "--R", "0.1", "--grid-n", "401"),
      "denominator vanished during fixed-point sweep"),
+    (_raise_in_hydrostatic_rhs, ("build", "--R", "0.2", "--solver", "shooting", "--grid-n", "401"),
+     "the right-hand side raised ZeroDivisionError"),
     (_trap_wave_grid, _SMALL_EVOLVE, "coefficient assembly left the regular domain"),
     (_flatten_second_variation, ("verify", "--R", "0.05", "--grid-n", "401"),
      "second variation not positive"),
     (_flip_second_norm, _SMALL_EVOLVE, "nonpositive value on a log axis"),
-], ids=["picard-denominator", "assembly-domain", "second-variation", "log-axis"])
+], ids=["picard-denominator", "shooting-rhs", "assembly-domain", "second-variation",
+        "log-axis"])
 def test_numerical_breakdown_is_solver_failure(tmp_path, capsys, monkeypatch, breakdown, argv,
                                                message):
     # each breaks down in the middle of a solve on valid input: exit 3, not 2
@@ -754,6 +766,24 @@ def test_verify_passes_at_default_radius(tmp_path, capsys):
     assert code == EXIT_OK, out
     assert "ok   background.small-radius-closure" in out
     assert json.loads((tmp_path / "verify.json").read_text())["R"] == 0.1
+
+
+def test_verify_takes_each_second_variation_once(tmp_path, capsys, monkeypatch):
+    # the mass-aspect check reads three exponents off each of its six draws,
+    # so it takes six second variations, not one per draw and exponent (18)
+    real = variation.second_variation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(variation, "second_variation", counted)
+    code = run("verify", "--R", "0.05", "--grid-n", "401", "--output-dir", str(tmp_path))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK, out
+    assert "ok   variation.mass-aspect" in out
+    assert len(calls) == 6
 
 
 def test_verify_period_without_crossings_is_solver_failure(tmp_path, capsys, monkeypatch):

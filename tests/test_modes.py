@@ -15,7 +15,7 @@ import scipy.integrate
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from hardstars import StarParameters, build_star, modes
+from hardstars import StarParameters, _shooting, build_star, modes
 from hardstars.errors import ConvergenceError
 from hardstars.evolution import assemble_coefficients, evolve
 from hardstars.modes import (
@@ -415,7 +415,7 @@ class _FailsWhere:
         return self
 
     def integrate(self, t):
-        self.lam = modes._DEFECT_RHS.fn.keywords["lam"]
+        self.lam = _shooting._RHS.fn.keywords["lam"]
         self.log.append(self.lam)
         return self.solver.integrate(t)
 
@@ -426,9 +426,10 @@ class _FailsWhere:
 def _fail_defects(monkeypatch, fails):
     """Make the compiled integrations at the lam ``fails`` selects report
     failure; returns the list of every integration's lam."""
-    real = modes._dop853
+    real = _shooting._dop853
     log = []
-    monkeypatch.setattr(modes, "_dop853", lambda atol: _FailsWhere(real(atol), fails, log))
+    monkeypatch.setattr(_shooting, "_dop853",
+                        lambda rtol, atol: _FailsWhere(real(rtol, atol), fails, log))
     return log
 
 
@@ -458,6 +459,36 @@ def test_failed_eigenfunction_integration_raises(star_r005, monkeypatch):
     with pytest.raises(ConvergenceError, match="eigenfunction integration failed"):
         eigenfunction(star_r005, lam)
     assert log == [lam]
+
+
+def test_rhs_exception_stops_the_run(star_r005):
+    # scipy's compiled runner does not stop on an exception in the right-hand
+    # side (here it went on for 1.2 million calls); the runner's forwarder
+    # records it and the step recorder ends the run.  From its first call
+    # past 0.99 R on, the injected right-hand side raises past 0.99 R for 50
+    # calls and is finite after them, so a run that went on past the
+    # exception would end finite within a few more calls, not NaN.
+    op = _RadialOperator(star_r005)
+    R, lam = star_r005.R, 1800.0
+    real = op.rhs
+    calls = []  # every call from the first raise on
+
+    def flaky(r, y, lam):
+        if calls or r > 0.99 * R:
+            calls.append(r)
+        if r > 0.99 * R and len(calls) <= 50:
+            raise FloatingPointError("injected")
+        return real(r, y, lam)
+
+    op.rhs = flaky
+    assert math.isnan(shooting_defect(star_r005, lam, op))
+    assert 0 < len(calls) < 50
+    calls.clear()
+    with pytest.raises(ConvergenceError, match="eigenfunction integration failed"):
+        eigenfunction(star_r005, lam, op)
+    assert 0 < len(calls) < 50
+    del op.rhs
+    assert math.isfinite(shooting_defect(star_r005, lam, op))
 
 
 def test_nan_inside_bracket_raises(star_r005, modes_r005, monkeypatch):
