@@ -1,8 +1,8 @@
-"""One compiled Dormand-Prince 8(5,3) runner for both shooting solvers.
+"""The compiled Dormand-Prince 8(5,3) runner of the background's shooting
+solver.
 
-``background.solve_tov_shooting`` (the hydrostatic system, shot on the
-central density) and ``modes`` (the radial pulsation problem, shot on the
-eigenvalue) integrate outward from a series start with the same machinery:
+``background.solve_tov_shooting`` integrates the hydrostatic system outward
+from a series start, one run per trial central density:
 
 * ``run`` steps a right-hand side with the DOP853 pair (Hairer, Norsett and
   Wanner, *Solving ODEs I*, II.5) compiled in scipy's ``ode`` interface, so
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,8 +30,8 @@ from scipy.integrate import DOP853, ode
 
 from .errors import ConvergenceError
 
-#: Step budget of one run.  The modes' lam = 1e9 at R = 0.05 (about 500
-#: oscillations) takes 4.6e3 steps; scipy's default of 500 fails there.
+#: Step budget of one run.  A hydrostatic run takes at most 22 accepted
+#: steps (R = 0.247, rtol 1e-13), so the budget only ends a run gone wrong.
 MAX_STEPS = 100_000
 
 
@@ -118,7 +119,9 @@ def run(rhs: Callable[[float, np.ndarray], Sequence[float]], t0: float,
     ``rhs`` receives t as a float and y as an array, and returns a sequence
     of floats.  An array, not the recorded tuples, since a shooting solver
     holds one per trial.  Raises ``ConvergenceError`` when the runner fails
-    or the right-hand side raises.
+    or the right-hand side raises; the text of any warning scipy issued
+    during the run (such as ``dop853: step size becomes too small``) is
+    appended to its message.  A successful run issues its warnings again.
     """
     steps: list[tuple[float, ...]] = []
 
@@ -132,16 +135,22 @@ def run(rhs: Callable[[float, np.ndarray], Sequence[float]], t0: float,
         _RHS.fn, _RHS.error = rhs, None
         _SOLOUT.fn = record
         try:
-            solver.set_initial_value(y0, t0)
-            solver.integrate(t_end)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solver.set_initial_value(y0, t0)
+                solver.integrate(t_end)
+            notes = "".join(f"; scipy warned: {w.message}" for w in caught)
             error = _RHS.error
             if error is not None:
                 raise ConvergenceError(
-                    f"the right-hand side raised {type(error).__name__}: {error}") from error
+                    f"the right-hand side raised {type(error).__name__}: {error}{notes}"
+                ) from error
             if not solver.successful():
-                raise ConvergenceError(f"the DOP853 run stopped short of t = {t_end!r}")
+                raise ConvergenceError(f"the DOP853 run stopped short of t = {t_end!r}{notes}")
         finally:
             _RHS.fn = _RHS.error = _SOLOUT.fn = None
+    for w in caught:
+        warnings.warn(w.message, stacklevel=2)
     return np.array(steps)
 
 

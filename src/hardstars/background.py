@@ -16,10 +16,10 @@ with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
 * ``solve_tov_shooting`` integrates the differential system outward from the
   centre and finds the central density at which the surface condition holds
   with ``brentq``.  Each trial is one run of the compiled Dormand-Prince
-  8(5,3) pair that ``modes`` shoots on too (``_shooting.run``), and the
-  profile on the grid is the root run's own 7th-order dense output
-  (``_shooting.dense_output``), so no trial is integrated twice.  It
-  imports scipy when it runs, so the fixed-point route needs numpy alone.
+  8(5,3) pair (``_shooting.run``), and the profile on the grid is the root
+  run's own 7th-order dense output (``_shooting.dense_output``), so no
+  trial is integrated twice.  It imports scipy when it runs, so the
+  fixed-point route needs numpy alone.
 
 Both return the same ``BackgroundProfile``; their agreement is the primary
 cross-check of the module.  ``derive_metric_fields`` completes a solved

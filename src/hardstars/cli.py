@@ -703,7 +703,7 @@ _COMMANDS = {
         _Opt("samples", "--samples", int, 200, "energy samples", above=0),
         _Opt("snapshots", "--snapshots", int, 5, "snapshot files (at least 2)", above=1),
     )),
-    "modes": ("radial eigenmodes by shooting", _cmd_modes, (
+    "modes": ("radial eigenmodes by Chebyshev collocation", _cmd_modes, (
         _Opt("count", "--count", int, 3, "number of modes", above=0),
         _Opt("which", "--which", ("h0", "full", "both"), "both", "flat-model, full, or both"),
         _Opt("emit_initial_data", "--emit-initial-data", int, None, "index of the mode to emit"),

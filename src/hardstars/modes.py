@@ -1,4 +1,4 @@
-"""Radial oscillation modes of a static star, by shooting in the radius.
+"""Radial oscillation modes of a static star, by Chebyshev collocation.
 
 The time-periodic ansatz u = h(chi) cos(sqrt(lambda) t) turns the wave
 equation into a Sturm-Liouville problem.  In the areal radius it reads
@@ -15,63 +15,60 @@ the admissible x = sqrt(lambda) R approach the roots of
 
     sin x (x^2 - 2) + 2 x cos x = 0            (x1 = 2.0815759778181...)
 
-``shooting_defect`` integrates the regular solution outward and returns
-h'(R) - kappa h(R); it is analytic in lambda, so its sign changes are exactly
-the eigenvalues.  Each right-hand-side call reads three cubic pieces from one
-table per star (``_RadialOperator``) and is stepped by the runner the
-background's shooting solver uses too (``_shooting.run``): the
-Dormand-Prince 8(5,3) pair (Hairer, Norsett and Wanner, *Solving ODEs I*,
-II.5) compiled in scipy's ``ode`` interface, with no Python between calls
-except a one-line record of each accepted step.  ``eigenfunction`` reads h
-on the profile grid from those steps through the pair's own 7th-order dense
-output (``_shooting.dense_output``; *Solving ODEs I*, II.6), evaluated for
-all steps at once in numpy, so the shape costs no second integration.
+Every coefficient is a function of r^2, and so is g = h/r.  With
+P = alpha1/alpha2, Q = U/alpha2, W = 1/alpha2 and x^2 = lambda R^2 the
+problem in s = (r/R)^2 reads
 
-``find_modes`` brackets the eigenvalues from the discrete spectrum of the
-wave operator on the chi grid (``evolution``), whose j-th eigenvalue belongs
-to the j-th mode by Sturm ordering: the lowest eigenvalues on two grids,
-extrapolated in the grid spacing, centre one bracket per mode, and
-``brentq`` on the shooting defect refines it.  Each trial x is shot once per
-``find_modes`` call: the bracket ends and the converged root are reused, and
-the root's recorded steps give ``Mode.h``.
+    4 s g_ss + 2 (3 + rP) g_s + E g = -x^2 W g,    E = (rP - r^2 Q)/s,
+    g + 2 g_s = kappa R g                          at s = 1.
+
+At the centre the equation itself is the regularity condition (the other
+solution, g ~ s^(-3/2), is no polynomial), so no series start is needed.
+``_RadialOperator`` collocates the problem on N + 1 Chebyshev-Gauss-Lobatto
+nodes in s (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 6-7;
+Boyd, *Chebyshev and Fourier Spectral Methods*, 2001), with rP, r^2 Q and W
+read from one cubic spline of the profile's coefficients:
+
+* ``find_modes`` eliminates the Robin row and takes every x^2 at once from
+  one N x N eigenvalue solve;
+* the regular solution at any lambda is one linear solve with the Robin row
+  replaced by g(0) = 1, so h = r g has unit central slope.
+  ``shooting_defect`` returns its h'(R) - kappa h(R), the surface mismatch
+  a shooting method would drive to zero: analytic in lambda, with the
+  eigenvalues as its zeros.  ``eigenfunction`` sums g's Chebyshev series on
+  the profile grid by Clenshaw's recurrence, and ``find_modes`` takes
+  ``Mode.h`` and ``Mode.defect`` from that same solve at each eigenvalue.
+
 ``apply_H0``/``apply_H1`` split the radial operator into its flat Bessel part
 and the stellar correction, which shrinks like R^2.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from ._shooting import _Severable, dense_output, run
 from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
 from .errors import ConvergenceError
-from .evolution import (
-    WaveCoefficients,
-    assemble_coefficients,
-    operator_eigenvalues,
-    potential_bracket,
-)
+from .evolution import WaveCoefficients, potential_bracket
 from .numerics import derivative_uniform, scan_sign_changes, second_derivative_uniform
 
 #: First admissible x = sqrt(lambda) R in the zero-size limit.
 X1_LIMIT = 2.0815759778181
 
-#: Relative tolerance of the shooting integrations; the absolute one is
-#: this times R.
-SHOOTING_RTOL = 1e-10
-
-#: Shells of the coarser of the two chi grids whose discrete spectra seed
-#: the brackets of ``find_modes`` (the finer grid has twice as many); past
-#: 24 modes the grids grow to keep ten shells per eigenvalue.
-SEED_N_CHI = 250
+#: Largest share of the biggest Chebyshev coefficient of a regular solution
+#: g that its last three may keep; above it g is unresolved.  Measured at
+#: R = 0.05: a tail of 3.6e-8 (mode 2 on 10 intervals) leaves 1.1e-12 of the
+#: peak in h and 1.2e-11 in the defect, and one of 1.1e-7 (mode 3 on 12)
+#: 1.8e-11 and 1.5e-10.  Resolved solutions leave about 1e-15, and rounding
+#: 5e-10 on the 1040 intervals lambda = 1e9 takes.
+TAIL_TOL = 1e-8
 
 
 def spherical_j1(x):
@@ -114,74 +111,152 @@ def dispersion_roots(n_roots: int, R: float = 0.0) -> list[float]:
     return roots
 
 
-# ------------------------------------------------------------ shooting solver
+# -------------------------------------------------------- collocation solver
 
 
-#: One row of the radial table: the knot its pieces start from, then the
-#: cubic pieces of r P, r^2 Q and W, highest power first.
-_ROW = struct.Struct("13d")
+def _node_count(x: float) -> int:
+    """Chebyshev intervals N for a solution with up to x/pi half-waves: 16,
+    and 8 more for every 4 pi of x begun.
+
+    Mode j has about j half-waves, so ``find_modes`` passes x = pi n_modes.
+    Measured on R = 0.02-0.247 against 56-72 intervals: N = 24 gives the
+    lowest 6 modes to 1e-11 in x (4 pi reaches past mode 4 only), N = 40
+    the lowest 14, and N = 1040 resolves the regular solution at
+    lambda = 1e9, R = 0.05.  Past about 64 intervals the rounding of the
+    eigenvalues grows towards 1e-11, so N grows no faster than the modes
+    need.
+    """
+    return 16 + 8 * math.ceil(max(x, 0.0) / (4.0 * math.pi))
+
+
+def _chebyshev_nodes(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """y = r/R at the N + 1 Chebyshev-Gauss-Lobatto nodes in s = y^2, the
+    surface first (s_j = cos^2(j pi / 2N)), and the first and second
+    derivative matrices in s.
+
+    Node differences come from x_i - x_j = 2 sin((i+j) pi/2N) sin((j-i) pi/2N)
+    for x = 2 s - 1, the second derivative from the first by the recursion
+    of Weideman and Reddy (ACM TOMS 26, 465, 2000), and each diagonal from
+    the row sum, which keeps the rounding of nearby cosines and of
+    D1 @ D1 out of the matrices.
+    """
+    j = np.arange(N + 1)
+    half = math.pi / (2 * N)
+    y = np.sin((N - j) * half)
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    dx = 2.0 * np.sin(np.add.outer(j, j) * half) * np.sin(np.subtract.outer(j, j) * -half)
+    np.fill_diagonal(dx, 1.0)
+    d1 = np.outer(c, 1.0 / c) / dx
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(axis=1))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dx)
+    np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, -d2.sum(axis=1))
+    return y, 2.0 * d1, 4.0 * d2
+
+
+def _chebyshev_series(g: np.ndarray) -> np.ndarray:
+    """Coefficients a_k of the interpolant g(s) = sum a_k T_k(2 s - 1) of the
+    node values g (surface first): a DCT-I, as the FFT of the even
+    extension."""
+    N = len(g) - 1
+    a = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real / N
+    a[[0, N]] /= 2.0
+    return a
 
 
 class _RadialOperator:
-    """The radial problem as h'' = -P h' + (Q - lam W) h, read from one table.
+    """The radial problem of one star in s = (r/R)^2 on Chebyshev nodes.
 
-    P = alpha1/alpha2, Q = U/alpha2 and W = 1/alpha2 come from one
-    ``_radial_coefficients`` call on the profile knots r > 0.  P and Q are
-    singular at the centre (like 2/r and 2/r^2), so the table holds the
-    regular r P, r^2 Q and W: one cubic spline of the three, one ``_ROW`` per
-    interval of the profile grid.  Interval 0, [0, r_1], continues the first
-    piece and a row past R the last, so row int(r/dr) exists for every r in
-    [0, R]; ``rhs`` unpacks it into floats, ``coefficients`` reads arrays.
+    rP, r^2 Q and W come from one ``_radial_coefficients`` call on the
+    profile knots r > 0 and one cubic spline of the three, which continues
+    its first piece to the centre.  E is the quotient (rP - r^2 Q)/s at every
+    node but the centre, where the quotient is 0/0; there E takes its limit
+    R^2 (12 pi rho_c - m/r^3|_0) from the regular form
+
+        E/R^2 = -q/r + (4 pi rho - m/r^3)/D + 2 q^2 + (2 m/r^3 + 8 pi n^2)/D
+                - 4 pi r n^2 q/D - q',
+
+    in which -q/r - q' -> -2 (m/r^3 + 4 pi (rho - 1)) and D -> 1.  The
+    local wavenumber of the regular solution at lambda is sqrt(lambda W), so
+    it has at most sqrt(lambda max W) R / pi half-waves.  The matrices of
+    each N are built once per operator.
     """
 
     def __init__(self, profile: BackgroundProfile):
         profile.require_metric()
         r = profile.r[1:]
         alpha1, alpha2, U = _radial_coefficients(r, profile.rho[1:], profile.m_over_r3[1:])
-        spline = CubicSpline(r, np.column_stack([r * alpha1 / alpha2, r * r * U / alpha2,
-                                                 1.0 / alpha2]))
-        rows = np.column_stack([r[:-1], spline.c.transpose(1, 2, 0).reshape(-1, 12)])
-        # bytes: 104 per row, where a list of 13 Python floats takes about
-        # 480, and unpacking a row costs about as much as indexing one
-        self._table = np.vstack([rows[:1], rows, rows[-1:]]).tobytes()
-        self._inv_dr = 1.0 / profile.dr
+        self._spline = CubicSpline(r, np.column_stack([r * alpha1 / alpha2, r * r * U / alpha2,
+                                                       1.0 / alpha2]))
         R = self.R = profile.R
         q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))[2]
         self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
-        # accepted steps (rows r, h, h') of the latest shooting_defect on
-        # this operator, None if it failed; find_modes reads them back, so
-        # an operator is not shared between threads that need them
-        self.last_steps: np.ndarray | None = None
+        self.E_centre = R * R * (3.0 * FOUR_PI * float(profile.rho[0])
+                                 - float(profile.m_over_r3[0]))
+        self._W_max = float(np.max(1.0 / alpha2))
+        self._collocations: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def coefficients(self, r):
-        """r P, r^2 Q and W at an array of radii, from the rows ``rhs`` reads."""
-        row = np.frombuffer(self._table).reshape(-1, 13)[(r * self._inv_dr).astype(int)]
-        t = r - row[..., 0]
-        return tuple(((row[..., k] * t + row[..., k + 1]) * t + row[..., k + 2]) * t
-                     + row[..., k + 3] for k in (1, 5, 9))
+        """r P, r^2 Q and W at an array of radii, from the spline."""
+        return tuple(self._spline(r).T)
 
-    def rhs(self, r, y, lam):
-        h, hp = y.tolist()
-        x0, p3, p2, p1, p0, q3, q2, q1, q0, w3, w2, w1, w0 = _ROW.unpack_from(
-            self._table, int(r * self._inv_dr) * _ROW.size)
-        t = r - x0
-        rP = ((p3 * t + p2) * t + p1) * t + p0
-        r2Q = ((q3 * t + q2) * t + q1) * t + q0
-        W = ((w3 * t + w2) * t + w1) * t + w0
-        return [hp, (r2Q * h / r - rP * hp) / r - lam * W * h]
+    def collocation(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L, W, robin) on N intervals: row j of L applies
+        4 s g_ss + 2 (3 + rP) g_s + E g at node j, W is read at the nodes,
+        and robin @ g = g + 2 g_s - kappa R g at s = 1 is h'(R) - kappa h(R)."""
+        if N not in self._collocations:
+            y, d1, d2 = _chebyshev_nodes(N)
+            s = y * y
+            rP, r2Q, W = self.coefficients(self.R * y)
+            E = np.empty_like(s)
+            E[:-1] = (rP[:-1] - r2Q[:-1]) / s[:-1]
+            E[-1] = self.E_centre
+            L = 4.0 * s[:, None] * d2 + (2.0 * (3.0 + rP))[:, None] * d1 + np.diag(E)
+            robin = 2.0 * d1[0]
+            robin[0] += 1.0 - self.kappa * self.R
+            self._collocations[N] = L, W, robin
+        return self._collocations[N]
 
-    def stages(self, nodes, lam):
-        """The right-hand side at every stage node of a dense output at once:
-        the table is read once for all ``nodes``, and ``f(s, y)`` gives
-        (h', h'') at stage row s for stage values y = (h, h')."""
-        rP, r2Q, W = self.coefficients(nodes)
+    def eigenvalues(self, N: int) -> np.ndarray:
+        """Every x^2 on N intervals, ascending in real part.  The Robin row
+        gives the surface value from the others, which leaves W^-1 times the
+        remaining rows as one N x N matrix."""
+        L, W, robin = self.collocation(N)
+        surface = -robin[1:] / robin[0]
+        x2 = np.linalg.eigvals((L[1:, 1:] + np.outer(L[1:, 0], surface)) / -W[1:, None])
+        return x2[np.argsort(x2.real)]
 
-        def f(s, y):
-            h, hp = y
-            r = nodes[s]
-            return hp, (r2Q[s] * h / r - rP[s] * hp) / r - lam * W[s] * h
+    def regular(self, lam: float) -> tuple[np.ndarray, float]:
+        """Chebyshev coefficients of the regular solution g at lam, with
+        g(0) = 1, and its defect h'(R) - kappa h(R), on
+        ``_node_count(sqrt(lam max W) R)`` intervals.
 
-        return f
+        Every interior and centre row is kept and the surface row becomes
+        g(0) = 1.  A singular or non-finite solve, or a Chebyshev tail above
+        ``TAIL_TOL``, raises ``ConvergenceError``.
+        """
+        if not math.isfinite(lam):
+            raise ConvergenceError(f"regular solution: lam = {lam!r} is not finite")
+        N = _node_count(math.sqrt(max(lam, 0.0) * self._W_max) * self.R)
+        L, W, robin = self.collocation(N)
+        M = L + np.diag((lam * self.R * self.R) * W)
+        M[0] = 0.0
+        M[0, N] = 1.0
+        rhs = np.zeros(N + 1)
+        rhs[0] = 1.0
+        try:
+            g = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"regular solution at lam = {lam!r}: {exc}") from exc
+        a = _chebyshev_series(g)
+        tail = float(np.max(np.abs(a[-3:])) / np.max(np.abs(a)))
+        if not tail <= TAIL_TOL:
+            raise ConvergenceError(
+                f"regular solution at lam = {lam!r} is unresolved on {N} Chebyshev intervals: "
+                f"tail {tail:.3g} of its largest coefficient > {TAIL_TOL:g}"
+            )
+        return a, float(robin @ g)
 
 
 def _radial_coefficients(r, rho, mor3):
@@ -191,42 +266,25 @@ def _radial_coefficients(r, rho, mor3):
     return alpha1, alpha2, -bracket / n2
 
 
-def _series_start(lam: float, r_s: float) -> tuple[float, float]:
-    # flat-limit Frobenius start; star corrections enter at O(R^2 r_s^2)
-    h = r_s - lam * r_s**3 / 10.0 + lam * lam * r_s**5 / 280.0
-    hp = 1.0 - 3.0 * lam * r_s**2 / 10.0 + lam * lam * r_s**4 / 56.0
-    return h, hp
-
-
-def _shoot(op: _RadialOperator, lam: float) -> np.ndarray | None:
-    """Accepted steps, rows (r, h, h'), of the regular solution at trial
-    eigenvalue lam, from the series start at 1e-4 R (the first row) out to
-    R (the last), or None if the compiled run fails."""
-    R = op.R
-    r_s = 1e-4 * R
-    try:
-        return run(functools.partial(op.rhs, lam=lam), r_s, _series_start(lam, r_s), R,
-                   SHOOTING_RTOL, SHOOTING_RTOL * R)
-    except ConvergenceError:
-        return None
+def _on_grid(profile: BackgroundProfile, a: np.ndarray) -> np.ndarray:
+    """h = r g(s) on ``profile.r`` from g's Chebyshev coefficients (Clenshaw)."""
+    y = profile.r / profile.R
+    return _readonly(profile.r * chebval(2.0 * y * y - 1.0, a))
 
 
 def shooting_defect(profile: BackgroundProfile, lam: float,
                     operator: _RadialOperator | None = None) -> float:
     """h'(R) - kappa h(R) for the regular solution at trial eigenvalue lam,
-    integrated from the series start at 1e-4 R out to R.
+    normalised to unit central slope (``_RadialOperator.regular``).
 
-    Analytic in lam, so its sign changes are exactly the eigenvalues.
-    Returns NaN if the integration fails or ends non-finite.  The accepted
-    steps are left on the operator as ``last_steps``.
+    Analytic in lam, so its zeros are exactly the eigenvalues.  Returns NaN
+    if the solve fails, ends non-finite or is unresolved.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    steps = op.last_steps = _shoot(op, lam)
-    if steps is None:
+    try:
+        return op.regular(lam)[1]
+    except ConvergenceError:
         return math.nan
-    _, h, hp = steps[-1].tolist()
-    defect = hp - op.kappa * h
-    return defect if math.isfinite(defect) else math.nan
 
 
 @dataclass(frozen=True)
@@ -235,12 +293,9 @@ class Mode:
 
     eigenvalue: float
     x: float                  # sqrt(lambda) R
-    h: np.ndarray             # eigenfunction on profile.r, read from the
-                              # dense output of the run that gave defect
-    defect: float             # shooting defect at the converged eigenvalue
-    # True when the first bracket of find_modes held no sign change of the
-    # defect and had to be widened
-    rescanned: bool = False
+    h: np.ndarray             # eigenfunction on profile.r, from the regular
+                              # solve at the eigenvalue that gave defect
+    defect: float             # h'(R) - kappa h(R) of that solve
 
     @property
     def frequency(self) -> float:
@@ -253,148 +308,52 @@ class Mode:
 
 def eigenfunction(profile: BackgroundProfile, lam: float,
                   operator: _RadialOperator | None = None) -> np.ndarray:
-    """Regular solution h on the profile grid, normalised to unit central slope.
+    """Regular solution h on the profile grid, with unit central slope.
 
-    One compiled integration, ``shooting_defect``'s (same start, pair and
-    tolerances), read on the grid from the pair's dense output over its
-    accepted steps (``_dense_profile``).  A failed integration raises
-    ``ConvergenceError``.
+    The solve ``shooting_defect`` makes, summed on the grid.  A failed or
+    unresolved solve raises ``ConvergenceError``.
     """
     op = operator if operator is not None else _RadialOperator(profile)
-    steps = _shoot(op, lam)
-    if steps is None:
-        raise ConvergenceError(f"eigenfunction integration failed at lam={lam}")
-    return _dense_profile(profile, op, lam, steps)
-
-
-def _dense_profile(profile: BackgroundProfile, op: _RadialOperator, lam: float,
-                   steps: np.ndarray) -> np.ndarray:
-    """h on ``profile.r`` from the accepted ``steps`` of one compiled run,
-    normalised to unit central slope.
-
-    The run's dense output (``_shooting.dense_output``) takes every stage's
-    table values from one ``op.coefficients`` call (``op.stages``).  The
-    slope is fitted as h = a r + b r^3 over the innermost grid nodes;
-    dividing by a removes the O(r^2) bias a single-node ratio would keep.
-    """
-    h = np.empty(profile.grid_n)
-    h[0] = 0.0
-    h[1:] = dense_output(steps, profile.r[1:], functools.partial(op.stages, lam=lam))[0]
-    pts = slice(1, 9)
-    basis = np.column_stack([profile.r[pts], profile.r[pts] ** 3])
-    coef, *_ = np.linalg.lstsq(basis, h[pts], rcond=None)
-    return _readonly(h / coef[0])
-
-
-def _discrete_x(profile: BackgroundProfile, count: int) -> tuple[list[float], list[float]]:
-    """x = sqrt(mu) R of the lowest ``count`` eigenvalues of the discrete wave
-    operator, Richardson-extrapolated from two chi grids, and the shift
-    |x_2n - x_n| between the grids.
-
-    The discrete error is first order in dchi (the shell coordinate
-    degenerates at the centre), so the extrapolation uses the exact dchi
-    ratio of the two grids.  An eigenvalue that is not positive has no x and
-    raises ``ConvergenceError``.
-    """
-    n = max(SEED_N_CHI, 10 * count)
-    xs, dchis = [], []
-    for n_chi in (n, 2 * n):
-        coeffs = assemble_coefficients(profile, n_chi=n_chi)
-        mu = operator_eigenvalues(coeffs, 0, count - 1)
-        for j, mu_j in enumerate(mu.tolist()):
-            if not mu_j > 0.0:
-                raise ConvergenceError(
-                    f"mode {j + 1}: discrete eigenvalue mu = {mu_j:.6g} on {n_chi} shells "
-                    f"is not positive, so x = sqrt(mu) R does not exist"
-                )
-        xs.append(np.sqrt(mu) * profile.R)
-        dchis.append(coeffs.dchi)
-    shift = xs[1] - xs[0]
-    return (xs[1] + shift / (dchis[0] / dchis[1] - 1.0)).tolist(), np.abs(shift).tolist()
+    return _on_grid(profile, op.regular(lam)[0])
 
 
 def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
-    """Locate the lowest ``n_modes`` eigenvalues: bracket each from the
-    discrete spectrum, then refine it by shooting, each trial x shot once per
-    call.
+    """The lowest ``n_modes`` eigenvalues from one eigenvalue solve, each
+    with its eigenfunction.
 
-    The wave operator on the chi grid is a Sturm-Liouville discretisation of
-    the same problem, so its j-th eigenvalue belongs to the j-th mode.  Its
-    lowest eigenvalues on two grids (``SEED_N_CHI`` shells and twice that),
-    extrapolated in dchi, give an estimate x_j and an error scale
-    d_j = |x_2n - x_n|.  Mode j is bracketed at x_j +- 4 d_j; while the
-    shooting defect does not change sign between two finite end values, the
-    half-width doubles (``Mode.rescanned`` records that it did).  A bracket
-    that reaches a neighbouring estimate x_(j-1) or x_(j+1) (or 0) raises
-    ``ConvergenceError``, and so does a non-positive discrete eigenvalue
-    (before any shooting).  ``brentq`` then refines the sign change; a failed
-    defect evaluation (NaN) inside the bracket raises ``ConvergenceError``.
-
-    Each call keeps its defects by x, with the accepted steps of each
-    integration, so ``brentq`` starts from the two bracket ends already
-    shot, and ``Mode.defect`` is the value at brentq's root and ``Mode.h``
-    the dense output of that same integration, not a fresh one.
+    The eigenvalue solve runs on ``_node_count(pi n_modes)`` intervals,
+    since the organ-pipe spacing keeps x_j below j pi.  A requested x^2 that
+    is complex beyond rounding, or a lambda that is not positive and finite,
+    raises ``ConvergenceError``.  ``Mode.h`` and ``Mode.defect`` come from one
+    regular solve at each eigenvalue, the one ``eigenfunction`` and
+    ``shooting_defect`` make: so ``Mode.h`` is ``eigenfunction(profile,
+    lambda_j)`` bit for bit, and ``Mode.defect`` is not zero by construction
+    but shows how far x_j misses a zero of the regular solve's defect.  An
+    unresolved regular solve raises ``ConvergenceError`` too.
     """
     op = _RadialOperator(profile)
     R = profile.R
-    x_est, shift = _discrete_x(profile, n_modes + 1)
-    shot: dict[float, tuple[float, np.ndarray | None]] = {}
-
-    def defect_at_x(x: float) -> float:
-        if x not in shot:
-            shot[x] = (shooting_defect(profile, (x / R) ** 2, op), op.last_steps)
-        return shot[x][0]
-
+    N = _node_count(math.pi * n_modes)
     modes = []
-    with _Severable(defect_at_x) as defect:
-        for j in range(n_modes):
-            lo, hi, widened = _sign_bracket(defect, j, x_est, shift[j])
-            try:
-                x = brentq(defect, lo, hi, xtol=1e-12, rtol=8.9e-16)
-            except ValueError as exc:  # brentq's guard against a NaN value
-                raise ConvergenceError(f"mode {j + 1}: {exc}") from exc
-            lam = (x / R) ** 2
-            root_defect, steps = shot[x]
-            modes.append(
-                Mode(
-                    eigenvalue=lam,
-                    x=x,
-                    h=_dense_profile(profile, op, lam, steps),
-                    defect=root_defect,
-                    rescanned=widened,
-                )
-            )
-    return modes
-
-
-def _sign_bracket(defect, j: int, x_est: list[float], shift: float) -> tuple[float, float, bool]:
-    """Bracket [lo, hi] of mode j about x_est[j] with finite defect values of
-    opposite sign, starting at half-width 4 * shift and doubling; the flag
-    says whether it had to widen.  A half-width that is zero or not finite
-    could never widen, so it raises before any shooting."""
-    floor = x_est[j - 1] if j else 0.0
-    ceiling = x_est[j + 1]
-    half = 4.0 * shift
-    if not 0.0 < half < math.inf:
-        raise ConvergenceError(
-            f"mode {j + 1}: bracket half-width {half!r} about x = {x_est[j]:.6g} "
-            f"is not positive and finite"
-        )
-    widened = False
-    while True:
-        lo, hi = x_est[j] - half, x_est[j] + half
-        if lo <= floor or hi >= ceiling:
+    for j, x2 in enumerate(op.eigenvalues(N)[:n_modes].tolist()):
+        if abs(x2.imag) > 1e-10 * abs(x2):
             raise ConvergenceError(
-                f"mode {j + 1}: no sign change of the shooting defect between finite "
-                f"values in x = {x_est[j]:.6g} +- {half:.3g} short of the "
-                f"neighbouring discrete eigenvalues"
+                f"mode {j + 1}: eigenvalue x^2 = {x2:.6g} on {N} Chebyshev intervals is "
+                f"complex beyond rounding"
             )
-        f_lo, f_hi = defect(lo), defect(hi)
-        finite = math.isfinite(f_lo) and math.isfinite(f_hi)
-        if finite and (f_lo < 0.0) != (f_hi < 0.0):
-            return lo, hi, widened
-        half *= 2.0
-        widened = True
+        lam = x2.real / (R * R)
+        if not 0.0 < lam < math.inf:
+            raise ConvergenceError(
+                f"mode {j + 1}: eigenvalue lambda = {lam:.6g} on {N} Chebyshev intervals "
+                f"is not positive and finite, so x = sqrt(lambda) R does not exist"
+            )
+        try:
+            a, defect = op.regular(lam)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"mode {j + 1}: {exc}") from exc
+        modes.append(Mode(eigenvalue=lam, x=math.sqrt(x2.real), h=_on_grid(profile, a),
+                          defect=defect))
+    return modes
 
 
 # ------------------------------------------------------- operator splitting

@@ -1,33 +1,33 @@
-"""Reference shooting on scipy's Python-stepped RK45 and DOP853, and the
-exact-formula right-hand side they integrate.
+"""Reference shooting of the radial problem on scipy's Python-stepped RK45
+and DOP853, on the exact-formula right-hand side.
 
-``hardstars.modes`` steps the radial problem with the compiled
-Dormand-Prince 8(5,3) pair on a right-hand side read from one table of
-cubic pieces.  This oracle integrates ``NdarrayRowRhs`` instead, from the
-same series start with ``solve_ivp``'s RK45, a different pair with
-different step control, so the two agree only as far as the table, and
-both integrations, are accurate.
+``hardstars.modes`` solves the radial problem by Chebyshev collocation in
+s = (r/R)^2, on coefficients read from one cubic spline.  This oracle
+integrates ``NdarrayRowRhs`` outward with ``solve_ivp`` instead, so the two
+agree only as far as the spline, the collocation and the integration are
+accurate.
 
-``dop853_ivp_eigenfunction`` is the path ``modes.eigenfunction`` once took:
-the same pair and tolerances stepped by ``solve_ivp`` and read on the grid
-from its dense output.  Its steps differ from the compiled runner's, so it
-too agrees only to the integration accuracy.
+The start is the star's own Frobenius series h = r + c3 r^3 at 1e-4 R, with
+c3 = -(lam W(0) + E(0)/R^2)/10 from the centre values W(0) = 2 rho_c - 1
+and E(0)/R^2 = 12 pi rho_c - m/r^3|_0.  That is the centre row of the
+problem in s, 10 g_s + E(0) g = -x^2 W(0) g, solved for g = 1 + c3 R^2 s.
+The neglected r^5 term is below 1e-14 of h there for x up to 10, so the
+solution has unit central slope to rounding, and no fit is needed.
 
 ``NdarrayRowRhs`` evaluates the radial coefficients by their formulas
 (``_radial_coefficients``) at every call, from a spline of the background
 fields (rho, m/r^3), one ndarray row converted by ``tolist`` per call.
-The table ``_RadialOperator`` reads interpolates the same coefficients
-between the profile knots, so the two right-hand sides agree to the
-interpolation error, not bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from hardstars.modes import SHOOTING_RTOL, _radial_coefficients, _series_start
+from hardstars.modes import _radial_coefficients
 
 
 class NdarrayRowRhs:
@@ -54,46 +54,32 @@ class NdarrayRowRhs:
         return [hp, (-alpha1 * hp + (U - lam) * h) / alpha2]
 
 
-def rk45_solution(profile, lam, rtol, t_eval=None):
-    """RK45 run of the exact-formula regular solution at ``lam`` from
-    1e-4 R to R, with absolute tolerance ``rtol`` * R."""
+def frobenius_start(profile, lam, r_s):
+    """(h, h') of h = r + c3 r^3 at r_s."""
+    rho_c, mor3_c = float(profile.rho[0]), float(profile.m_over_r3[0])
+    c3 = -(lam * (2.0 * rho_c - 1.0) + 12.0 * math.pi * rho_c - mor3_c) / 10.0
+    return r_s + c3 * r_s**3, 1.0 + 3.0 * c3 * r_s**2
+
+
+def ivp_solution(profile, lam, rtol, t_eval=None, method="RK45"):
+    """``solve_ivp`` run of the exact-formula regular solution at ``lam``
+    from 1e-4 R to R, with absolute tolerance ``rtol`` * R."""
     R = profile.R
     r_s = 1e-4 * R
-    sol = solve_ivp(NdarrayRowRhs(profile), (r_s, R), _series_start(lam, r_s), args=(lam,),
-                    method="RK45", rtol=rtol, atol=rtol * R, t_eval=t_eval)
+    sol = solve_ivp(NdarrayRowRhs(profile), (r_s, R), frobenius_start(profile, lam, r_s),
+                    args=(lam,), method=method, rtol=rtol, atol=rtol * R, t_eval=t_eval)
     assert sol.success, sol.message
     return sol
 
 
 def rk45_defect(profile, op, lam, rtol=1e-12):
     """h'(R) - kappa h(R) from an RK45 run, with ``op``'s kappa."""
-    sol = rk45_solution(profile, lam, rtol)
+    sol = ivp_solution(profile, lam, rtol)
     return float(sol.y[1][-1] - op.kappa * sol.y[0][-1])
 
 
-def rk45_eigenfunction(profile, lam, rtol=1e-10):
-    """RK45 dense output on the profile grid, normalised to unit central
-    slope by the fit h = a r + b r^3 over the innermost nodes."""
-    sol = rk45_solution(profile, lam, rtol, t_eval=profile.r[1:])
-    return _unit_slope(profile, sol.y[0])
-
-
-def dop853_ivp_eigenfunction(profile, lam):
-    """``solve_ivp`` DOP853 dense output of the exact-formula solution on the
-    profile grid at the shooting tolerances, normalised like
-    ``rk45_eigenfunction``."""
-    R = profile.R
-    r_s = 1e-4 * R
-    sol = solve_ivp(NdarrayRowRhs(profile), (r_s, R), _series_start(lam, r_s), args=(lam,),
-                    method="DOP853", t_eval=profile.r[1:], rtol=SHOOTING_RTOL,
-                    atol=SHOOTING_RTOL * R)
-    assert sol.success, sol.message
-    return _unit_slope(profile, sol.y[0])
-
-
-def _unit_slope(profile, h_inner):
-    h = np.concatenate([[0.0], h_inner])
-    pts = slice(1, 9)
-    basis = np.column_stack([profile.r[pts], profile.r[pts] ** 3])
-    coef, *_ = np.linalg.lstsq(basis, h[pts], rcond=None)
-    return h / coef[0]
+def ivp_eigenfunction(profile, lam, rtol=1e-12, method="RK45"):
+    """The regular solution on the profile grid from the run's dense output,
+    with unit central slope from the start."""
+    sol = ivp_solution(profile, lam, rtol, t_eval=profile.r[1:], method=method)
+    return np.concatenate([[0.0], sol.y[0]])

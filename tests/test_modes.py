@@ -16,10 +16,12 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from hardstars import StarParameters, _shooting, build_star, modes
+from hardstars.background import FOUR_PI, metric_terms
 from hardstars.errors import ConvergenceError
 from hardstars.evolution import assemble_coefficients, evolve
 from hardstars.modes import (
     X1_LIMIT,
+    _node_count,
     _RadialOperator,
     apply_H,
     apply_H0,
@@ -35,12 +37,7 @@ from hardstars.modes import (
 )
 from hardstars.numerics import scan_sign_changes
 from hardstars.variation import detuned_profile
-from shooting_oracle import (
-    NdarrayRowRhs,
-    dop853_ivp_eigenfunction,
-    rk45_defect,
-    rk45_eigenfunction,
-)
+from shooting_oracle import NdarrayRowRhs, ivp_eigenfunction, rk45_defect
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -56,26 +53,28 @@ def modes_r005(star_r005):
 
 
 def _window_scan_x(profile, n_modes, scan_step=0.02, window=0.45):
-    """Reference mode locator by dispersion-window scans, independent of the
-    discrete spectrum that seeds ``find_modes``.
+    """Reference mode locator by dispersion-window scans of the RK45
+    oracle's defect, independent of the collocation behind ``find_modes``.
 
     Each small-star dispersion root seeds a window of half-width ``window``
-    in x; the shooting defect is sign-scanned there and the crossing closest
-    to the seed is refined.  An empty window, or spacings off the organ-pipe
-    spacing pi by more than half, triggers a quarter-step rescan.
+    in x; the defect is sign-scanned there at rtol 1e-9 (a sign away from a
+    zero does not need more) and the crossing closest to the seed is refined
+    by ``brentq`` on the defect at rtol 1e-12.  An empty window, or spacings
+    off the organ-pipe spacing pi by more than half, triggers a quarter-step
+    rescan.
     """
-    op = _RadialOperator(profile)
+    op = _RadialOperator(profile)   # for kappa only
     R = profile.R
     seeds = dispersion_roots(n_modes, R)
 
-    def defect_at_x(x):
-        return shooting_defect(profile, (x / R) ** 2, op)
+    def defect_at_x(x, rtol=1e-12):
+        return rk45_defect(profile, op, (x / R) ** 2, rtol)
 
     def refine(lo, hi):
         return brentq(defect_at_x, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
     def collect(lo, hi, step):
-        return scan_sign_changes(defect_at_x, np.arange(lo, hi, step))
+        return scan_sign_changes(lambda x: defect_at_x(x, 1e-9), np.arange(lo, hi, step))
 
     roots_x = []
     for seed in seeds:
@@ -99,6 +98,13 @@ def star_r019_shooting():
 @pytest.fixture(scope="module")
 def modes_r019(star_r019_shooting):
     return find_modes(star_r019_shooting, n_modes=3)
+
+
+@pytest.fixture(scope="module")
+def star_r0247_shooting():
+    # the most compact star the shooting solver reaches, where W = n^2/D
+    # peaks at 2.75
+    return build_star(StarParameters(R=0.247, grid_n=801), solver="shooting")
 
 
 # ----------------------------------------------------------- special function
@@ -160,7 +166,7 @@ def test_model_root_moves_up_with_radius():
     assert dispersion_function(x0, R=0.1) != 0.0
 
 
-# ------------------------------------------------------------------ shooting
+# --------------------------------------------------------------- collocation
 
 
 def test_find_modes_pinned(modes_r005):
@@ -169,7 +175,6 @@ def test_find_modes_pinned(modes_r005):
     for g, w in zip(got, want):
         assert g == pytest.approx(w, abs=5e-8)
     assert all(abs(m.defect) <= 1e-12 for m in modes_r005)
-    assert not any(m.rescanned for m in modes_r005)
     gaps = np.diff(got)
     assert np.all(np.abs(gaps - math.pi) < 0.5 * math.pi)
 
@@ -213,9 +218,9 @@ def test_eigenfunction_center_normalisation(star_r005, modes_r005):
 
 
 def test_eigenfunction_on_nodes_inside_the_series_start():
-    # at grid_n 20001 the first node r = 5e-5 R lies inside the series start
-    # 1e-4 R; it is read from the first step's dense output (solve_ivp's
-    # t_eval refused such nodes with a ValueError)
+    # at grid_n 20001 the first node r = 5e-5 R lies inside 1e-4 R, where a
+    # shooting series start would begin; the collocation has no start and
+    # sums g's Chebyshev series at every node alike
     star = build_star(StarParameters(R=0.05, grid_n=20001))
     assert star.r[1] < 1e-4 * star.R
     m = find_modes(star, n_modes=1)[0]
@@ -247,15 +252,19 @@ def test_find_modes_matches_window_scan(star_r005, modes_r005):
 
 @pytest.mark.parametrize("which", ["r005", "r019"])
 def test_shooting_matches_rk45_oracle(which, request):
-    # RK45 at rtol 1e-12 is good to about 1e-12 in the defect (it moves by
-    # 1e-12 against rtol 1e-13).  Measured worst gaps over modes 1-3 of both
-    # stars: defect 1.8e-11, located x 4.7e-11, eigenfunction 2.8e-10 of its
-    # peak against the RK45 rtol 1e-10 dense output the modes used before.
-    # The oracle integrates the exact-formula right-hand side, not the table.
+    # RK45 at rtol 1e-12 is good to about 1e-12 in the defect.  Measured
+    # worst gaps over modes 1-3 of both stars: defect 1.1e-12, and 2.7e-12
+    # between the peak-normalised eigenfunctions.  The oracle integrates the
+    # exact-formula right-hand side from its own Frobenius start, not the
+    # spline the collocation reads.
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     found = request.getfixturevalue(f"modes_{which}")
     op = _RadialOperator(star)
     R = star.R
+
+    def shape(h):
+        return h / np.max(np.abs(h))
+
     for m in found:
         for lam in (m.eigenvalue, 0.98 * m.eigenvalue, 1.02 * m.eigenvalue):
             assert shooting_defect(star, lam, op) == pytest.approx(
@@ -265,14 +274,14 @@ def test_shooting_matches_rk45_oracle(which, request):
                  - shooting_defect(star, ((m.x - dx) / R) ** 2, op)) / (2.0 * dx)
         # one Newton step on the oracle's defect from the located x
         assert abs(rk45_defect(star, op, m.eigenvalue) / slope) <= 1e-10
-        h_rk45 = rk45_eigenfunction(star, m.eigenvalue)
-        assert np.max(np.abs(m.h - h_rk45)) <= 1e-9 * np.max(np.abs(m.h))
+        h_rk45 = ivp_eigenfunction(star, m.eigenvalue)
+        assert np.max(np.abs(shape(m.h) - shape(h_rk45))) <= 1e-9
 
 
 @pytest.mark.parametrize("which", ["r005", "r019"])
 def test_eigenfunction_is_the_located_run(which, request):
-    # find_modes reads Mode.h from the root's own integration; a standalone
-    # eigenfunction repeats that integration step for step
+    # find_modes reads Mode.h from the regular solve at each eigenvalue; a
+    # standalone eigenfunction repeats that solve operation for operation
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     op = _RadialOperator(star)
     for m in request.getfixturevalue(f"modes_{which}"):
@@ -282,50 +291,49 @@ def test_eigenfunction_is_the_located_run(which, request):
 
 @pytest.mark.parametrize("which", ["r005", "r019"])
 def test_dense_output_matches_solve_ivp_oracle(which, request):
-    # the compiled run's dense output against solve_ivp's DOP853 dense
-    # output at the same tolerances, the path eigenfunction took before;
-    # the two step sequences differ, so they agree only as far as both are
-    # accurate (measured worst gap 3.9e-10 of the peak over both stars)
+    # the Chebyshev series summed on the grid against solve_ivp's DOP853
+    # dense output of the exact-formula solution at rtol 1e-12, on and off
+    # the eigenvalues; both have unit central slope (measured worst gap
+    # 3.9e-12 of the peak over both stars)
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     op = _RadialOperator(star)
     for m in request.getfixturevalue(f"modes_{which}"):
         for lam in (m.eigenvalue, 0.97 * m.eigenvalue):
             h = eigenfunction(star, lam, op)
-            h_ivp = dop853_ivp_eigenfunction(star, lam)
+            h_ivp = ivp_eigenfunction(star, lam, method="DOP853")
             assert np.max(np.abs(h - h_ivp)) <= 1e-9 * np.max(np.abs(h_ivp))
 
 
 def test_shooting_defect_retains_no_memory_per_call(star_r005):
-    # scipy's dop853 runner keeps references on every integration; the
-    # shared integrator and the cut forwarders (right-hand side and step
-    # recorder) keep that from growing with the number of calls (a fresh
-    # integrator per call retains about 1.1 KB), for the defect and for the
-    # eigenfunction alike.  A small lam keeps the traced integrations short.
+    # an operator builds its matrices once for each number of intervals and
+    # keeps nothing else from a call, for the defect and the eigenfunction
+    # alike
     op = _RadialOperator(star_r005)
     lam = 1.0
     calls = 200
-    for integrate in (shooting_defect, eigenfunction):
-        integrate(star_r005, lam, op)
+    for solve in (shooting_defect, eigenfunction):
+        solve(star_r005, lam, op)
         # only what is allocated after start() is traced, so no collection
-        # is needed before it (and one there triples the traced run time)
+        # is needed before it
         tracemalloc.start()
         try:
             for _ in range(calls):
-                integrate(star_r005, lam, op)
+                solve(star_r005, lam, op)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained / calls < 512, integrate.__name__
+        assert retained / calls < 512, solve.__name__
 
 
 def test_shooting_defect_is_thread_safe(star_r005, star_r01):
-    # the cached integrators and the forwarder they call are shared by every
-    # thread; two radii give two integrators, two eigenvalues share each
-    cases = [(star, _RadialOperator(star), lam)
+    # each star's fresh operator is shared by the threads of its two
+    # eigenvalues, which build and read its matrices concurrently
+    ops = {star.R: _RadialOperator(star) for star in (star_r005, star_r01)}
+    cases = [(star, ops[star.R], lam)
              for star, lams in ((star_r005, (1.0e3, 1.4e4)), (star_r01, (500.0, 3.5e3)))
              for lam in lams]
-    want = [shooting_defect(star, lam, op) for star, op, lam in cases]
+    want = [shooting_defect(star, lam, _RadialOperator(star)) for star, _, lam in cases]
 
     def repeat(star, op, lam):
         return [shooting_defect(star, lam, op) for _ in range(5)]
@@ -341,49 +349,31 @@ def test_shooting_defect_is_thread_safe(star_r005, star_r01):
     assert got == [[w] * 5 for w in want]
 
 
-def test_rhs_reads_the_vectorised_table(star_r005):
-    # each right-hand-side call reads one row of the table in Python floats;
-    # the dense output and apply_H read the same rows on arrays.  The three
-    # probes give -P, Q and Q - 1e30 W (W dominates by over 1e18).
-    op = _RadialOperator(star_r005)
-    R = star_r005.R
-    rng = np.random.default_rng(29)
-    radii = np.concatenate([
-        R * np.exp(rng.uniform(math.log(1e-4), 0.0, 50)),  # dense near the centre
-        rng.uniform(1e-4 * R, R, 48),
-        [star_r005.r[1000], R],                             # a knot and the surface
-    ])
-    rP, r2Q, W = op.coefficients(radii)
-    P, Q = rP / radii, r2Q / radii**2
-    for (h, hp), lam in (((0.0, 1.0), 0.0), ((1.0, 0.0), 0.0), ((1.0, 0.0), 1e30)):
-        want = -P * hp + (Q - lam * W) * h
-        got = np.array([op.rhs(r, np.array([h, hp]), lam)[1] for r in radii.tolist()])
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (h, hp, lam)
-
-
 @pytest.mark.parametrize("which", ["r005", "r019"])
 def test_rhs_matches_exact_formula_oracle(which, request):
-    # the table interpolates r P, r^2 Q and W between the profile knots; the
-    # oracle evaluates alpha1, alpha2 and U by their formulas at every call.
-    # Gaps are relative to the sum of the magnitudes of the terms.  Measured
-    # worst: 3.9e-14 over 400 radii between the knots of each star, and
-    # 4.1e-16 at the knots, where the table holds the formulas' values (a
-    # table read one interval off misses them by 1.5e-15 at R = 0.05 and
-    # 2.1e-13 at R = 0.19).
+    # the collocation reads r P, r^2 Q and W from a cubic spline between the
+    # profile knots; the oracle evaluates alpha1, alpha2 and U by their
+    # formulas.  The radial right-hand side -P h' + (Q - lam W) h built from
+    # each is compared, relative to the sum of the magnitudes of its terms.
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     op = _RadialOperator(star)
     oracle = NdarrayRowRhs(star)
     R, r = star.R, star.r
     rng = np.random.default_rng(31)
 
-    def gap(k, rad):
-        lam = (2.0 + k % 9) ** 2 / R**2
-        h, hp = rng.uniform(-1.0, 1.0) * rad, rng.uniform(-2.0, 2.0)
-        y = np.array([h, hp])
-        alpha1, alpha2, U = oracle.coefficients_at(rad)
-        got, want = op.rhs(rad, y, lam), oracle(rad, y, lam)
-        assert got[0] == want[0]
-        return abs(got[1] - want[1]) * alpha2 / (abs(alpha1 * hp) + abs(U * h) + abs(lam * h))
+    def gaps(radii):
+        radii = np.asarray(radii)
+        rP, r2Q, W = op.coefficients(radii)
+        out = []
+        for k, (rad, p, q, w) in enumerate(zip(radii.tolist(), rP.tolist(), r2Q.tolist(),
+                                               W.tolist())):
+            lam = (2.0 + k % 9) ** 2 / R**2
+            h, hp = rng.uniform(-1.0, 1.0) * rad, rng.uniform(-2.0, 2.0)
+            alpha1, alpha2, U = oracle.coefficients_at(rad)
+            got = (q * h / rad - p * hp) / rad - lam * w * h
+            want = oracle(rad, np.array([h, hp]), lam)[1]
+            out.append(abs(got - want) * alpha2 / (abs(alpha1 * hp) + abs(U * h) + abs(lam * h)))
+        return np.array(out)
 
     between = [
         *(R * np.exp(rng.uniform(math.log(1e-4), 0.0, 48))).tolist(),  # dense near the centre
@@ -392,185 +382,141 @@ def test_rhs_matches_exact_formula_oracle(which, request):
         float(0.5 * (r[-2] + r[-1])),         # the last interval
         float(np.nextafter(r[-2], 0.0)),      # just below it
     ]
-    for k, rad in enumerate(between):
-        assert gap(k, rad) <= 1e-13, rad
-    for k, rad in enumerate(r[1:].tolist()):  # every knot, the surface last
-        assert gap(k, rad) <= 1e-15, rad
+    assert np.max(gaps(between)) <= 1e-13
+    assert np.max(gaps(r[1:])) <= 1e-15       # every knot, the surface last
 
 
-class _FailsWhere:
-    """Stand-in for a cached ``dop853`` integrator that runs the real one but
-    reports failure for the trial eigenvalues ``fails(lam)`` selects.  It
-    reads lam from the right-hand side the integrator is about to call,
-    where ``modes`` binds it, and logs each integration's lam."""
-
-    def __init__(self, solver, fails, log):
-        self.solver = solver
-        self.fails = fails
-        self.log = log
-        self.lam = None
-
-    def set_initial_value(self, y, t):
-        self.solver.set_initial_value(y, t)
-        return self
-
-    def integrate(self, t):
-        self.lam = _shooting._RHS.fn.keywords["lam"]
-        self.log.append(self.lam)
-        return self.solver.integrate(t)
-
-    def successful(self):
-        return self.solver.successful() and not self.fails(self.lam)
-
-
-def _fail_defects(monkeypatch, fails):
-    """Make the compiled integrations at the lam ``fails`` selects report
-    failure; returns the list of every integration's lam."""
-    real = _shooting._dop853
-    log = []
-    monkeypatch.setattr(_shooting, "_dop853",
-                        lambda rtol, atol: _FailsWhere(real(rtol, atol), fails, log))
-    return log
+def test_centre_potential_closed_form(star_r005, star_r019_shooting):
+    # E = (rP - r^2 Q)/s is 0/0 at the centre.  Its regular form, with q/r
+    # and q' written out, gives the centre value the operator uses, and away
+    # from the centre it equals the quotient of the spline's values
+    for star in (star_r005, star_r019_shooting):
+        op = _RadialOperator(star)
+        R, r, rho, mor3 = star.R, star.r, star.rho, star.m_over_r3
+        n2, D, q = metric_terms(r, rho, mor3)
+        q_over_r = (mor3 + FOUR_PI * (rho - 1.0)) / D
+        # q' by the quotient rule on q = N/D, with rho' = -n^2 q
+        N = mor3 * r + FOUR_PI * r * (rho - 1.0)
+        N_prime = FOUR_PI * rho - 2.0 * mor3 + FOUR_PI * (rho - 1.0) - FOUR_PI * r * n2 * q
+        D_prime = -2.0 * FOUR_PI * r * rho + 2.0 * mor3 * r
+        q_prime = (N_prime * D - N * D_prime) / (D * D)
+        E = R * R * (-q_over_r + (FOUR_PI * rho - mor3) / D + 2.0 * q * q
+                     + (2.0 * mor3 + 2.0 * FOUR_PI * n2) / D - FOUR_PI * r * n2 * q / D - q_prime)
+        assert E[0] == pytest.approx(op.E_centre, rel=1e-14)
+        s = (r / R) ** 2
+        far = s >= 1e-3
+        rP, r2Q, _ = op.coefficients(r[far])
+        # the quotient loses digits like 1/s: measured worst 7.7e-12 (R = 0.05)
+        assert np.max(np.abs((rP - r2Q) / s[far] - E[far]) / np.abs(E[far])) <= 2e-11
 
 
-def test_find_modes_rejects_sentinel_bracket(star_r005, monkeypatch):
-    # integration "fails" above x = 5.6, between modes 1 and 2, where the
-    # defect just below is negative: the jump from there to NaN is not a
-    # sign change, so mode 2 has no bracket
-    R = star_r005.R
-    lam_fail = (5.6 / R) ** 2
-    assert shooting_defect(star_r005, 0.999 * lam_fail) < 0.0
-    _fail_defects(monkeypatch, lambda lam: lam > lam_fail)
-    with pytest.raises(ConvergenceError, match="mode 2: no sign change"):
-        find_modes(star_r005, n_modes=2)
+@pytest.mark.parametrize("which", ["star_r002", "star_r01", "star_r019_shooting",
+                                   "star_r0247_shooting"])
+def test_node_count_resolves_the_requested_modes(which, request):
+    # the x_j find_modes takes for count modes move by at most 1e-11 when
+    # the eigenvalue solve runs on half as many intervals again, and each
+    # regular solve, on the intervals its own sqrt(lambda max W) R asks
+    # for, has its zero that close to x_j (slope about 0.5: the defect
+    # stays below 1e-11; measured worst 8.1e-13 over 12 modes, and 1.7e-10
+    # for mode 12 at R = 0.247 when N was taken from sqrt(lambda) R alone)
+    star = request.getfixturevalue(which)
+    op = _RadialOperator(star)
+    for count in range(1, 13):
+        N = _node_count(math.pi * count)
+        x = np.sqrt(op.eigenvalues(N)[:count].real)
+        x_fine = np.sqrt(op.eigenvalues(3 * N // 2)[:count].real)
+        assert np.max(np.abs(x - x_fine)) <= 1e-11, count
+    assert max(abs(m.defect) for m in find_modes(star, 12)) <= 1e-11
+
+
+def test_find_modes_refuses_an_unresolved_solution(star_r005, monkeypatch):
+    # on 8 intervals the eigenvalue solve still returns real x^2, but the
+    # regular solve's Chebyshev tail shows mode 2 is unresolved (3.4e-5 of
+    # the largest coefficient; 14 intervals resolve modes 1-3)
+    monkeypatch.setattr(modes, "_node_count", lambda x: 8)
+    with pytest.raises(ConvergenceError,
+                       match=r"mode 2: regular solution .* unresolved on 8 Chebyshev intervals"):
+        find_modes(star_r005, n_modes=3)
+
+
+def _fail_solves(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
 
 
 def test_failed_defect_is_nan(star_r005, monkeypatch):
     lam = 1.5e3
     assert math.isfinite(shooting_defect(star_r005, lam))
-    _fail_defects(monkeypatch, lambda trial: True)
+    for bad in (math.nan, math.inf):
+        assert math.isnan(shooting_defect(star_r005, bad))
+    _fail_solves(monkeypatch)
     assert math.isnan(shooting_defect(star_r005, lam))
 
 
 def test_failed_eigenfunction_integration_raises(star_r005, monkeypatch):
     lam = 1.5e3
     assert np.all(np.isfinite(eigenfunction(star_r005, lam)))
-    log = _fail_defects(monkeypatch, lambda trial: trial == lam)
-    with pytest.raises(ConvergenceError, match="eigenfunction integration failed"):
+    _fail_solves(monkeypatch)
+    with pytest.raises(ConvergenceError, match="regular solution at lam = 1500.0: Singular"):
         eigenfunction(star_r005, lam)
-    assert log == [lam]
-
-
-def test_rhs_exception_stops_the_run(star_r005):
-    # scipy's compiled runner does not stop on an exception in the right-hand
-    # side (here it went on for 1.2 million calls); the runner's forwarder
-    # records it and the step recorder ends the run.  From its first call
-    # past 0.99 R on, the injected right-hand side raises past 0.99 R for 50
-    # calls and is finite after them, so a run that went on past the
-    # exception would end finite within a few more calls, not NaN.
-    op = _RadialOperator(star_r005)
-    R, lam = star_r005.R, 1800.0
-    real = op.rhs
-    calls = []  # every call from the first raise on
-
-    def flaky(r, y, lam):
-        if calls or r > 0.99 * R:
-            calls.append(r)
-        if r > 0.99 * R and len(calls) <= 50:
-            raise FloatingPointError("injected")
-        return real(r, y, lam)
-
-    op.rhs = flaky
-    assert math.isnan(shooting_defect(star_r005, lam, op))
-    assert 0 < len(calls) < 50
-    calls.clear()
-    with pytest.raises(ConvergenceError, match="eigenfunction integration failed"):
-        eigenfunction(star_r005, lam, op)
-    assert 0 < len(calls) < 50
-    del op.rhs
-    assert math.isfinite(shooting_defect(star_r005, lam, op))
-
-
-def test_nan_inside_bracket_raises(star_r005, modes_r005, monkeypatch):
-    # the bracket ends are fine, but the defect fails within 1e-6 of the
-    # root, where brentq must evaluate it
-    x1 = modes_r005[0].x
-    R = star_r005.R
-    lo, hi = ((x1 - 1e-6) / R) ** 2, ((x1 + 1e-6) / R) ** 2
-    _fail_defects(monkeypatch, lambda lam: lo < lam < hi)
-    with pytest.raises(ConvergenceError, match="mode 1: .*NaN"):
-        find_modes(star_r005, n_modes=1)
-
-
-def test_find_modes_widens_a_missed_bracket(star_r005, modes_r005, monkeypatch):
-    # an estimate 0.05 off with a tiny grid shift: the first bracket holds
-    # no sign change, and doubling its half-width must still reach the root
-    monkeypatch.setattr(modes, "_discrete_x", lambda profile, count: ([2.15, 5.95], [1e-4, 1e-4]))
-    got = find_modes(star_r005, n_modes=1)[0]
-    assert got.rescanned
-    assert got.x == pytest.approx(modes_r005[0].x, abs=1e-10)
 
 
 def test_find_modes_evaluates_each_defect_once(star_r005, modes_r005, monkeypatch):
-    # brentq starts from the two bracket ends _sign_bracket just shot, and
-    # Mode.defect is brentq's converged value: none of them is shot again
+    # one regular solve per mode, at its eigenvalue, and no ODE solver at
+    # all; Mode.defect is that solve's, the value shooting_defect gives
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ODE solver ran")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(_shooting, "run", refuse)
     lams = []
-    real = modes.shooting_defect
+    real = _RadialOperator.regular
 
-    def counted(profile, lam, operator=None):
+    def counted(self, lam):
         lams.append(lam)
-        return real(profile, lam, operator)
+        return real(self, lam)
 
-    monkeypatch.setattr(modes, "shooting_defect", counted)
+    monkeypatch.setattr(_RadialOperator, "regular", counted)
     got = find_modes(star_r005, n_modes=3)
-    assert len(lams) == 20
-    assert len(set(lams)) == len(lams)
+    assert lams == [m.eigenvalue for m in got]
     for m, want in zip(got, modes_r005):
         assert (m.x, m.eigenvalue, m.defect) == (want.x, want.eigenvalue, want.defect)
-        assert m.defect == real(star_r005, m.eigenvalue)
-
-
-def test_find_modes_integrates_once_per_trial(star_r005, modes_r005, monkeypatch):
-    # the 20 defects are the only ODE solves: each Mode.h comes from the
-    # dense output of its root's own integration
-    def refuse(*args, **kwargs):
-        raise AssertionError("a second ODE solver ran")
-
-    assert not hasattr(modes, "solve_ivp")
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
-    monkeypatch.setattr(scipy.integrate, "odeint", refuse)
-    log = _fail_defects(monkeypatch, lambda lam: False)
-    got = find_modes(star_r005, n_modes=3)
-    assert len(log) == 20
-    assert len(set(log)) == 20
-    assert all(m.eigenvalue in log for m in got)
-    for m, want in zip(got, modes_r005):
         assert np.array_equal(m.h, want.h)
+        assert m.defect == shooting_defect(star_r005, m.eigenvalue)
 
 
-def _no_shooting(monkeypatch):
+def _no_regular_solve(monkeypatch):
     def refuse(*args):
-        raise AssertionError("shot a trial eigenvalue")
+        raise AssertionError("solved at a trial eigenvalue")
 
-    monkeypatch.setattr(modes, "shooting_defect", refuse)
+    monkeypatch.setattr(_RadialOperator, "regular", refuse)
 
 
 def test_find_modes_refuses_negative_discrete_eigenvalue(monkeypatch):
-    # the lowest discrete eigenvalue of this detuned star is negative
-    # (mu_1 = -47.6), so x = sqrt(mu) R is NaN, and a NaN bracket never
-    # closes: this must raise before any shooting
+    # the lowest eigenvalue of this detuned star is negative
+    # (lambda_1 = -38.1), so x = sqrt(lambda) R does not exist: this must
+    # raise before any regular solve
     star = detuned_profile(build_star(StarParameters(R=0.2, grid_n=801), solver="shooting"), 2.0)
-    _no_shooting(monkeypatch)
+    _no_regular_solve(monkeypatch)
     with pytest.raises(ConvergenceError,
-                       match=r"mode 1: discrete eigenvalue mu = -47\.\d+ .* not positive"):
+                       match=r"mode 1: eigenvalue lambda = -38\.\d+ .* not positive"):
         find_modes(star, 1)
 
 
-@pytest.mark.parametrize("shift", [0.0, math.inf, math.nan])
-def test_find_modes_refuses_degenerate_half_width(star_r005, monkeypatch, shift):
-    monkeypatch.setattr(modes, "_discrete_x", lambda profile, count: ([2.1, 5.9], [shift, 1e-4]))
-    _no_shooting(monkeypatch)
-    with pytest.raises(ConvergenceError, match="mode 1: bracket half-width .* not positive"):
+@pytest.mark.parametrize("x2, message", [
+    (0.0, "not positive and finite"),
+    (math.inf, "not positive and finite"),
+    (math.nan, "not positive and finite"),
+    (complex(4.4, 1e-6), "complex beyond rounding"),
+], ids=["0.0", "inf", "nan", "complex"])
+def test_find_modes_refuses_degenerate_eigenvalue(star_r005, monkeypatch, x2, message):
+    # a degenerate eigenvalue is refused before any regular solve
+    monkeypatch.setattr(_RadialOperator, "eigenvalues",
+                        lambda self, N: np.array([x2, 35.0], dtype=complex))
+    _no_regular_solve(monkeypatch)
+    with pytest.raises(ConvergenceError, match=f"mode 1: eigenvalue .* {message}"):
         find_modes(star_r005, n_modes=1)
 
 
