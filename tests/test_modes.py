@@ -463,14 +463,25 @@ def test_failed_eigenfunction_integration_raises(star_r005, monkeypatch):
         eigenfunction(star_r005, lam)
 
 
-def test_find_modes_evaluates_each_defect_once(star_r005, modes_r005, monkeypatch):
-    # one regular solve per mode, at its eigenvalue, and no ODE solver at
-    # all; Mode.defect is that solve's, the value shooting_defect gives
+def test_find_modes_integrates_once_per_trial(star_r005, modes_r005, monkeypatch):
+    # the collocation eigenvalues are the only trials, and no ODE solver
+    # runs at all: each Mode.h comes from its own eigenvalue's regular solve
     def refuse(*args, **kwargs):
         raise AssertionError("an ODE solver ran")
 
+    assert not hasattr(modes, "solve_ivp")
     monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(scipy.integrate, "odeint", refuse)
     monkeypatch.setattr(_shooting, "run", refuse)
+    got = find_modes(star_r005, n_modes=3)
+    for m, want in zip(got, modes_r005):
+        assert np.array_equal(m.h, want.h)
+        assert np.array_equal(m.h, eigenfunction(star_r005, m.eigenvalue))
+
+
+def test_find_modes_evaluates_each_defect_once(star_r005, modes_r005, monkeypatch):
+    # one regular solve per mode, at its eigenvalue; Mode.defect is that
+    # solve's, the value shooting_defect gives
     lams = []
     real = _RadialOperator.regular
 
@@ -483,7 +494,6 @@ def test_find_modes_evaluates_each_defect_once(star_r005, modes_r005, monkeypatc
     assert lams == [m.eigenvalue for m in got]
     for m, want in zip(got, modes_r005):
         assert (m.x, m.eigenvalue, m.defect) == (want.x, want.eigenvalue, want.defect)
-        assert np.array_equal(m.h, want.h)
         assert m.defect == shooting_defect(star_r005, m.eigenvalue)
 
 
