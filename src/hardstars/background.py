@@ -4,7 +4,7 @@ The fluid obeys p = rho - 1 in units where the stiff floor density is 1 and
 G = c = 1.  A star of areal radius R is the solution of the hydrostatic
 system
 
-    dm/drho ... dm/dr   = 4 pi r^2 rho
+    dm/dr   = 4 pi r^2 rho
     drho/dr = -((2 rho - 1)/(r - 2 m)) (4 pi r^2 (rho - 1) + m/r)
 
 with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
@@ -13,13 +13,14 @@ with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
   variables mtilde = m - (4 pi/3) r^3, rhotilde = rho - 1 on a uniform grid.
   The iteration is a contraction for small stars; the update map is applied
   until the weighted sup norm of the increment falls below ``picard_tol``.
-* ``solve_tov_shooting`` integrates the differential system outward from the
-  centre and finds the central density at which the surface condition holds
-  with ``brentq``.  Each trial is one run of the compiled Dormand-Prince
-  8(5,3) pair (``_shooting.run``), and the profile on the grid is the root
-  run's own 7th-order dense output (``_shooting.dense_output``), so no
-  trial is integrated twice.  It imports scipy when it runs, so the
-  fixed-point route needs numpy alone.
+* ``solve_tov_shooting`` (named after the shooting route it replaced)
+  collocates the system in s = (r/R)^2, with mu = m/r^3 as the mass
+  unknown, on Chebyshev-Gauss-Lobatto nodes (Trefethen, *Spectral Methods
+  in MATLAB*, SIAM 2000, ch. 6-7; Boyd, *Chebyshev and Fourier Spectral
+  Methods*, 2001) and solves it by Newton with the analytic Jacobian,
+  doubling the nodes until the Chebyshev tail is at rounding level.  It
+  reaches every radius up to ``R_MAX`` (the low-density star where two
+  share a radius) and, like the fixed-point route, needs numpy alone.
 
 Both return the same ``BackgroundProfile``; their agreement is the primary
 cross-check of the module.  ``derive_metric_fields`` completes a solved
@@ -43,13 +44,30 @@ import numpy as np
 
 from .calibration import R_MAX
 from .errors import ConvergenceError, DomainError
-from .numerics import cumulative_simpson_uniform
+from .numerics import chebyshev_nodes, chebyshev_series, cumulative_simpson_uniform
 
 FOUR_PI = 4.0 * math.pi
 
 #: Radius bound enforced for the fixed-point solver; inside it the update map
 #: contracts with factor <= 3/4 in the weighted norm used below.
 MAX_CONTRACTION_RADIUS = 0.25 * math.sqrt(3.0 / FOUR_PI)
+
+#: Chebyshev intervals of the collocation solver's first try, and its cap.
+#: N = 16 resolves every star up to R = 0.235; R = 0.24-0.2472 need 32.
+COLLOCATION_N = 16
+COLLOCATION_MAX_N = 64
+#: Largest share of the biggest Chebyshev coefficient of rho or mu that
+#: their last three may keep.  Measured tails at N = 16: at most 8.6e-16
+#: for R <= 0.235, 2.3e-15 at R = 0.24 and 0.7-1.0e-14 for R = 0.245-0.2472;
+#: on 24-64 intervals at most 4.1e-16 (rounding) over R = 0.02-0.2472.
+TAIL_TOL = 2e-15
+#: Newton stops after its first step of sup norm at most this.  Convergence
+#: is quadratic up to the fold at R_max, so the next step would lie at the
+#: rounding floor, measured at 1e-15 to 1.4e-12 (R = 0.02-0.2472).
+NEWTON_STEP_TOL = 1e-10
+#: Step cap: R = 0.02-0.235 converge in 2-5 steps from the closed form,
+#: R = 0.247 in 8, and R = 0.24721839 (8e-10 below the fold) in 15.
+NEWTON_MAX_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -137,17 +155,9 @@ def tov_rhs(r: float, m: float, rho: float) -> tuple[float, float]:
         return 0.0, 0.0
     if r < 0.0 or r <= 2.0 * m:
         raise DomainError(f"shell at r={r} with m={m} is trapped (requires r > 2m)")
-    return tuple(_tov_rhs_raw(r, (m, rho)))
-
-
-def _tov_rhs_raw(r: float, y: np.ndarray) -> list[float]:
-    # Unvalidated variant for the shooting runs: trial solutions may dip
-    # below rho = 1 before the bracket closes.  y holds floats in the
-    # compiled runner's calls and rows of stage values in the dense output.
-    m, rho = y
     dm = FOUR_PI * r * r * rho
     drho = -((2.0 * rho - 1.0) / (r - 2.0 * m)) * (FOUR_PI * r * r * (rho - 1.0) + m / r)
-    return [dm, drho]
+    return dm, drho
 
 
 def approximate_profile(R: float, r: np.ndarray | float,
@@ -269,82 +279,125 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
     return _pack_profile(params, r, m, rho, m_over_r3, provenance)
 
 
-def _outward_run(rho_c: float, R: float) -> np.ndarray:
-    """Accepted steps, rows (r, m, rho), of one compiled run from the series
-    start just off the centre out to R; the neglected terms of the start
-    are O(r_start^4)."""
-    from ._shooting import run
+def _hydrostatic_system(a: float, s: np.ndarray, d1: np.ndarray, rho: np.ndarray,
+                        mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual F and Jacobian J of the hydrostatic system collocated at the
+    nodes s with derivative matrix d1, for a = R^2 and the node values of
+    rho and mu = m/r^3 (the unknowns, rho first).
 
-    r_start = 1e-6 * R
-    m0 = (FOUR_PI / 3.0) * rho_c * r_start ** 3
-    rho0 = rho_c - (2.0 * rho_c - 1.0) * 2.0 * math.pi * ((rho_c - 1.0) + rho_c / 3.0) * r_start ** 2
-    try:
-        return run(lambda r, y: _tov_rhs_raw(r, y.tolist()), r_start, [m0, rho0], R,
-                   rtol=1e-13, atol=1e-14)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"outward integration at rho_c = {rho_c!r} failed: {exc}") from exc
+    The first N + 1 rows are 3 mu + 2 s mu_s - 4 pi rho, the rest
+    rho_s + (a/2) n^2 b/den with n^2 = 2 rho - 1, b = 4 pi (rho - 1) + mu and
+    den = 1 - 2 a s mu, whose surface row is replaced by rho(1) - 1.
+    """
+    n2, b, den = 2.0 * rho - 1.0, FOUR_PI * (rho - 1.0) + mu, 1.0 - 2.0 * a * s * mu
+    eye = np.eye(len(s))
+    F = np.concatenate([3.0 * mu + 2.0 * s * (d1 @ mu) - FOUR_PI * rho,
+                        d1 @ rho + 0.5 * a * n2 * b / den])
+    J = np.block([
+        [-FOUR_PI * eye, 3.0 * eye + 2.0 * s[:, None] * d1],
+        [d1 + np.diag(0.5 * a * (2.0 * b + FOUR_PI * n2) / den),
+         np.diag(0.5 * a * n2 * (1.0 + 2.0 * a * s * b / den) / den)],
+    ])
+    surface = len(s)
+    F[surface] = rho[0] - 1.0
+    J[surface] = 0.0
+    J[surface, 0] = 1.0
+    return F, J
 
 
-def _tov_stages(nodes: np.ndarray):
-    # the dense output's stages: the same formula on rows of stage values
-    return lambda s, y: _tov_rhs_raw(nodes[s], y)
+def _newton(R: float, N: int, rho: np.ndarray,
+            mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Newton on the system collocated on N intervals, from node values
+    (rho, mu): the solution, the steps taken and the sup norm of the
+    solution's residual.  Stops after the first step of sup norm at most
+    ``NEWTON_STEP_TOL``; a singular Jacobian, a non-finite step or
+    ``NEWTON_MAX_STEPS`` steps raise ``ConvergenceError``.
+    """
+    y, d1, _ = chebyshev_nodes(N)
+    step = math.nan
+    for steps in range(1, NEWTON_MAX_STEPS + 1):
+        F, J = _hydrostatic_system(R * R, y * y, d1, rho, mu)
+        try:
+            dx = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"Newton step {steps} on {N} Chebyshev intervals: {exc}",
+                                   iterations=steps) from exc
+        rho, mu = rho + dx[:N + 1], mu + dx[N + 1:]
+        step = float(np.max(np.abs(dx)))
+        if step <= NEWTON_STEP_TOL:
+            F = _hydrostatic_system(R * R, y * y, d1, rho, mu)[0]
+            return rho, mu, steps, float(np.max(np.abs(F)))
+        if not math.isfinite(step):
+            break
+    residual = float(np.max(np.abs(F)))
+    raise ConvergenceError(
+        f"Newton iteration of the collocated hydrostatic system did not converge in {steps} "
+        f"steps on {N} Chebyshev intervals: last step {step:.2g}, residual {residual:.2g} "
+        f"(the largest static star has R = 0.2472183984)",
+        iterations=steps, residual=residual,
+    )
 
 
 def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
-    """Solve the static star by shooting on the central density.
+    """Solve the static star by Chebyshev collocation of the hydrostatic
+    system; the name is that of the shooting route it replaced, which
+    ``--solver shooting`` and its configs keep.
 
-    ``brentq`` finds the central density inside [1, 1 + (16 pi/3) R^2] at
-    which the surface density matches the stiff floor to 1e-12.  Each trial
-    central density is integrated once (``_outward_run``), the mismatch
-    check reads the root's own run, and the profile on the grid is that
-    run's dense output.
+    In s = (r/R)^2, with mu = m/r^3 and a = R^2, the system reads
+
+        3 mu + 2 s mu_s = 4 pi rho,
+        rho_s = -(a/2)(2 rho - 1)(4 pi (rho - 1) + mu)/(1 - 2 a s mu),
+        rho(1) = 1,
+
+    regular at the centre, where the first equation is 3 mu = 4 pi rho.  It
+    is collocated on N + 1 Chebyshev-Gauss-Lobatto nodes in s (the density
+    equation at every node but the surface) and solved by Newton with the
+    analytic Jacobian (``_newton``) from the closed form
+    (``approximate_profile`` of order 2, with mu = (4 pi/3) rho), which
+    leads to the low-density star at every radius.  N starts at
+    ``COLLOCATION_N`` and doubles, from the previous solution, while the last
+    three Chebyshev coefficients of rho or mu exceed ``TAIL_TOL`` of their
+    largest, up to ``COLLOCATION_MAX_N``.  The profile on the grid is the
+    two Chebyshev series summed by Clenshaw's recurrence, with
+    m = mu r^3 and m/r^3 = mu.
     """
-    from scipy.optimize import brentq
-
-    from ._shooting import _Severable, dense_output
+    # numpy.polynomial costs about 5 ms to import; the fixed-point commands never load it
+    from numpy.polynomial.chebyshev import chebval
 
     R = params.R
-    hi = 1.0 + (16.0 * math.pi / 3.0) * R * R
-    runs: dict[float, np.ndarray] = {}
-
-    def surface_mismatch(rho_c: float) -> float:
-        if rho_c not in runs:
-            runs[rho_c] = _outward_run(rho_c, R)
-        return float(runs[rho_c][-1, 2]) - 1.0
-
-    with _Severable(surface_mismatch) as mismatch:
-        f_lo = mismatch(1.0)
-        f_hi = mismatch(hi)
-        if f_lo * f_hi > 0.0:
+    N = COLLOCATION_N
+    y = chebyshev_nodes(N)[0]
+    rho = approximate_profile(R, R * y, order=2)[0]
+    mu = (FOUR_PI / 3.0) * rho
+    iterations = 0
+    while True:
+        rho, mu, steps, residual = _newton(R, N, rho, mu)
+        iterations += steps
+        series = chebyshev_series(rho), chebyshev_series(mu)
+        tail = max(float(np.max(np.abs(c[-3:])) / np.max(np.abs(c))) for c in series)
+        if tail <= TAIL_TOL:
+            break
+        if N >= COLLOCATION_MAX_N:
             raise ConvergenceError(
-                f"central-density bracket [1, {hi}] does not straddle the surface condition"
+                f"hydrostatic solution is unresolved on {N} Chebyshev intervals: tail "
+                f"{tail:.3g} of its largest coefficient > {TAIL_TOL:g}",
+                iterations=iterations,
             )
-        rho_c, res = brentq(mismatch, 1.0, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
-        final_mismatch = mismatch(rho_c)
-    if abs(final_mismatch) > 1e-12:
-        raise ConvergenceError(
-            "surface density mismatch above tolerance after root finding",
-            iterations=res.iterations,
-            residual=abs(final_mismatch),
-        )
+        N *= 2
+        y = chebyshev_nodes(N)[0]
+        rho, mu = (chebval(2.0 * y * y - 1.0, c) for c in series)
 
     r = np.linspace(0.0, R, params.grid_n)
-    m = np.empty_like(r)
-    rho = np.empty_like(r)
-    m[0] = 0.0
-    rho[0] = rho_c
-    m[1:], rho[1:] = dense_output(runs[rho_c], r[1:], _tov_stages)
-    m_over_r3 = np.empty_like(r)
-    m_over_r3[0] = (FOUR_PI / 3.0) * rho_c
-    m_over_r3[1:] = m[1:] / r[1:] ** 3
+    x = 2.0 * (r / R) ** 2 - 1.0
+    rho, mu = (chebval(x, c) for c in series)
     provenance = {
         "solver": "shooting",
-        "iterations": res.iterations,
-        "residual": abs(final_mismatch),
+        "iterations": iterations,
+        "residual": residual,
         "grid_n": params.grid_n,
-        "rho_central": rho_c,
+        "rho_central": float(rho[0]),
     }
-    return _pack_profile(params, r, m, rho, m_over_r3, provenance)
+    return _pack_profile(params, r, mu * r ** 3, rho, mu, provenance)
 
 
 def metric_terms(r, rho, m_over_r3):
@@ -417,8 +470,9 @@ _SOLVERS = {"picard": solve_tov_picard, "shooting": solve_tov_shooting}
 def build_star(params: StarParameters, solver: str = "picard") -> BackgroundProfile:
     """Solve and complete a star in one call.
 
-    ``solver`` is "picard" (default; requires the contraction-regime radius
-    bound) or "shooting" (valid up to the regularity bound).
+    ``solver`` is "picard" (default; fixed-point iteration, which requires
+    the contraction-regime radius bound) or "shooting" (Chebyshev
+    collocation, valid up to ``R_MAX``).
     """
     try:
         solve = _SOLVERS[solver]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 
-# Dual-route background agreement (fixed-point vs shooting), sup over
-# nodes of both m and rho, radius 0.1, grid 2001.
+# Dual-route background agreement (fixed-point iteration vs the Chebyshev
+# collocation of the `shooting` solver), sup over nodes of both m and rho,
+# radius 0.1, grid 2001.
 BACKGROUND_CROSS_CHECK_TOL = 1e-10
 
 # Ceiling on sup|rho - two-term closed form| / R^6 (approximate_profile

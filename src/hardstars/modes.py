@@ -57,7 +57,13 @@ from scipy.optimize import brentq
 from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
 from .errors import ConvergenceError
 from .evolution import WaveCoefficients, potential_bracket
-from .numerics import derivative_uniform, scan_sign_changes, second_derivative_uniform
+from .numerics import (
+    chebyshev_nodes,
+    chebyshev_series,
+    derivative_uniform,
+    scan_sign_changes,
+    second_derivative_uniform,
+)
 
 #: First admissible x = sqrt(lambda) R in the zero-size limit.
 X1_LIMIT = 2.0815759778181
@@ -129,42 +135,6 @@ def _node_count(x: float) -> int:
     return 16 + 8 * math.ceil(max(x, 0.0) / (4.0 * math.pi))
 
 
-def _chebyshev_nodes(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """y = r/R at the N + 1 Chebyshev-Gauss-Lobatto nodes in s = y^2, the
-    surface first (s_j = cos^2(j pi / 2N)), and the first and second
-    derivative matrices in s.
-
-    Node differences come from x_i - x_j = 2 sin((i+j) pi/2N) sin((j-i) pi/2N)
-    for x = 2 s - 1, the second derivative from the first by the recursion
-    of Weideman and Reddy (ACM TOMS 26, 465, 2000), and each diagonal from
-    the row sum, which keeps the rounding of nearby cosines and of
-    D1 @ D1 out of the matrices.
-    """
-    j = np.arange(N + 1)
-    half = math.pi / (2 * N)
-    y = np.sin((N - j) * half)
-    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
-    dx = 2.0 * np.sin(np.add.outer(j, j) * half) * np.sin(np.subtract.outer(j, j) * -half)
-    np.fill_diagonal(dx, 1.0)
-    d1 = np.outer(c, 1.0 / c) / dx
-    np.fill_diagonal(d1, 0.0)
-    np.fill_diagonal(d1, -d1.sum(axis=1))
-    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dx)
-    np.fill_diagonal(d2, 0.0)
-    np.fill_diagonal(d2, -d2.sum(axis=1))
-    return y, 2.0 * d1, 4.0 * d2
-
-
-def _chebyshev_series(g: np.ndarray) -> np.ndarray:
-    """Coefficients a_k of the interpolant g(s) = sum a_k T_k(2 s - 1) of the
-    node values g (surface first): a DCT-I, as the FFT of the even
-    extension."""
-    N = len(g) - 1
-    a = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real / N
-    a[[0, N]] /= 2.0
-    return a
-
-
 class _RadialOperator:
     """The radial problem of one star in s = (r/R)^2 on Chebyshev nodes.
 
@@ -206,7 +176,7 @@ class _RadialOperator:
         4 s g_ss + 2 (3 + rP) g_s + E g at node j, W is read at the nodes,
         and robin @ g = g + 2 g_s - kappa R g at s = 1 is h'(R) - kappa h(R)."""
         if N not in self._collocations:
-            y, d1, d2 = _chebyshev_nodes(N)
+            y, d1, d2 = chebyshev_nodes(N)
             s = y * y
             rP, r2Q, W = self.coefficients(self.R * y)
             E = np.empty_like(s)
@@ -249,7 +219,7 @@ class _RadialOperator:
             g = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"regular solution at lam = {lam!r}: {exc}") from exc
-        a = _chebyshev_series(g)
+        a = chebyshev_series(g)
         tail = float(np.max(np.abs(a[-3:])) / np.max(np.abs(a)))
         if not tail <= TAIL_TOL:
             raise ConvergenceError(

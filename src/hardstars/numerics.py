@@ -2,12 +2,15 @@
 
 Only utilities with package-specific conventions live here (cumulative
 Simpson rule on uniform grids and its whole-grid weights, finite
-differences with one-sided closures, sign-change scanning).  Anything generic beyond that is taken straight from
-numpy/scipy.
+differences with one-sided closures, sign-change scanning, and the
+Chebyshev-Gauss-Lobatto nodes in s = (r/R)^2 with their derivative
+matrices and series that the background and the modes collocate on).
+Anything generic beyond that is taken straight from numpy/scipy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -114,3 +117,39 @@ def scan_sign_changes(f: Callable[[float], float], grid: np.ndarray) -> list[tup
         if np.isfinite(a) and np.isfinite(b) and a * b < 0.0:
             brackets.append((float(grid[i]), float(grid[i + 1])))
     return brackets
+
+
+def chebyshev_nodes(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """y = r/R at the N + 1 Chebyshev-Gauss-Lobatto nodes in s = y^2, the
+    surface first (s_j = cos^2(j pi / 2N)), and the first and second
+    derivative matrices in s.
+
+    Node differences come from x_i - x_j = 2 sin((i+j) pi/2N) sin((j-i) pi/2N)
+    for x = 2 s - 1, the second derivative from the first by the recursion
+    of Weideman and Reddy (ACM TOMS 26, 465, 2000), and each diagonal from
+    the row sum, which keeps the rounding of nearby cosines and of
+    D1 @ D1 out of the matrices.
+    """
+    j = np.arange(N + 1)
+    half = math.pi / (2 * N)
+    y = np.sin((N - j) * half)
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    dx = 2.0 * np.sin(np.add.outer(j, j) * half) * np.sin(np.subtract.outer(j, j) * -half)
+    np.fill_diagonal(dx, 1.0)
+    d1 = np.outer(c, 1.0 / c) / dx
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(axis=1))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dx)
+    np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, -d2.sum(axis=1))
+    return y, 2.0 * d1, 4.0 * d2
+
+
+def chebyshev_series(g: np.ndarray) -> np.ndarray:
+    """Coefficients a_k of the interpolant g(s) = sum a_k T_k(2 s - 1) of the
+    node values g (surface first): a DCT-I, as the FFT of the even
+    extension."""
+    N = len(g) - 1
+    a = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real / N
+    a[[0, N]] /= 2.0
+    return a

@@ -7,11 +7,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.optimize
 
 from hardstars import (
-    ConvergenceError,
     DomainError,
     StarParameters,
     approximate_profile,
@@ -23,14 +20,14 @@ from hardstars import (
     solve_tov_shooting,
     tov_rhs,
 )
-from hardstars import _shooting
 from hardstars import background as bg
 from hardstars.background import (
     MAX_CONTRACTION_RADIUS,
     chi_weight,
     metric_terms,
 )
-from tov_oracle import ivp_shooting
+from hardstars.numerics import chebyshev_nodes
+from tov_oracle import MPMATH_STARS, ivp_shooting, mpmath_star
 
 FOUR_PI = 4.0 * math.pi
 
@@ -141,79 +138,65 @@ def test_shooting_covers_larger_radii():
     assert 3.0 * prof.M_total / prof.R < 1.0
 
 
+def test_collocation_jacobian_matches_finite_differences():
+    # the analytic Jacobian of the collocated system against central
+    # differences of its residual, at a state off the solution
+    y, d1, _ = chebyshev_nodes(8)
+    s = y * y
+    x = np.concatenate([1.3 - 0.2 * s + 0.01 * np.cos(3.0 * y), (FOUR_PI / 3.0) * (1.25 - 0.1 * s)])
+    J = bg._hydrostatic_system(0.04, s, d1, *np.split(x, 2))[1]
+    h = 1e-5
+    fd = np.empty_like(J)
+    for k, e in enumerate(h * np.eye(len(x))):
+        up, down = (bg._hydrostatic_system(0.04, s, d1, *np.split(x + sign * e, 2))[0]
+                    for sign in (1.0, -1.0))
+        fd[:, k] = (up - down) / (2.0 * h)
+    assert np.max(np.abs(fd - J)) <= 1e-7
+
+
+def test_shooting_doubles_nodes_while_unresolved(monkeypatch):
+    # N starts at 16 and doubles only while the Chebyshev tail of rho or mu
+    # is above TAIL_TOL: R <= 0.235 stays on 16 intervals, R = 0.2471 needs 32
+    tries = []
+    real = bg._newton
+
+    def newton(R, N, rho, mu):
+        tries.append(N)
+        return real(R, N, rho, mu)
+
+    monkeypatch.setattr(bg, "_newton", newton)
+    for R, want in ((0.02, [16]), (0.235, [16]), (0.2471, [16, 32])):
+        tries.clear()
+        prof = solve_tov_shooting(StarParameters(R=R, grid_n=201))
+        assert tries == want, R
+        assert prof.provenance["residual"] <= 1e-11, R
+
+
 @pytest.mark.parametrize("grid_n", [801, 4001])
 @pytest.mark.parametrize("R", [0.02, 0.1, 0.19, 0.235, 0.247])
 def test_shooting_matches_solve_ivp_oracle(R, grid_n):
-    # the compiled run and its dense output against the route they replaced
-    # (solve_ivp DOP853 at the same tolerances, a t_eval run at the root).
-    # The two step sequences differ, so they agree as far as both are
-    # accurate.  Measured worst gaps over these ten cases: rho_c 1.8e-14,
-    # M 2.8e-16, sup|rho| 3.7e-13, sup|m| 4.6e-15 (all at R = 0.247).
+    # rho_c and M against the 20-digit mpmath stars, the profile against
+    # the solve_ivp DOP853 shooting (rtol 2.5e-14).  Measured worst gaps over
+    # these ten cases, all at R = 0.247: rho_c 2.2e-14, M 3.2e-16,
+    # sup|rho| 1.2e-13, sup|m| 2.7e-15; the profile gaps are the oracle's
+    # own, whose rho_c the mpmath star puts 1.4e-13 high there.
     prof = solve_tov_shooting(StarParameters(R=R, grid_n=grid_n))
-    rho_c, m, rho = ivp_shooting(R, grid_n)
+    rho_c, M = map(float, MPMATH_STARS[R])
     assert abs(prof.rho_central - rho_c) <= 1e-13
-    assert abs(prof.m[-1] - m[-1]) <= 2e-15
+    assert abs(prof.m[-1] - M) <= 2e-15
+    _, m, rho = ivp_shooting(R, grid_n)
     assert np.max(np.abs(prof.rho - rho)) <= 1e-12
     assert np.max(np.abs(prof.m - m)) <= 2e-14
     assert abs(prof.rho[-1] - 1.0) <= 1e-12
 
 
-def test_shooting_runs_each_trial_once(monkeypatch):
-    # one compiled run per distinct trial central density: brentq's repeats
-    # of the bracket ends, the mismatch check and the grid profile read the
-    # runs already made, and no run follows brentq
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve_ivp ran")
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
-    trials, runs, after_root = [], [], []
-    real_trial, real_run, real_brentq = bg._outward_run, _shooting.run, scipy.optimize.brentq
-
-    def trial(rho_c, R):
-        trials.append(rho_c)
-        return real_trial(rho_c, R)
-
-    def run(*args, **kwargs):
-        runs.append(args)
-        return real_run(*args, **kwargs)
-
-    def watched(*args, **kwargs):
-        root = real_brentq(*args, **kwargs)
-        after_root.append(len(runs))
-        return root
-
-    monkeypatch.setattr(bg, "_outward_run", trial)
-    monkeypatch.setattr(_shooting, "run", run)
-    monkeypatch.setattr(scipy.optimize, "brentq", watched)
-    prof = solve_tov_shooting(StarParameters(R=0.19, grid_n=801))
-    assert len(runs) == len(trials) == len(set(trials))
-    # brentq evaluates both bracket ends and, on every iteration but the
-    # converging one, one new point
-    assert len(runs) == 2 + prof.provenance["iterations"] - 1
-    assert after_root == [len(runs)]
-    assert prof.rho_central in trials
-
-
-def test_shooting_rhs_exception_is_convergence_error(monkeypatch):
-    # from its first call past 0.99 R on, the right-hand side raises past
-    # 0.99 R for 50 calls and is finite after them: the run must end within
-    # those calls, and the solver report it, not finish on the values after
-    R = 0.2
-    real = bg._tov_rhs_raw
-    calls = []  # every float call from the first raise on
-
-    def flaky(r, y):
-        if isinstance(r, float) and (calls or r > 0.99 * R):
-            calls.append(r)
-            if r > 0.99 * R and len(calls) <= 50:
-                raise FloatingPointError("injected")
-        return real(r, y)
-
-    monkeypatch.setattr(bg, "_tov_rhs_raw", flaky)
-    with pytest.raises(ConvergenceError, match="outward integration at rho_c = 1.0 failed: "
-                                               "the right-hand side raised FloatingPointError"):
-        solve_tov_shooting(StarParameters(R=R, grid_n=801))
-    assert 0 < len(calls) < 50
+def test_mpmath_star_reproduces_pinned_radius():
+    # MPMATH_STARS holds mpmath_star's output; recompute R = 0.1 from a
+    # central density 1e-14 off the pinned one
+    rho_c, M = mpmath_star(0.1, 1.02353771336765)
+    want_rho_c, want_M = MPMATH_STARS[0.1]
+    assert abs(mpmath.mpf(rho_c) - mpmath.mpf(want_rho_c)) <= 1e-19
+    assert abs(mpmath.mpf(M) - mpmath.mpf(want_M)) <= 1e-22
 
 
 # ------------------------------------------------------------- approximation

@@ -33,6 +33,7 @@ from hardstars.cli import (
 from hardstars.errors import ConfigError
 from hardstars.evolution import assemble_coefficients, evolve, gaussian_pulse, reconstruct
 from hardstars.storage import read_profile_csv, read_table
+from tov_oracle import ivp_shooting
 
 
 def run(*argv: str) -> int:
@@ -88,7 +89,7 @@ def test_picard_commands_start_without_scipy(tmp_path):
         assert loaded == [], name
     code, loaded = steps["shooting"]
     assert code == EXIT_OK
-    assert "scipy.integrate" in loaded
+    assert loaded == []
 
 
 # --------------------------------------------------------------- run config
@@ -326,7 +327,7 @@ def test_radius_outside_domain_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("R", ["0.25", "0.3"])
 def test_radius_past_largest_star_is_config_error(tmp_path, capsys, R):
     # above calibration.R_MAX no static star exists, so the radius is refused
-    # before the shooting bracket can report that it does not straddle
+    # before the collocation's Newton iteration can fail to converge
     code = run("build", "--R", R, "--solver", "shooting", "--output-dir", str(tmp_path))
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
@@ -335,12 +336,22 @@ def test_radius_past_largest_star_is_config_error(tmp_path, capsys, R):
 
 
 def test_shooting_builds_just_below_largest_radius(tmp_path):
-    assert calibration.R_MAX > 0.247
-    argv = ("build", "--R", "0.247", "--solver", "shooting", "--grid-n", "801")
-    assert run(*argv, "--output-dir", str(tmp_path)) == EXIT_OK
-    star = read_profile_csv(tmp_path / "profile_R0p247.csv")
-    assert star.R == 0.247
-    assert star.rho[-1] == pytest.approx(1.0, abs=1e-12)
+    # two stars share each of these radii; the build gives the one less
+    # dense than the largest star (rho_c = 1.92346), checked against the
+    # solve_ivp shooting bracketed below that density.  Measured gaps at
+    # R = 0.2472: sup|rho| 7.6e-13, sup|m| 1.2e-14, mostly the oracle's:
+    # 20-digit mpmath puts its rho_c 6.2e-13 high and the build's 1.4e-13 low
+    assert calibration.R_MAX > 0.2472
+    for R in (0.247, 0.2471, 0.2472):
+        argv = ("build", "--R", repr(R), "--solver", "shooting", "--grid-n", "801")
+        assert run(*argv, "--output-dir", str(tmp_path)) == EXIT_OK, R
+        star = read_profile_csv(tmp_path / f"profile_R{repr(R).replace('.', 'p')}.csv")
+        assert star.R == R
+        assert star.rho[-1] == pytest.approx(1.0, abs=1e-12)
+        assert star.rho_central < 1.92346
+        _, m, rho = ivp_shooting(R, 801, rho_c_max=1.92346)
+        assert np.max(np.abs(star.rho - rho)) <= 1e-12, R
+        assert np.max(np.abs(star.m - m)) <= 2e-14, R
 
 
 def test_solver_stall_is_solver_failure(tmp_path, capsys):
@@ -374,13 +385,9 @@ def _grow_picard_mass(monkeypatch):
     monkeypatch.setattr(background, "cumulative_simpson_uniform", lambda y, dx: 1e3 * real(y, dx))
 
 
-def _raise_in_hydrostatic_rhs(monkeypatch):
-    # the compiled runner does not stop on an exception in the right-hand
-    # side by itself; the shooting solver must still report the failure
-    def raising(r, y):
-        raise ZeroDivisionError("injected")
-
-    monkeypatch.setattr(background, "_tov_rhs_raw", raising)
+def _no_breakdown(monkeypatch):
+    # the input alone fails: R_MAX is rounded up past the largest star
+    pass
 
 
 def _trap_wave_grid(monkeypatch):
@@ -416,13 +423,13 @@ _SMALL_EVOLVE = ("evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101", "
 @pytest.mark.parametrize("breakdown, argv, message", [
     (_grow_picard_mass, ("build", "--R", "0.1", "--grid-n", "401"),
      "denominator vanished during fixed-point sweep"),
-    (_raise_in_hydrostatic_rhs, ("build", "--R", "0.2", "--solver", "shooting", "--grid-n", "401"),
-     "the right-hand side raised ZeroDivisionError"),
+    (_no_breakdown, ("build", "--R", "0.2472184", "--solver", "shooting", "--grid-n", "401"),
+     "Newton iteration of the collocated hydrostatic system did not converge"),
     (_trap_wave_grid, _SMALL_EVOLVE, "coefficient assembly left the regular domain"),
     (_flatten_second_variation, ("verify", "--R", "0.05", "--grid-n", "401"),
      "second variation not positive"),
     (_flip_second_norm, _SMALL_EVOLVE, "nonpositive value on a log axis"),
-], ids=["picard-denominator", "shooting-rhs", "assembly-domain", "second-variation",
+], ids=["picard-denominator", "shooting-past-largest-star", "assembly-domain", "second-variation",
         "log-axis"])
 def test_numerical_breakdown_is_solver_failure(tmp_path, capsys, monkeypatch, breakdown, argv,
                                                message):

@@ -15,7 +15,7 @@ import scipy.integrate
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from hardstars import StarParameters, _shooting, build_star, modes
+from hardstars import StarParameters, build_star, modes
 from hardstars.background import FOUR_PI, metric_terms
 from hardstars.errors import ConvergenceError
 from hardstars.evolution import assemble_coefficients, evolve
@@ -472,7 +472,6 @@ def test_find_modes_integrates_once_per_trial(star_r005, modes_r005, monkeypatch
     assert not hasattr(modes, "solve_ivp")
     monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
     monkeypatch.setattr(scipy.integrate, "odeint", refuse)
-    monkeypatch.setattr(_shooting, "run", refuse)
     got = find_modes(star_r005, n_modes=3)
     for m, want in zip(got, modes_r005):
         assert np.array_equal(m.h, want.h)
