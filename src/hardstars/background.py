@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -491,12 +491,13 @@ class FamilyRow:
 
 
 def family_scan(R_values: Sequence[float], grid_n: int = 2048,
-                solver: Callable[[StarParameters], BackgroundProfile] = solve_tov_picard) -> list[FamilyRow]:
-    """Solve a family of stars; per-row failures are captured, not raised."""
+                solver: str = "picard") -> list[FamilyRow]:
+    """Solve a family of stars with ``build_star``; per-row failures are
+    captured, not raised."""
     rows: list[FamilyRow] = []
     for R in R_values:
         try:
-            prof = derive_metric_fields(solver(StarParameters(R=float(R), grid_n=grid_n)))
+            prof = build_star(StarParameters(R=float(R), grid_n=grid_n), solver)
             rows.append(
                 FamilyRow(
                     R=float(R),

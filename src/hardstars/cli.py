@@ -41,8 +41,6 @@ from .background import (
     approximate_profile,
     build_star,
     family_scan,
-    solve_tov_picard,
-    solve_tov_shooting,
 )
 from .errors import (
     CflViolationError,
@@ -268,8 +266,7 @@ def _cmd_family(config: RunConfig, out: Path) -> int:
         if not 0.0 < r_min < r_max:
             raise ConfigError("family scan needs 0 < r_min < r_max")
         radii = list(np.linspace(r_min, r_max, _get(config, "count")))
-    solver_fn = solve_tov_picard if config.solver == "picard" else solve_tov_shooting
-    rows = family_scan(radii, grid_n=_get(config, "grid_n"), solver=solver_fn)
+    rows = family_scan(radii, grid_n=_get(config, "grid_n"), solver=config.solver)
     columns = ("R", "M_total", "rho_central", "compactness")
     table = [[math.nan if getattr(row, name) is None else getattr(row, name) for name in columns]
              for row in rows]

@@ -6,13 +6,22 @@ frame.  The equation of motion is
 
     mass(chi) d2u/dt2 = d/dchi ( flux(chi) du/dchi ) + V(chi) u,
 
-with  mass = e^F n^2,  flux = 16 pi^2 r0^4 n^2 e^F,  and a potential V that
+with coefficients read from the quadratic form of the second variation
+(``variation.quadratic_form``: A, B, C, D and the bulk potential K).  With
+e = exp(I - I(R)) from ``variation.integrating_factor``, w = dchi/dr0 and
+gamma = 1/sqrt(1 - 2M/R),
+
+    mass = gamma n^3 e / sqrt(1 - 2m/r0),  flux = gamma C w e,  V = -gamma e K / w.
+
+So the wave operator is gamma times the Euler-Lagrange operator of
+``variation.second_variation``, and for u = 0 at the surface the static
+energy below is gamma/2 times the second variation of the same
+displacement (``test_wave_energy_is_gamma_times_second_variation``).  V
 diverges like -2/r0^2 at the centre.  V < 0 on every node for R up to about
 0.208; above that V turns positive in an outer shell that spreads inward
 (at n_chi 500: 224 of 499 nodes, r0 > 0.83 R, max 22.7 at R = 0.235; 310
-nodes, r0 > 0.73 R, at R = 0.245).  F is a regular radial integral of
-the background; remarkably flux/mass = (4 pi r0^2)^2 exactly, so the
-characteristic speed in chi equals the shell surface area.
+nodes, r0 > 0.73 R, at R = 0.245).  flux/mass = (4 pi r0^2)^2 exactly, so
+the characteristic speed in chi equals the shell surface area.
 
 Boundary conditions: u = 0 at the centre (strongly), and at the surface the
 Robin condition du/dchi = alpha u with alpha = q(R) - 2/R < 0.
@@ -34,8 +43,7 @@ the only copy of the operator: ``acceleration`` applies it, and the inverse
 iteration of ``modes.mode_to_initial_data`` slices it.  A is self-adjoint in
 the energy weights mass * w, so ``operator_eigenvalues`` reads any index
 range of its spectrum -mu in O(n_chi) memory: max dt^2 mu is the exact
-stability margin of the stepper (stable below 4), and the lowest mu seed the
-brackets of ``modes.find_modes``.
+stability margin of the stepper (stable below 4).
 
 ``evolve`` integrates with velocity Verlet in kick-drift (leapfrog) form on
 the dt^2-scaled bands S = dt^2 A: it carries w = dt v(t + dt/2), a plain
@@ -83,7 +91,8 @@ from scipy.linalg.blas import dgbmv
 
 from .background import FOUR_PI, BackgroundProfile, _chi_jacobians, _readonly, metric_terms
 from .errors import CflViolationError, ConvergenceError, DomainError, InstabilityError
-from .numerics import cumulative_simpson_uniform, derivative_uniform
+from .numerics import derivative_uniform
+from .variation import integrating_factor, quadratic_form
 
 
 # ------------------------------------------------------------- coefficients
@@ -104,7 +113,6 @@ class WaveCoefficients:
     w: np.ndarray          # dchi/dr0 at the nodes (0 at the centre)
     drdchi: np.ndarray     # dr0/dchi at the nodes (inf at the centre)
     r0_half: np.ndarray    # shell radii at the half nodes
-    F: np.ndarray
     mass: np.ndarray
     V: np.ndarray          # potential; node 0 stored as 0 and never used
     flux_half: np.ndarray  # flux at the n_chi - 1 half nodes
@@ -178,40 +186,17 @@ def _invert_chi(chi_spline: PPoly, targets: np.ndarray, R: float) -> np.ndarray:
     return out
 
 
-def potential_bracket(r0, rho, mor3):
-    """Zeroth-order stability bracket at radius r0, with the ``metric_terms``
-    (n^2, D, q) it is built from.
-
-    The bracket is the potential stripped of its e^F weight:
-    2 q^2 D + 2 m/r^3 + 4 pi r n^2 (2/r - q) - D (2/r^2 + q') with
-    D = 1 - 2m/r.  It diverges like -2/r^2 at the centre.  Plain arithmetic
-    on arrays; a caller holding the centre node enters ``np.errstate``
-    around the call.
-    """
-    n2, D, q = metric_terms(r0, rho, mor3)
-    N = mor3 * r0 + FOUR_PI * r0 * (rho - 1.0)
-    rho_eq_slope = -n2 * q
-    N_prime = FOUR_PI * rho - 2.0 * mor3 + FOUR_PI * (rho - 1.0) + FOUR_PI * r0 * rho_eq_slope
-    D_prime = -8.0 * math.pi * r0 * rho + 2.0 * mor3 * r0
-    q_prime = (N_prime * D - N * D_prime) / (D * D)
-    bracket = (
-        2.0 * q * q * D
-        + 2.0 * mor3
-        + 8.0 * math.pi * n2
-        - FOUR_PI * r0 * n2 * q
-        - 2.0 * D / (r0 * r0)
-        - D * q_prime
-    )
-    return bracket, n2, D, q
-
-
 def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> WaveCoefficients:
     """Sample the wave-equation coefficients on a uniform chi grid.
 
     The radius of each shell is found by inverting the background chi(r)
-    map (root-finding in r, where everything is smooth); the coefficient
-    formulas are then evaluated pointwise from the same spline, of chi and
-    the regular background fields (rho, m/r^3, F).
+    map (root-finding in r, where everything is smooth); the coefficients
+    are then read from ``variation.quadratic_form`` at the same spline's
+    values of rho, m/r^3 and I - I(R), with e = exp(I - I(R)) and
+    gamma = 1/sqrt(1 - 2M/R):
+
+        mass = gamma n^3 e / sqrt(1 - 2m/r),  flux = gamma C w e,
+        V = -gamma e K / w,  alpha = q(R) - 2/R.
     """
     profile.require_metric()
     if n_chi < 16:
@@ -222,33 +207,35 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     dchi = B / (n - 1)
     chi = np.linspace(0.0, B, n)
 
-    # regular radial integral entering the mass and flux weights
-    r_bg, rho_bg, mor3_bg = profile.r, profile.rho, profile.m_over_r3
-    D_bg = metric_terms(r_bg, rho_bg, mor3_bg)[1]
-    F_bg = cumulative_simpson_uniform(r_bg * (8.0 * math.pi * rho_bg - 2.0 * mor3_bg) / D_bg,
-                                      profile.dr)
-    spline = CubicSpline(r_bg, np.column_stack([profile.chi, rho_bg, mor3_bg, F_bg]))
+    I = integrating_factor(profile)
+    spline = CubicSpline(profile.r, np.column_stack([profile.chi, profile.rho,
+                                                     profile.m_over_r3, I - I[-1]]))
 
     # the nodes and the half nodes in one pass, on the chi column alone
     r0, r0_half = np.split(_invert_chi(PPoly(spline.c[..., 0], spline.x),
                                        np.concatenate([chi, chi[:-1] + 0.5 * dchi]), R), [n])
     r0[-1] = R
 
-    rho0, mor3, F = spline(r0)[:, 1:].T
-    with np.errstate(divide="ignore", invalid="ignore"):  # the centre node
-        bracket, n2, D, q = potential_bracket(r0, rho0, mor3)
-    if np.any(D <= 0.0) or np.any(n2 <= 0.0):
+    rho0, mor3, I0 = spline(r0)[:, 1:].T
+    n2, D, q = metric_terms(r0, rho0, mor3)
+    _, _, C, D_phi, K = quadratic_form(r0, rho0, mor3)
+    # the slope and angle coefficients are positive off the centre exactly
+    # where n^2 > 0 and 1 - 2m/r > 0
+    if np.any(C[1:] <= 0.0) or np.any(D_phi[1:] <= 0.0):
         raise ConvergenceError("coefficient assembly left the regular domain")
-    eF = np.exp(F)
-    V = eF * bracket
-    V[0] = 0.0
-    mass = eF * n2
+    gamma = 1.0 / math.sqrt(1.0 - 2.0 * profile.M_total / R)
+    e = np.exp(I0)
     w, drdchi = _chi_jacobians(r0, n2, D)
+    mass = gamma * n2 * np.sqrt(n2) * e / np.sqrt(D)
+    with np.errstate(divide="ignore"):  # w = 0 at the centre node
+        V = -gamma * e * K / w
+    V[0] = 0.0
 
-    rho_h, mor3_h, F_h = spline(r0_half)[:, 1:].T
-    n2_h = metric_terms(r0_half, rho_h, mor3_h)[0]
-    flux_half = 16.0 * math.pi**2 * r0_half**4 * n2_h * np.exp(F_h)
-    flux_surface = float(16.0 * math.pi**2 * R**4 * n2[-1] * eF[-1])
+    rho_h, mor3_h, I_h = spline(r0_half)[:, 1:].T
+    n2_h, D_h, _ = metric_terms(r0_half, rho_h, mor3_h)
+    C_h = quadratic_form(r0_half, rho_h, mor3_h)[2]
+    flux_half = gamma * C_h * _chi_jacobians(r0_half, n2_h, D_h)[0] * np.exp(I_h)
+    flux_surface = float(gamma * C[-1] * w[-1] * e[-1])
     alpha = float(q[-1] - 2.0 / R)
 
     return WaveCoefficients(
@@ -263,7 +250,6 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         w=_readonly(w),
         drdchi=_readonly(drdchi),
         r0_half=_readonly(r0_half),
-        F=_readonly(F),
         mass=_readonly(mass),
         V=_readonly(V),
         flux_half=_readonly(flux_half),
@@ -293,7 +279,7 @@ def operator_eigenvalues(coeffs: WaveCoefficients, first: int, last: int) -> np.
     symmetric tridiagonal matrix with the diagonal of A and off-diagonal
     sqrt(A[i, i+1] A[i+1, i]); a selected index range costs O(n_chi) memory.
     Index n_chi - 2 is the top of the spectrum, which sets the stability
-    margin of ``evolve``; the lowest indices seed ``modes.find_modes``.
+    margin of ``evolve``.
     """
     ab = coeffs.bands
     diag = -ab[1, 1:]

@@ -1,12 +1,14 @@
 """Radial oscillation modes of a static star, by Chebyshev collocation.
 
 The time-periodic ansatz u = h(chi) cos(sqrt(lambda) t) turns the wave
-equation into a Sturm-Liouville problem.  In the areal radius it reads
+equation into a Sturm-Liouville problem.  The wave operator is gamma times
+the Euler-Lagrange operator of the second variation, -(e C h')' + e K h
+(``variation.quadratic_form``, with e = exp(I - I(R))), so in the areal
+radius the problem reads
 
-    alpha2 h'' + alpha1 h' + (lambda - U) h = 0,
-    alpha2 = (1 - 2m/r)/n^2,
-    alpha1 = alpha2 [ 2/r + rho'/n^2 + (4 pi r rho - m/r^2)/(1 - 2m/r) ],
-    U      = -bracket/n^2,
+    h'' + P h' + (lambda W - Q) h = 0,
+    P = (e C)'/(e C) = 2/r - 2 q + 4 pi r n^2 / (1 - 2m/r),
+    Q = K / C,   W = D / C = n^2 / (1 - 2m/r),
 
 with h ~ r at the centre and the Robin surface condition
 h'(R) = kappa h(R), kappa = w(R) (q(R) - 2/R).  For a vanishingly small star
@@ -16,8 +18,7 @@ the admissible x = sqrt(lambda) R approach the roots of
     sin x (x^2 - 2) + 2 x cos x = 0            (x1 = 2.0815759778181...)
 
 Every coefficient is a function of r^2, and so is g = h/r.  With
-P = alpha1/alpha2, Q = U/alpha2, W = 1/alpha2 and x^2 = lambda R^2 the
-problem in s = (r/R)^2 reads
+x^2 = lambda R^2 the problem in s = (r/R)^2 reads
 
     4 s g_ss + 2 (3 + rP) g_s + E g = -x^2 W g,    E = (rP - r^2 Q)/s,
     g + 2 g_s = kappa R g                          at s = 1.
@@ -27,7 +28,8 @@ solution, g ~ s^(-3/2), is no polynomial), so no series start is needed.
 ``_RadialOperator`` collocates the problem on N + 1 Chebyshev-Gauss-Lobatto
 nodes in s (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 6-7;
 Boyd, *Chebyshev and Fourier Spectral Methods*, 2001), with rP, r^2 Q and W
-read from one cubic spline of the profile's coefficients:
+read from the form at the nodes, on one cubic spline of the profile's rho
+and m/r^3:
 
 * ``find_modes`` eliminates the Robin row and takes every x^2 at once from
   one N x N eigenvalue solve;
@@ -38,9 +40,6 @@ read from one cubic spline of the profile's coefficients:
   eigenvalues as its zeros.  ``eigenfunction`` sums g's Chebyshev series on
   the profile grid by Clenshaw's recurrence, and ``find_modes`` takes
   ``Mode.h`` and ``Mode.defect`` from that same solve at each eigenvalue.
-
-``apply_H0``/``apply_H1`` split the radial operator into its flat Bessel part
-and the stellar correction, which shrinks like R^2.
 """
 
 from __future__ import annotations
@@ -56,14 +55,9 @@ from scipy.optimize import brentq
 
 from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
 from .errors import ConvergenceError
-from .evolution import WaveCoefficients, potential_bracket
-from .numerics import (
-    chebyshev_nodes,
-    chebyshev_series,
-    derivative_uniform,
-    scan_sign_changes,
-    second_derivative_uniform,
-)
+from .evolution import WaveCoefficients
+from .numerics import chebyshev_nodes, chebyshev_series, scan_sign_changes
+from .variation import quadratic_form
 
 #: First admissible x = sqrt(lambda) R in the zero-size limit.
 X1_LIMIT = 2.0815759778181
@@ -138,11 +132,12 @@ def _node_count(x: float) -> int:
 class _RadialOperator:
     """The radial problem of one star in s = (r/R)^2 on Chebyshev nodes.
 
-    rP, r^2 Q and W come from one ``_radial_coefficients`` call on the
-    profile knots r > 0 and one cubic spline of the three, which continues
-    its first piece to the centre.  E is the quotient (rP - r^2 Q)/s at every
-    node but the centre, where the quotient is 0/0; there E takes its limit
-    R^2 (12 pi rho_c - m/r^3|_0) from the regular form
+    rP, r^2 Q and W are read from ``variation.quadratic_form`` on one cubic
+    spline of the profile's rho and m/r^3, with C's factor r^2 cancelled so
+    that each is regular at the centre.  E is the quotient (rP - r^2 Q)/s at
+    every node but the centre, where the quotient is 0/0; there E takes its
+    limit R^2 (12 pi rho_c - m/r^3|_0) from the regular form, with
+    D = 1 - 2m/r,
 
         E/R^2 = -q/r + (4 pi rho - m/r^3)/D + 2 q^2 + (2 m/r^3 + 8 pi n^2)/D
                 - 4 pi r n^2 q/D - q',
@@ -155,21 +150,22 @@ class _RadialOperator:
 
     def __init__(self, profile: BackgroundProfile):
         profile.require_metric()
-        r = profile.r[1:]
-        alpha1, alpha2, U = _radial_coefficients(r, profile.rho[1:], profile.m_over_r3[1:])
-        self._spline = CubicSpline(r, np.column_stack([r * alpha1 / alpha2, r * r * U / alpha2,
-                                                       1.0 / alpha2]))
+        self._spline = CubicSpline(profile.r, np.column_stack([profile.rho, profile.m_over_r3]))
         R = self.R = profile.R
         q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))[2]
         self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
         self.E_centre = R * R * (3.0 * FOUR_PI * float(profile.rho[0])
                                  - float(profile.m_over_r3[0]))
-        self._W_max = float(np.max(1.0 / alpha2))
+        n2, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)
+        self._W_max = float(np.max(n2 / D))
         self._collocations: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def coefficients(self, r):
-        """r P, r^2 Q and W at an array of radii, from the spline."""
-        return tuple(self._spline(r).T)
+        """r P, r^2 Q = K / (4 pi n^2) and W = n^2 / (1 - 2m/r) at an array of radii."""
+        rho, mor3 = self._spline(r).T
+        n2, D, q = metric_terms(r, rho, mor3)
+        K = quadratic_form(r, rho, mor3)[4]
+        return 2.0 - 2.0 * r * q + FOUR_PI * r * r * n2 / D, K / (FOUR_PI * n2), n2 / D
 
     def collocation(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L, W, robin) on N intervals: row j of L applies
@@ -227,13 +223,6 @@ class _RadialOperator:
                 f"tail {tail:.3g} of its largest coefficient > {TAIL_TOL:g}"
             )
         return a, float(robin @ g)
-
-
-def _radial_coefficients(r, rho, mor3):
-    bracket, n2, D, q = potential_bracket(r, rho, mor3)
-    alpha2 = D / n2
-    alpha1 = alpha2 * (2.0 / r - q + (FOUR_PI * r * rho - mor3 * r) / D)
-    return alpha1, alpha2, -bracket / n2
 
 
 def _on_grid(profile: BackgroundProfile, a: np.ndarray) -> np.ndarray:
@@ -324,48 +313,6 @@ def find_modes(profile: BackgroundProfile, n_modes: int = 3) -> list[Mode]:
         modes.append(Mode(eigenvalue=lam, x=math.sqrt(x2.real), h=_on_grid(profile, a),
                           defect=defect))
     return modes
-
-
-# ------------------------------------------------------- operator splitting
-
-
-def apply_H(profile: BackgroundProfile, h: np.ndarray) -> np.ndarray:
-    """Full radial operator -alpha2 h'' - alpha1 h' + U h by differencing.
-
-    Node 0 is reported as 0; accuracy degrades at the first few nodes where
-    the 2/r terms amplify stencil error.
-    """
-    h = np.asarray(h, dtype=float)
-    dr = profile.dr
-    hp = derivative_uniform(h, dr, order=2)
-    hpp = second_derivative_uniform(h, dr)
-    r = profile.r[1:]
-    out = np.zeros_like(h)
-    rP, r2Q, W = _RadialOperator(profile).coefficients(r)
-    out[1:] = ((r2Q * h[1:] / r - rP * hp[1:]) / r - hpp[1:]) / W
-    return out
-
-
-def apply_H0(profile: BackgroundProfile, h: np.ndarray) -> np.ndarray:
-    """Flat-limit part -h'' - 2h'/r + 2h/r^2 (the l=1 Bessel operator)."""
-    h = np.asarray(h, dtype=float)
-    dr = profile.dr
-    hp = derivative_uniform(h, dr, order=2)
-    hpp = second_derivative_uniform(h, dr)
-    r = profile.r
-    out = np.zeros_like(h)
-    out[1:] = -hpp[1:] - 2.0 * hp[1:] / r[1:] + 2.0 * h[1:] / r[1:] ** 2
-    return out
-
-
-def apply_H1(profile: BackgroundProfile, h: np.ndarray) -> np.ndarray:
-    """Stellar correction H - H0.
-
-    On data of fixed shape h = R g(r/R) the flat part grows like 1/R while
-    this correction shrinks like R, so the correction-to-flat ratio falls
-    off quadratically in R.
-    """
-    return apply_H(profile, h) - apply_H0(profile, h)
 
 
 # ----------------------------------------------------------- evolution bridge

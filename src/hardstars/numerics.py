@@ -98,16 +98,6 @@ def derivative_uniform(y: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
     return d
 
 
-def second_derivative_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    """Second derivative, centred second order with one-sided ends."""
-    y = np.asarray(y, dtype=float)
-    d = np.empty_like(y)
-    d[1:-1] = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (dx * dx)
-    d[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / (dx * dx)
-    d[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / (dx * dx)
-    return d
-
-
 def scan_sign_changes(f: Callable[[float], float], grid: np.ndarray) -> list[tuple[float, float]]:
     """Evaluate ``f`` on ``grid`` and return the bracketing pairs where it changes sign."""
     vals = np.array([f(float(x)) for x in grid])

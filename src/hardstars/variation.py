@@ -15,6 +15,8 @@ quantity in this module is singular at the centre.  Each is a Simpson sum
 over the radial grid, evaluated as dot products of the deformation fields
 against per-star vectors that already carry the Simpson weights and the
 star's factors, so only those dot products depend on the deformation.
+``quadratic_form`` holds the pointwise coefficients of the second variation;
+the wave and mode layers read their operator from it as well.
 
 ``audit_perturbations`` draws a reproducible randomized family of deformation
 shapes, normalised to unit surface displacement so that surface-weighted
@@ -69,15 +71,39 @@ def first_variation(profile: BackgroundProfile, rdot: np.ndarray) -> float:
     return _ProfileFactors(profile).first(np.asarray(rdot, dtype=float))
 
 
-def _quadratic_coefficients(profile: BackgroundProfile):
-    r = profile.r
-    rho = profile.rho
-    n2, one_minus_2m_over_r, q = metric_terms(r, rho, profile.m_over_r3)
+def quadratic_form(r, rho, m_over_r3):
+    """The coefficients (A, B, C, D) of the second variation at r, and the
+    bulk potential K of its Euler-Lagrange operator.
+
+    With e = exp(I - I(R)) from ``integrating_factor``, the second variation
+    integrates e (A rdot^2 + B rdot rdot' + C rdot'^2 + D (d_phi rdot)^2) dr.
+    Integrating B rdot rdot' by parts leaves e (K rdot^2 + C rdot'^2) and the
+    surface term B(R) rdot(R)^2 / 2, with
+
+        K = A - B'/2 - 2 pi r n^2 B / (1 - 2m/r),
+
+    since e'/e = 4 pi r n^2 / (1 - 2m/r).  B' is written out with the
+    equilibrium slope rho' = -n^2 q and q' by the quotient rule, so every
+    coefficient is a pointwise function of (r, rho, m/r^3), regular at the
+    centre.  The wave operator (``evolution.assemble_coefficients``) and the
+    radial modes (``modes._RadialOperator``) are this same operator, so all
+    three layers read their coefficients here.  Plain arithmetic, like
+    ``metric_terms``.
+    """
+    n2, one_minus_2m_over_r, q = metric_terms(r, rho, m_over_r3)
+    # q = (m/r^2 + 4 pi r (rho - 1)) / (1 - 2m/r), differentiated by the quotient rule
+    numerator_prime = (FOUR_PI * rho - 2.0 * m_over_r3 + FOUR_PI * (rho - 1.0)
+                       - FOUR_PI * r * n2 * q)
+    denominator_prime = -8.0 * math.pi * r * rho + 2.0 * m_over_r3 * r
+    q_prime = (numerator_prime - q * denominator_prime) / one_minus_2m_over_r
     A = 8.0 * math.pi * rho + 8.0 * math.pi * n2 - 24.0 * math.pi * r * n2 * q
     B = 16.0 * math.pi * r * rho - 8.0 * math.pi * r * r * n2 * q
     C = FOUR_PI * r * r * n2
     D = FOUR_PI * r * r * n2 * n2 / one_minus_2m_over_r
-    return A, B, C, D
+    B_prime = (16.0 * math.pi * rho - 32.0 * math.pi * r * n2 * q
+               + 16.0 * math.pi * r * r * n2 * q * q - 8.0 * math.pi * r * r * n2 * q_prime)
+    K = A - 0.5 * B_prime - 2.0 * math.pi * r * n2 * B / one_minus_2m_over_r
+    return A, B, C, D, K
 
 
 class _ProfileFactors:
@@ -118,7 +144,8 @@ class _ProfileFactors:
     @cached_property
     def quadratic(self) -> tuple[np.ndarray, ...]:
         """The weighted coefficients of rdot^2, rdot rdot', rdot'^2 and (d_phi rdot)^2."""
-        return tuple(self.mass_weights * c for c in _quadratic_coefficients(self.profile))
+        p = self.profile
+        return tuple(self.mass_weights * c for c in quadratic_form(p.r, p.rho, p.m_over_r3)[:4])
 
     @cached_property
     def energy_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -38,15 +38,15 @@ FOUR_PI = 4.0 * math.pi
 def test_tov_rhs_against_high_precision_rearrangement():
     # Same physics, independent algebraic arrangement, 50-digit arithmetic:
     # drho/dr = -n^2 (4 pi r (rho-1) + m/r^2) / (1 - 2m/r) with n^2 = 2 rho - 1.
-    mpmath.mp.dps = 50
-    r, m, rho = 0.05, (FOUR_PI / 3.0) * 0.05**3 * 1.01, 1.005
-    dm, drho = tov_rhs(r, m, rho)
-    rr, mm, dd = mpmath.mpf(r), mpmath.mpf(m), mpmath.mpf(rho)
-    dm_ref = 4 * mpmath.pi * rr**2 * dd
-    n2 = 2 * dd - 1
-    drho_ref = -n2 * (4 * mpmath.pi * rr * (dd - 1) + mm / rr**2) / (1 - 2 * mm / rr)
-    assert abs(dm / float(dm_ref) - 1.0) < 1e-14
-    assert abs(drho / float(drho_ref) - 1.0) < 1e-13
+    with mpmath.workdps(50):
+        r, m, rho = 0.05, (FOUR_PI / 3.0) * 0.05**3 * 1.01, 1.005
+        dm, drho = tov_rhs(r, m, rho)
+        rr, mm, dd = mpmath.mpf(r), mpmath.mpf(m), mpmath.mpf(rho)
+        dm_ref = 4 * mpmath.pi * rr**2 * dd
+        n2 = 2 * dd - 1
+        drho_ref = -n2 * (4 * mpmath.pi * rr * (dd - 1) + mm / rr**2) / (1 - 2 * mm / rr)
+        assert abs(dm / float(dm_ref) - 1.0) < 1e-14
+        assert abs(drho / float(drho_ref) - 1.0) < 1e-13
 
 
 def test_tov_rhs_centre_and_domain_guards():

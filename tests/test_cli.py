@@ -391,13 +391,15 @@ def _no_breakdown(monkeypatch):
 
 
 def _trap_wave_grid(monkeypatch):
-    real = evolution.potential_bracket
+    # the form's angle coefficient D = 4 pi r^2 n^4 / (1 - 2m/r) turns
+    # negative, as it does on a trapped shell
+    real = evolution.quadratic_form
 
     def trapped(*args):
-        bracket, n2, D, q = real(*args)
-        return bracket, n2, -D, q
+        A, B, C, D, K = real(*args)
+        return A, B, C, -D, K
 
-    monkeypatch.setattr(evolution, "potential_bracket", trapped)
+    monkeypatch.setattr(evolution, "quadratic_form", trapped)
 
 
 def _flatten_second_variation(monkeypatch):

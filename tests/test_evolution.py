@@ -41,6 +41,7 @@ from hardstars.evolution import (
     residual_norm,
 )
 from hardstars.modes import find_modes, mode_to_initial_data
+from hardstars.variation import second_variation
 import assembly_oracle
 import diagnostics_oracle
 from family_oracle import DeformedFamily
@@ -184,8 +185,8 @@ def test_surface_wave_speed_identity(star_r005, co):
 
 
 def test_center_potential_scaling(co):
-    # V ~ -2 e^F / r0^2 with F(0) = 0 at the innermost shells
-    vals = co.V[1:6] * co.r0[1:6] ** 2 * np.exp(-co.F[1:6])
+    # V ~ -2 mass / (n^2 r0^2) at the innermost shells
+    vals = co.V[1:6] * co.r0[1:6] ** 2 * co.n2[1:6] / co.mass[1:6]
     assert np.all(np.abs(vals + 2.0) <= 60.0 * co.r0[1:6] ** 2)
     assert co.V[0] == 0.0
 
@@ -204,27 +205,32 @@ def test_potential_sign_range(R, positive):
 
 
 def test_mass_weight_at_least_one(co):
-    # e^F and n^2 both exceed 1 inside the star
+    # the mass weight gamma n^3 e / sqrt(1 - 2m/r) is at least 1 inside the star
     assert np.all(co.mass >= 1.0)
     assert np.all(co.flux_half > 0.0)
 
 
 def test_uniform_density_closed_forms(flat_coeffs):
+    # rho = 1 is not a solved star, so gamma n e / sqrt(1 - 2m/r) is not
+    # e^F = 1 / (1 - beta r^2) here: with I = -(3/4) ln(1 - beta r^2) and
+    # gamma = (1 - beta R^2)^(-1/2), mass = (1 - beta R^2)^(1/4) (1 - beta r^2)^(-5/4)
     c = flat_coeffs
     beta = 8.0 * math.pi / 3.0
-    F_exact = -np.log(1.0 - beta * c.r0**2)
-    assert np.max(np.abs(c.F - F_exact)) <= 1e-11
-    mass_exact = 1.0 / (1.0 - beta * c.r0**2)
-    assert np.max(np.abs(c.mass / mass_exact - 1.0)) <= 1e-11
-    flux_exact = 16.0 * math.pi**2 * c.r0_half**4 / (1.0 - beta * c.r0_half**2)
+    R = c.profile.R
+
+    def log_weight(r):
+        return 0.25 * np.log(1.0 - beta * R * R) - 1.25 * np.log(1.0 - beta * r**2)
+
+    assert np.max(np.abs(np.log(c.mass / c.n2) - log_weight(c.r0))) <= 1e-11
+    flux_exact = 16.0 * math.pi**2 * c.r0_half**4 * np.exp(log_weight(c.r0_half))
     assert np.max(np.abs(c.flux_half / flux_exact - 1.0)) <= 1e-11
 
 
 def test_uniform_density_potential_limit(flat_coeffs):
-    # V e^{-F} + 2/r0^2 approaches 44 pi / 3 quadratically at the centre
+    # V n^2 / mass + 2/r0^2 approaches 44 pi / 3 quadratically at the centre
     c = flat_coeffs
     sel = (c.r0 > 0.0) & (c.r0 <= c.profile.R / 4.0)
-    val = c.V[sel] * np.exp(-c.F[sel]) + 2.0 / c.r0[sel] ** 2
+    val = c.V[sel] * c.n2[sel] / c.mass[sel] + 2.0 / c.r0[sel] ** 2
     err = np.abs(val - 44.0 * math.pi / 3.0)
     assert np.all(err <= 60.0 * c.r0[sel] ** 2 + 1e-8)
 
@@ -264,17 +270,31 @@ def test_chi_inversion_stops_once_newton_converges(star, request):
     assert np.max(np.abs(exact(r[1:-1]) - targets[1:-1])) <= 1e-12
 
 
+# the mass, flux and V of the quadratic form against the retired e^F
+# formulas: e^F = gamma n e / sqrt(1 - 2m/r) on a solved star, up to the
+# Simpson error of F against that of I, which is one factor over the whole
+# star (measured worst 1.15e-12 at R = 0.1, grid 2001; the bands, ratios of
+# those coefficients, 4.1e-14)
+FORM_ORACLE_RTOL = 2e-12
+
+
 @pytest.mark.parametrize("n_chi", [16, 501, 2000])
 @pytest.mark.parametrize("star", ["star_r002", "star_r005", "star_r01"])
 def test_assembly_matches_two_spline_oracle(star, n_chi, request):
-    # one spline of (chi, rho, m/r^3, F) and one inversion pass over the
-    # nodes and the half nodes reproduce the two-spline assembly bit for bit
+    # one spline of (chi, rho, m/r^3, I - I(R)) and one inversion pass over
+    # the nodes and the half nodes reproduce the two-spline assembly's radii,
+    # fields and alpha bit for bit, and its e^F coefficients to the Simpson gap
     prof = request.getfixturevalue(star)
     got = assemble_coefficients(prof, n_chi=n_chi)
     want = assembly_oracle.assemble_coefficients(prof, n_chi)
+    formed = ("mass", "V", "flux_half", "flux_surface", "bands")
     for f in dataclasses.fields(got):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(a, np.ndarray):
+        if f.name in formed:
+            a, b = np.asarray(a), np.asarray(b)
+            gap = np.abs(a - b)
+            assert np.all(gap <= FORM_ORACLE_RTOL * np.abs(b)), f.name
+        elif isinstance(a, np.ndarray):
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
@@ -290,6 +310,28 @@ def test_coefficient_grid_too_small(star_r005):
 
 
 # ------------------------------------------------------------------- energy
+
+
+@pytest.mark.parametrize("R, solver", [(0.02, "picard"), (0.1, "picard"), (0.2, "shooting")])
+def test_wave_energy_is_gamma_times_second_variation(R, solver):
+    # the wave operator is gamma = 1/sqrt(1 - 2M/R) times the Euler-Lagrange
+    # operator of the second variation, so twice the static wave energy is
+    # gamma times the second variation of the same displacement.  These
+    # draws vanish at the surface, where alpha plays no part.  Measured gap
+    # of 2P / (gamma M_ddot) - 1: 7.8e-7 to 8.0e-7 (k = 1), 3.6e-6 to 3.9e-6
+    # (k = 2) and 8.5e-6 to 9.1e-6 (k = 3), the chi grid's O(k^2 dchi^2).
+    # Quarter-wave draws sin((k - 1/2) pi chi / B) give -0.61, -0.54 and
+    # -0.24 at k = 1 instead of 0: the surface coefficient alpha = q(R) - 2/R
+    # is per unit r, applied per unit chi.
+    star = build_star(StarParameters(R=R, grid_n=4001), solver=solver)
+    c = assemble_coefficients(star, n_chi=2000)
+    gamma = 1.0 / math.sqrt(1.0 - 2.0 * star.M_total / R)
+    B = star.N_total
+    for k in (1, 2, 3):
+        u = np.sin(k * math.pi * c.chi / B)
+        energy = discrete_energy(c, u, np.zeros_like(u))
+        mass_hessian = second_variation(star, np.sin(k * math.pi * star.chi / B))
+        assert abs(2.0 * energy / (gamma * mass_hessian) - 1.0) <= 1.25e-6 * k * k, k
 
 
 def test_semi_discrete_energy_identity(co):

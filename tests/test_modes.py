@@ -23,9 +23,6 @@ from hardstars.modes import (
     X1_LIMIT,
     _node_count,
     _RadialOperator,
-    apply_H,
-    apply_H0,
-    apply_H1,
     dispersion_function,
     dispersion_roots,
     eigenfunction,
@@ -37,7 +34,15 @@ from hardstars.modes import (
 )
 from hardstars.numerics import scan_sign_changes
 from hardstars.variation import detuned_profile
-from shooting_oracle import NdarrayRowRhs, ivp_eigenfunction, rk45_defect
+from shooting_oracle import (
+    NdarrayRowRhs,
+    apply_H,
+    apply_H0,
+    apply_H1,
+    ivp_eigenfunction,
+    rk45_defect,
+    second_derivative_uniform,
+)
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -351,9 +356,9 @@ def test_shooting_defect_is_thread_safe(star_r005, star_r01):
 
 @pytest.mark.parametrize("which", ["r005", "r019"])
 def test_rhs_matches_exact_formula_oracle(which, request):
-    # the collocation reads r P, r^2 Q and W from a cubic spline between the
-    # profile knots; the oracle evaluates alpha1, alpha2 and U by their
-    # formulas.  The radial right-hand side -P h' + (Q - lam W) h built from
+    # the collocation reads r P, r^2 Q and W from the quadratic form of the
+    # second variation; the oracle evaluates alpha1, alpha2 and U by the
+    # retired formulas, each on a cubic spline of (rho, m/r^3).  The radial right-hand side -P h' + (Q - lam W) h built from
     # each is compared, relative to the sum of the magnitudes of its terms.
     star = request.getfixturevalue({"r005": "star_r005", "r019": "star_r019_shooting"}[which])
     op = _RadialOperator(star)
@@ -389,7 +394,7 @@ def test_rhs_matches_exact_formula_oracle(which, request):
 def test_centre_potential_closed_form(star_r005, star_r019_shooting):
     # E = (rP - r^2 Q)/s is 0/0 at the centre.  Its regular form, with q/r
     # and q' written out, gives the centre value the operator uses, and away
-    # from the centre it equals the quotient of the spline's values
+    # from the centre it equals the quotient of the operator's coefficients
     for star in (star_r005, star_r019_shooting):
         op = _RadialOperator(star)
         R, r, rho, mor3 = star.R, star.r, star.rho, star.m_over_r3
@@ -406,7 +411,7 @@ def test_centre_potential_closed_form(star_r005, star_r019_shooting):
         s = (r / R) ** 2
         far = s >= 1e-3
         rP, r2Q, _ = op.coefficients(r[far])
-        # the quotient loses digits like 1/s: measured worst 7.7e-12 (R = 0.05)
+        # the quotient loses digits like 1/s: measured worst 9.1e-12 (R = 0.05)
         assert np.max(np.abs((rP - r2Q) / s[far] - E[far]) / np.abs(E[far])) <= 2e-11
 
 
@@ -545,6 +550,15 @@ def test_defect_extreme_argument_is_finite(star_r005):
     val = shooting_defect(star_r005, 1e9)
     assert math.isfinite(val)
     assert abs(val) <= 1e30
+
+
+def test_second_derivative_convergence():
+    errs = []
+    for n in (41, 81):
+        x = np.linspace(0.0, 1.0, n)
+        got = second_derivative_uniform(np.sin(3.0 * x), x[1] - x[0])
+        errs.append(np.max(np.abs(got + 9.0 * np.sin(3.0 * x))))
+    assert 3.0 <= errs[0] / errs[1] <= 5.5
 
 
 def test_operator_splitting_relative_size(star_r005, star_r01):

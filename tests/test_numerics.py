@@ -10,7 +10,6 @@ from hardstars.numerics import (
     cumulative_simpson_uniform,
     derivative_uniform,
     scan_sign_changes,
-    second_derivative_uniform,
     simpson_uniform,
     simpson_weights,
 )
@@ -95,15 +94,6 @@ def test_derivative_convergence_rates():
             got = derivative_uniform(np.sin(3.0 * x), x[1] - x[0], order=order)
             errs.append(np.max(np.abs(got - 3.0 * np.cos(3.0 * x))))
         assert lo <= errs[0] / errs[1] <= hi
-
-
-def test_second_derivative_convergence():
-    errs = []
-    for n in (41, 81):
-        x = np.linspace(0.0, 1.0, n)
-        got = second_derivative_uniform(np.sin(3.0 * x), x[1] - x[0])
-        errs.append(np.max(np.abs(got + 9.0 * np.sin(3.0 * x))))
-    assert 3.0 <= errs[0] / errs[1] <= 5.5
 
 
 def test_scan_sign_changes_finds_cosine_zeros():

@@ -16,8 +16,8 @@ import numpy as np
 from hardstars.background import FOUR_PI, metric_terms
 from hardstars.numerics import derivative_uniform, simpson_uniform
 from hardstars.variation import (
-    _quadratic_coefficients,
     integrating_factor,
+    quadratic_form,
     second_variation,
     tov_defect,
     variation_energy,
@@ -40,7 +40,7 @@ class SimpsonVariations:
         self.exp_I, self.exp_minus_IR = np.exp(I), math.exp(-I[-1])
         self.tov = tov_defect(p)
         self.surface = FOUR_PI * p.R**2 * (p.rho[-1] - 1.0)
-        self.quadratic = _quadratic_coefficients(p)
+        self.quadratic = quadratic_form(p.r, p.rho, p.m_over_r3)[:4]
         r, n = p.r, p.n
         root = np.sqrt(metric_terms(r, p.rho, p.m_over_r3)[1])
         self.energy_weights = (FOUR_PI * n / root, r * r * root / (FOUR_PI * n),
