@@ -23,11 +23,13 @@ with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
   share a radius) and, like the fixed-point route, needs numpy alone.
 
 Both return the same ``BackgroundProfile``; their agreement is the primary
-cross-check of the module.  ``derive_metric_fields`` completes a solved
-profile with the metric and mass-coordinate data used downstream: the
-particle coordinate chi, the lapse-related potentials psi and omega, and the
-Jacobian dr/dchi.  Ratios such as m/r^3 that are 0/0 at the centre are stored
-with their analytic limits so no consumer ever divides by zero.
+cross-check of the module.  A profile is (r, m, rho, m/r^3) on the grid;
+m/r^3, 0/0 at the centre, is stored with its analytic limit so no consumer
+ever divides by zero.  ``derive_metric_fields`` completes it with the
+particle coordinate chi and the totals M and N.  Every other metric quantity
+is a pointwise function of (r, rho, m/r^3) and is formed where it is used:
+the lapse n = sqrt(2 rho - 1), psi = -ln n, omega = -ln(4 pi r^2 n) and
+dr/dchi = sqrt(1 - 2m/r)/(4 pi r^2 n).
 
 ``metric_terms(r, rho, m/r^3)`` is the only place that forms the pointwise
 quantities every layer builds on: n^2 = 2 rho - 1, D = 1 - 2m/r and the lapse
@@ -98,12 +100,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BackgroundProfile:
-    """A solved star on a uniform radial grid.
+    """A solved star on a uniform radial grid: r, m, rho and m/r^3.
 
-    ``omega``, ``drdchi`` and ``dpsidchi`` diverge at the centre (the particle
-    coordinate degenerates there); the stored node-0 values are +inf, and all
-    centre-regular combinations are available through ``m_over_r3``.
-    Metric-level fields are ``None`` until ``derive_metric_fields`` runs.
+    ``chi`` and the totals are ``None`` until ``derive_metric_fields`` runs.
     """
 
     R: float
@@ -111,15 +110,9 @@ class BackgroundProfile:
     r: np.ndarray
     m: np.ndarray
     rho: np.ndarray
-    p: np.ndarray
     m_over_r3: np.ndarray
     provenance: dict = field(default_factory=dict)
-    n: np.ndarray | None = None
-    psi: np.ndarray | None = None
-    omega: np.ndarray | None = None
     chi: np.ndarray | None = None
-    drdchi: np.ndarray | None = None
-    dpsidchi: np.ndarray | None = None
     M_total: float | None = None
     N_total: float | None = None
 
@@ -137,7 +130,7 @@ class BackgroundProfile:
 
     def require_metric(self) -> None:
         if not self.completed:
-            raise ValueError("profile lacks metric fields; run derive_metric_fields first")
+            raise ValueError("profile lacks chi; run derive_metric_fields first")
 
 
 def tov_rhs(r: float, m: float, rho: float) -> tuple[float, float]:
@@ -198,7 +191,6 @@ def _pack_profile(params: StarParameters, r, m, rho, m_over_r3, provenance) -> B
         r=_readonly(r),
         m=_readonly(m),
         rho=_readonly(rho),
-        p=_readonly(rho - 1.0),
         m_over_r3=_readonly(m_over_r3),
         provenance=provenance,
     )
@@ -419,43 +411,21 @@ def _chi_jacobians(r, n2, D):
 
 
 def derive_metric_fields(profile: BackgroundProfile) -> BackgroundProfile:
-    """Complete a solved profile with metric and particle-coordinate data.
+    """Complete a profile with the particle coordinate and the totals.
 
-    Adds n = sqrt(2 rho - 1), psi = -ln n, omega = -ln(4 pi r^2 n), the
-    particle coordinate chi(r) = integral of 4 pi s^2 n (1 - 2m/s)^{-1/2},
-    and the Jacobians dr/dchi, dpsi/dchi.  The total mass and particle
-    number are the surface values of m and chi.
+    Adds chi(r) = integral of 4 pi s^2 n (1 - 2m/s)^{-1/2} ds with
+    n = sqrt(2 rho - 1); the total mass and particle number are the surface
+    values of m and chi.  Raises ``DomainError`` for a trapped shell
+    (2m/r >= 1) or a density below the stiff floor.
     """
-    r, m, rho = profile.r, profile.m, profile.rho
-    dr = profile.dr
-    n2, D, q = metric_terms(r, rho, profile.m_over_r3)
+    n2, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)
     if np.any(D <= 0.0):
         raise DomainError("profile contains a trapped shell (2m/r >= 1)")
-    if np.any(rho < 1.0 - 1e-9):
+    if np.any(profile.rho < 1.0 - 1e-9):
         raise DomainError("profile density below the stiff floor")
-
-    n = np.sqrt(n2)
-    psi = -np.log(n)
-    w, drdchi = _chi_jacobians(r, n2, D)
-    chi = cumulative_simpson_uniform(w, dr)
-    with np.errstate(divide="ignore"):
-        omega = -np.log(FOUR_PI * r * r * n)
-        omega[0] = np.inf
-    # hydrostatic potential gradient dpsi/dr times dr/dchi
-    dpsidchi = q * np.where(np.isfinite(drdchi), drdchi, 0.0)
-    dpsidchi[0] = np.inf
-
-    return replace(
-        profile,
-        n=_readonly(n),
-        psi=_readonly(psi),
-        omega=_readonly(omega),
-        chi=_readonly(chi),
-        drdchi=_readonly(drdchi),
-        dpsidchi=_readonly(dpsidchi),
-        M_total=float(m[-1]),
-        N_total=float(chi[-1]),
-    )
+    chi = cumulative_simpson_uniform(_chi_jacobians(profile.r, n2, D)[0], profile.dr)
+    return replace(profile, chi=_readonly(chi), M_total=float(profile.m[-1]),
+                   N_total=float(chi[-1]))
 
 
 def chi_weight(profile: BackgroundProfile) -> np.ndarray:

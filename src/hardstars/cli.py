@@ -559,12 +559,6 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     checks.record(
         "background.compactness", compact < 1.0, f"3M/R = {compact:.6f} < 1"
     )
-    closure = float(
-        np.max(np.abs(np.exp(star.psi[1:] - star.omega[1:]) / (FOUR_PI * star.r[1:] ** 2) - 1.0))
-    )
-    checks.record(
-        "background.metric-closure", closure <= 1e-12, f"e^(psi-omega)/4pi r^2 - 1: {closure:.3e}"
-    )
     rho_close, _ = approximate_profile(R, star.r, order=2)
     approx_gap = float(np.max(np.abs(star.rho - rho_close)))
     checks.record(

@@ -4,7 +4,9 @@ A table is one '#'-prefixed provenance line (a JSON object), the column
 names, then the rows at 17 significant digits, so a written file is
 byte-stable across runs and round-trips to the exact floating-point values
 ("inf" for infinities).  ``digest`` hashes the canonical JSON that headers
-carry.  A solved star is a table plus a JSON sidecar.
+carry.  A solved star is a table plus a JSON sidecar.  Its table holds
+``CSV_COLUMNS``, the profile itself (r, m, rho, m/r^3); reading it back
+re-derives chi and the totals through ``derive_metric_fields``.
 """
 
 from __future__ import annotations
@@ -12,16 +14,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from .background import FOUR_PI, BackgroundProfile, _readonly
+from .background import BackgroundProfile, _readonly, derive_metric_fields
 
-CSV_COLUMNS = ("r", "m", "rho", "p", "n", "psi", "omega", "chi", "drdchi", "dpsidchi")
+CSV_COLUMNS = ("r", "m", "rho", "m_over_r3")
+#: Largest relative gap between m and m_over_r3 r^3 a profile file may hold;
+#: the solvers' output is within 4.1e-15 (R = 0.02-0.2471, grids 401-4001).
+MASS_CONSISTENCY_RTOL = 1e-12
 
 
 def digest(text: str) -> str:
@@ -155,14 +159,15 @@ def write_profile(
 
 
 def read_profile_csv(path: str | Path) -> BackgroundProfile:
-    """Reconstruct a completed profile from a CSV written by this module.
+    """Read a profile CSV written by this module and complete it.
 
     Raises ``ValueError`` unless the first line is a ``# {...}`` header with
     format ``hardstars-profile`` and this package's version, the columns
-    are ``CSV_COLUMNS``, r runs from 0 to R > 0 on a uniform grid (every
-    spacing within 1e-9 dr of R/(rows - 1)), chi strictly increases, and
-    every value is finite apart from +inf at the centre of omega, drdchi
-    and dpsidchi.
+    are ``CSV_COLUMNS``, every value is finite, r runs from 0 to R > 0 on a
+    uniform grid (every spacing within 1e-9 dr of R/(rows - 1)), and m
+    matches m_over_r3 r^3 to ``MASS_CONSISTENCY_RTOL`` of |m|.  The profile
+    is then completed by ``derive_metric_fields``, whose ``DomainError`` (a
+    ``ValueError``) refuses a trapped shell or a density below the floor.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -178,27 +183,26 @@ def read_profile_csv(path: str | Path) -> BackgroundProfile:
         )
     names, table = read_table(path)
     if tuple(names) != CSV_COLUMNS:
-        raise ValueError(f"unexpected columns in {path}: {names}")
+        raise ValueError(
+            f"unexpected columns in {path}: {','.join(names)} (expected {','.join(CSV_COLUMNS)}; "
+            "rebuild older profiles with 'hardstars build')"
+        )
     bad = ~np.isfinite(table)
-    centre = [CSV_COLUMNS.index(name) for name in ("omega", "drdchi", "dpsidchi")]
-    bad[0, centre] &= table[0, centre] != math.inf
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ValueError(f"{path}: non-finite {CSV_COLUMNS[col]} in data row {row + 1}")
-    cols = {name: _readonly(col) for name, col in zip(CSV_COLUMNS, table.T)}
-    r, grid_n = cols["r"], len(table)
+    r, m, rho, m_over_r3 = (_readonly(col) for col in table.T)
+    grid_n = len(table)
     if grid_n < 2 or not r[-1] > 0.0:
         raise ValueError(f"{path}: need at least two rows reaching a positive radius")
     dr = r[-1] / (grid_n - 1)
     if np.any(np.abs(np.diff(r) - dr) > 1e-9 * dr):
         raise ValueError(f"{path}: r is not a uniform grid from 0 to R")
-    if np.any(np.diff(cols["chi"]) <= 0.0):
-        raise ValueError(f"{path}: chi is not strictly increasing")
-    m_over_r3 = np.empty(grid_n)
-    m_over_r3[1:] = cols["m"][1:] / r[1:] ** 3
-    m_over_r3[0] = (FOUR_PI / 3.0) * cols["rho"][0]
-    return BackgroundProfile(
-        R=float(r[-1]), grid_n=grid_n, m_over_r3=_readonly(m_over_r3),
+    off = np.abs(m - m_over_r3 * r**3) > MASS_CONSISTENCY_RTOL * np.abs(m)
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(f"{path}: m differs from m_over_r3 r^3 in data row {row + 1}")
+    return derive_metric_fields(BackgroundProfile(
+        R=float(r[-1]), grid_n=grid_n, r=r, m=m, rho=rho, m_over_r3=m_over_r3,
         provenance={"solver": "file", "source": str(path)},
-        M_total=float(cols["m"][-1]), N_total=float(cols["chi"][-1]), **cols,
-    )
+    ))

@@ -151,8 +151,9 @@ class _ProfileFactors:
     def energy_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weighted coefficients of rdot^2, rdot'^2 and (d_phi rdot)^2 in the energy."""
         p = self.profile
-        r, n, w = p.r, p.n, self.simpson
-        root = np.sqrt(metric_terms(r, p.rho, p.m_over_r3)[1])
+        r, w = p.r, self.simpson
+        n2, D, _ = metric_terms(r, p.rho, p.m_over_r3)
+        n, root = np.sqrt(n2), np.sqrt(D)
         return (w * (FOUR_PI * n / root), w * (r * r * root / (FOUR_PI * n)),
                 w * (FOUR_PI * r * r * n / root))
 
@@ -279,7 +280,7 @@ def mass_aspect_bound_ratios(
 
 
 def detuned_profile(profile: BackgroundProfile, factor: float = 1.01) -> BackgroundProfile:
-    """Scale density and mass function by ``factor``, re-deriving metric fields.
+    """Scale density and mass function by ``factor``, re-deriving chi and the totals.
 
     Scaling both keeps the integral mass-density relation intact (it is
     linear), so the result is admissible initial data, but it is not a solved
@@ -291,17 +292,8 @@ def detuned_profile(profile: BackgroundProfile, factor: float = 1.01) -> Backgro
     bare = replace(
         profile,
         rho=_readonly(factor * profile.rho),
-        p=_readonly(factor * profile.rho - 1.0),
         m=_readonly(factor * profile.m),
         m_over_r3=_readonly(factor * profile.m_over_r3),
-        n=None,
-        psi=None,
-        omega=None,
-        chi=None,
-        drdchi=None,
-        dpsidchi=None,
-        M_total=None,
-        N_total=None,
         provenance={**profile.provenance, "detuned": factor},
     )
     return derive_metric_fields(bare)

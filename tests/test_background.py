@@ -202,13 +202,19 @@ def test_mpmath_star_reproduces_pinned_radius():
 # ------------------------------------------------------------- approximation
 
 
+def _compression(prof):
+    """4 pi r^2 dr/dchi = sqrt(1 - 2m/r)/n from the pointwise metric terms."""
+    n2, D, _ = metric_terms(prof.r, prof.rho, prof.m_over_r3)
+    return np.sqrt(D) / np.sqrt(n2)
+
+
 def test_small_star_closed_form_scales_like_r4(star_r01, star_r005):
     errs = {}
     comp_errs = {}
     for prof in (star_r01, star_r005):
         rho_app, comp_app = approximate_profile(prof.R, prof.r)
         errs[prof.R] = np.max(np.abs(prof.rho - rho_app))
-        comp = FOUR_PI * prof.r[1:] ** 2 * prof.drdchi[1:]
+        comp = _compression(prof)[1:]
         comp_errs[prof.R] = np.max(np.abs(comp - comp_app[1:]))
     assert 13.0 < errs[0.1] / errs[0.05] < 19.0
     assert 13.0 < comp_errs[0.1] / comp_errs[0.05] < 19.0
@@ -220,7 +226,7 @@ def test_two_term_closed_form_scales_like_r6(star_r002, star_r005, star_r01):
     radii, errs, comp_errs = [], [], []
     for prof in (star_r002, star_r005, star_r01):
         rho_app, comp_app = approximate_profile(prof.R, prof.r, order=2)
-        comp = FOUR_PI * prof.r[1:] ** 2 * prof.drdchi[1:]
+        comp = _compression(prof)[1:]
         radii.append(prof.R)
         errs.append(np.max(np.abs(prof.rho - rho_app)))
         comp_errs.append(np.max(np.abs(comp - comp_app[1:])))
@@ -242,18 +248,20 @@ def test_closed_form_centre_value():
 
 
 def test_wave_speed_identity(star_r01):
-    # exp(psi - omega) collapses to 4 pi r^2 for this fluid.
+    # exp(psi - omega) collapses to 4 pi r^2 for this fluid, with
+    # psi = -ln n and omega = -ln(4 pi r^2 n)
     r = star_r01.r[1:]
-    lhs = np.exp(star_r01.psi[1:] - star_r01.omega[1:])
+    n = np.sqrt(metric_terms(r, star_r01.rho[1:], star_r01.m_over_r3[1:])[0])
+    psi, omega = -np.log(n), -np.log(FOUR_PI * r * r * n)
+    lhs = np.exp(psi - omega)
     assert np.max(np.abs(lhs / (FOUR_PI * r * r) - 1.0)) < 1e-13
 
 
 def test_jacobian_inverts_chi_weight(star_r01):
     w = chi_weight(star_r01)
-    assert np.allclose(w[1:] * star_r01.drdchi[1:], 1.0, rtol=1e-13, atol=0.0)
-    assert star_r01.drdchi[0] == np.inf
-    assert star_r01.omega[0] == np.inf
-    assert star_r01.dpsidchi[0] == np.inf
+    drdchi = _compression(star_r01)[1:] / (FOUR_PI * star_r01.r[1:] ** 2)
+    assert np.allclose(w[1:] * drdchi, 1.0, rtol=1e-13, atol=0.0)
+    assert w[0] == 0.0
 
 
 def test_chi_profile_differentiates_back(star_r01):
@@ -262,8 +270,9 @@ def test_chi_profile_differentiates_back(star_r01):
 
 
 def test_psi_gradient_matches_finite_difference(star_r01):
-    d_psi = np.gradient(star_r01.psi, star_r01.dr, edge_order=2)
-    q = metric_terms(star_r01.r, star_r01.rho, star_r01.m_over_r3)[2]
+    n2, _, q = metric_terms(star_r01.r, star_r01.rho, star_r01.m_over_r3)
+    psi = -np.log(np.sqrt(n2))
+    d_psi = np.gradient(psi, star_r01.dr, edge_order=2)
     assert np.max(np.abs(d_psi - q)) < 1e-7
 
 
@@ -271,7 +280,7 @@ def test_metric_terms_on_floats_and_arrays(star_r01):
     r, rho, mor3 = star_r01.r, star_r01.rho, star_r01.m_over_r3
     n2, D, q = metric_terms(r, rho, mor3)
     assert q[0] == 0.0  # dpsi/dr vanishes at the regular centre
-    assert np.allclose(n2, star_r01.n**2, rtol=1e-14, atol=0.0)
+    assert np.allclose(np.sqrt(n2) ** 2, 2.0 * rho - 1.0, rtol=1e-14, atol=0.0)
     assert np.array_equal(FOUR_PI * r * r * np.sqrt(n2) / np.sqrt(D), chi_weight(star_r01))
     # the shooting right-hand side calls it on plain floats
     for i in (0, 700, star_r01.grid_n - 1):
@@ -285,12 +294,6 @@ def test_totals_and_photon_sphere_margin(star_r01):
     assert star_r01.N_total == star_r01.chi[-1]
     assert star_r01.N_total > star_r01.M_total  # positive binding
     assert 3.0 * star_r01.M_total / star_r01.R < 1.0
-
-
-def test_dpsidchi_closure(star_r01):
-    q = metric_terms(star_r01.r, star_r01.rho, star_r01.m_over_r3)[2]
-    expect = q[1:] * star_r01.drdchi[1:]
-    assert np.allclose(star_r01.dpsidchi[1:], expect, rtol=1e-13, atol=0.0)
 
 
 # ------------------------------------------------------------------- family

@@ -537,6 +537,26 @@ def test_variation_audit_from_profile_file(tmp_path):
     assert doc["max_abs_M_dot"] < 1e-6
 
 
+@pytest.mark.parametrize("R, solver", [("0.09", "picard"), ("0.19", "shooting")])
+def test_audit_of_built_profile_matches_direct_audit(tmp_path, R, solver):
+    # the profile file re-derives the star bit for bit, so the audit of a
+    # `build` output is the audit of the solve itself, draw by draw
+    star_args = ("--R", R, "--solver", solver, "--grid-n", "4001", "--seed", "7")
+    assert run("build", *star_args, "--output-dir", str(tmp_path)) == EXIT_OK
+    profile = tmp_path / f"profile_R{R.replace('.', 'p')}.csv"
+    reports = []
+    for tag, source in (("direct", ()), ("file", ("--profile", str(profile)))):
+        out = tmp_path / tag
+        code = run("variation-audit", *star_args, "--count", "8", *source, "--output-dir", str(out))
+        assert code == EXIT_OK
+        reports.append(json.loads((out / "variation_report.json").read_text())["perturbations"])
+    direct, from_file = reports
+    assert len(direct) == 8
+    for a, b in zip(direct, from_file):
+        for key in ("M_dot", "M_ddot", "E_var", "ratio"):
+            assert a[key] == b[key], (a["index"], key)
+
+
 def test_evolve_artifacts(tmp_path):
     code = run(
         "evolve", "--R", "0.05", "--grid-n", "801", "--n-chi", "201",
@@ -720,8 +740,8 @@ def profile_lines(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "case",
-    ["missing", "columns", "non-numeric", "no-rows", "non-uniform", "non-monotone-chi",
-     "no-header", "format", "version"],
+    ["missing", "columns", "non-numeric", "no-rows", "non-uniform", "below-floor", "trapped",
+     "mass-mismatch", "old-format", "no-header", "format", "version"],
 )
 def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case):
     header, names, *rows = profile_lines
@@ -733,11 +753,19 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
         rows = []
     elif case == "non-uniform":
         rows[7] = "0.5" + rows[7][rows[7].index(","):]
-    elif case == "non-monotone-chi":
-        j = names.split(",").index("chi")
-        cells = rows[7].split(",")
-        cells[j] = rows[9].split(",")[j]
-        rows[7] = ",".join(cells)
+    elif case in ("below-floor", "trapped", "mass-mismatch"):
+        r, m, rho, m_over_r3 = rows[7].split(",")
+        if case == "below-floor":
+            rho = "0.5"
+        elif case == "trapped":  # 2m/r = 2, with m and m/r^3 still consistent
+            m, m_over_r3 = r, repr(1.0 / float(r) ** 2)
+        else:
+            m = repr(float(m) * (1.0 + 1e-9))
+        rows[7] = ",".join((r, m, rho, m_over_r3))
+    elif case == "old-format":
+        # the ten columns written before a profile file held only r, m, rho, m/r^3
+        names = "r,m,rho,p,n,psi,omega,chi,drdchi,dpsidchi"
+        rows = [",".join("%.17g" % x for x in row) for row in _old_format_columns()]
     elif case == "format":
         header = header.replace('"hardstars-profile"', '"hardstars-snapshot"')
     elif case == "version":
@@ -754,6 +782,25 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
     err = capsys.readouterr().err
     assert "cannot use profile" in err
     assert "Traceback" not in err
+    reason = {"below-floor": "below the stiff floor", "trapped": "trapped shell",
+              "mass-mismatch": "m differs from m_over_r3 r^3 in data row 8",
+              "old-format": "expected r,m,rho,m_over_r3"}
+    assert reason.get(case, "") in err
+
+
+def _old_format_columns():
+    """The rows of the older ten-column profile file of the R = 0.05 build,
+    with +inf at the centre of omega, dr/dchi and dpsi/dchi."""
+    star = build_star(StarParameters(R=0.05, grid_n=401))
+    r, rho = star.r, star.rho
+    n2, D, q = background.metric_terms(r, rho, star.m_over_r3)
+    n = np.sqrt(n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega = -np.log(background.FOUR_PI * r * r * n)
+        drdchi = 1.0 / background.chi_weight(star)
+        dpsidchi = q * drdchi
+    dpsidchi[0] = np.inf
+    return zip(r, star.m, rho, rho - 1.0, n, -np.log(n), omega, star.chi, drdchi, dpsidchi)
 
 
 # ------------------------------------------------------------------ verify

@@ -152,7 +152,6 @@ def flat_coeffs():
         r=_readonly(r),
         m=_readonly(FOUR_PI / 3.0 * r**3),
         rho=_readonly(np.ones(gn)),
-        p=_readonly(np.zeros(gn)),
         m_over_r3=_readonly(np.full(gn, FOUR_PI / 3.0)),
         provenance={"source": "uniform-density synthetic"},
     )

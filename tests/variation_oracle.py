@@ -41,8 +41,9 @@ class SimpsonVariations:
         self.tov = tov_defect(p)
         self.surface = FOUR_PI * p.R**2 * (p.rho[-1] - 1.0)
         self.quadratic = quadratic_form(p.r, p.rho, p.m_over_r3)[:4]
-        r, n = p.r, p.n
-        root = np.sqrt(metric_terms(r, p.rho, p.m_over_r3)[1])
+        r = p.r
+        n2, D, _ = metric_terms(r, p.rho, p.m_over_r3)
+        n, root = np.sqrt(n2), np.sqrt(D)
         self.energy_weights = (FOUR_PI * n / root, r * r * root / (FOUR_PI * n),
                                FOUR_PI * r * r * n / root)
 
