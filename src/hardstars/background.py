@@ -23,13 +23,15 @@ with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
   share a radius) and, like the fixed-point route, needs numpy alone.
 
 Both return the same ``BackgroundProfile``; their agreement is the primary
-cross-check of the module.  A profile is (r, m, rho, m/r^3) on the grid;
-m/r^3, 0/0 at the centre, is stored with its analytic limit so no consumer
-ever divides by zero.  ``derive_metric_fields`` completes it with the
-particle coordinate chi and the totals M and N.  Every other metric quantity
-is a pointwise function of (r, rho, m/r^3) and is formed where it is used:
-the lapse n = sqrt(2 rho - 1), psi = -ln n, omega = -ln(4 pi r^2 n) and
-dr/dchi = sqrt(1 - 2m/r)/(4 pi r^2 n).
+cross-check of the module.  A profile is three arrays on the grid: r, rho
+and m/r^3, the regular unknowns the solvers solve for.  m/r^3, 0/0 at the
+centre, is stored with its analytic limit so no consumer ever divides by
+zero.  Everything else is read off those arrays: R and the grid size, the
+mass function m = (m/r^3) r^3, the particle coordinate chi (integrated on
+first read) and the totals M = m(R) and N = chi(R).  Every other metric
+quantity is a pointwise function of (r, rho, m/r^3) and is formed where it
+is used: the lapse n = sqrt(2 rho - 1), psi = -ln n, omega = -ln(4 pi r^2 n)
+and dr/dchi = sqrt(1 - 2m/r)/(4 pi r^2 n).
 
 ``metric_terms(r, rho, m/r^3)`` is the only place that forms the pointwise
 quantities every layer builds on: n^2 = 2 rho - 1, D = 1 - 2m/r and the lapse
@@ -39,7 +41,8 @@ gradient q; the equilibrium slope is -n^2 q and dchi/dr = 4 pi r^2 n/sqrt(D).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,37 +103,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BackgroundProfile:
-    """A solved star on a uniform radial grid: r, m, rho and m/r^3.
+    """A solved star on a uniform radial grid: r, rho and m/r^3.
 
-    ``chi`` and the totals are ``None`` until ``derive_metric_fields`` runs.
+    R, the grid size, m and the totals are read off those arrays, and chi is
+    integrated on first read; a profile is never half-built.
     """
 
-    R: float
-    grid_n: int
     r: np.ndarray
-    m: np.ndarray
     rho: np.ndarray
     m_over_r3: np.ndarray
     provenance: dict = field(default_factory=dict)
-    chi: np.ndarray | None = None
-    M_total: float | None = None
-    N_total: float | None = None
+
+    @property
+    def R(self) -> float:
+        return float(self.r[-1])
+
+    @property
+    def grid_n(self) -> int:
+        return len(self.r)
 
     @property
     def dr(self) -> float:
         return self.R / (self.grid_n - 1)
 
     @property
-    def rho_central(self) -> float:
-        return float(self.rho[0])
+    def m(self) -> np.ndarray:
+        """The mass function m = (m/r^3) r^3."""
+        return _readonly(self.m_over_r3 * self.r ** 3)
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """The particle coordinate chi(r) = integral of dchi/dr (``chi_weight``)."""
+        return _readonly(cumulative_simpson_uniform(chi_weight(self), self.dr))
 
     @property
-    def completed(self) -> bool:
-        return self.chi is not None
+    def M_total(self) -> float:
+        return float(self.m[-1])
 
-    def require_metric(self) -> None:
-        if not self.completed:
-            raise ValueError("profile lacks chi; run derive_metric_fields first")
+    @property
+    def N_total(self) -> float:
+        return float(self.chi[-1])
+
+    @property
+    def rho_central(self) -> float:
+        return float(self.rho[0])
 
 
 def tov_rhs(r: float, m: float, rho: float) -> tuple[float, float]:
@@ -184,16 +200,9 @@ def approximate_profile(R: float, r: np.ndarray | float,
     return rho, rprime
 
 
-def _pack_profile(params: StarParameters, r, m, rho, m_over_r3, provenance) -> BackgroundProfile:
-    return BackgroundProfile(
-        R=params.R,
-        grid_n=params.grid_n,
-        r=_readonly(r),
-        m=_readonly(m),
-        rho=_readonly(rho),
-        m_over_r3=_readonly(m_over_r3),
-        provenance=provenance,
-    )
+def _pack_profile(r, rho, m_over_r3, provenance) -> BackgroundProfile:
+    return BackgroundProfile(r=_readonly(r), rho=_readonly(rho),
+                             m_over_r3=_readonly(m_over_r3), provenance=provenance)
 
 
 def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
@@ -258,7 +267,6 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
             residual=last_residual,
         )
 
-    m = (FOUR_PI / 3.0) * r ** 3 + cumulative_simpson_uniform(FOUR_PI * r2 * rhot, dr)
     rho = 1.0 + rhot
     m_over_r3 = (FOUR_PI / 3.0) + ratio
     provenance = {
@@ -268,7 +276,7 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
         "grid_n": n_pts,
         "tol": params.picard_tol,
     }
-    return _pack_profile(params, r, m, rho, m_over_r3, provenance)
+    return _pack_profile(r, rho, m_over_r3, provenance)
 
 
 def _hydrostatic_system(a: float, s: np.ndarray, d1: np.ndarray, rho: np.ndarray,
@@ -350,8 +358,7 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     ``COLLOCATION_N`` and doubles, from the previous solution, while the last
     three Chebyshev coefficients of rho or mu exceed ``TAIL_TOL`` of their
     largest, up to ``COLLOCATION_MAX_N``.  The profile on the grid is the
-    two Chebyshev series summed by Clenshaw's recurrence, with
-    m = mu r^3 and m/r^3 = mu.
+    two Chebyshev series summed by Clenshaw's recurrence, with m/r^3 = mu.
     """
     # numpy.polynomial costs about 5 ms to import; the fixed-point commands never load it
     from numpy.polynomial.chebyshev import chebval
@@ -389,7 +396,7 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
         "grid_n": params.grid_n,
         "rho_central": float(rho[0]),
     }
-    return _pack_profile(params, r, mu * r ** 3, rho, mu, provenance)
+    return _pack_profile(r, rho, mu, provenance)
 
 
 def metric_terms(r, rho, m_over_r3):
@@ -402,36 +409,32 @@ def metric_terms(r, rho, m_over_r3):
     return n2, D, q
 
 
-def _chi_jacobians(r, n2, D):
-    """dchi/dr = 4 pi r^2 n/sqrt(D), 0 at the centre, and dr/dchi, +inf there."""
-    w = FOUR_PI * r * r * np.sqrt(n2) / np.sqrt(D)
-    drdchi = np.where(w > 0.0, 1.0 / np.maximum(w, 1e-300), np.inf)
-    drdchi[0] = np.inf
-    return w, drdchi
+def _chi_jacobian(r, n2, D):
+    """dchi/dr = 4 pi r^2 n/sqrt(D), 0 at the centre; takes floats as well as arrays."""
+    return FOUR_PI * r * r * np.sqrt(n2) / np.sqrt(D)
 
 
 def derive_metric_fields(profile: BackgroundProfile) -> BackgroundProfile:
-    """Complete a profile with the particle coordinate and the totals.
+    """Check that a profile is admissible and read its particle coordinate.
 
-    Adds chi(r) = integral of 4 pi s^2 n (1 - 2m/s)^{-1/2} ds with
-    n = sqrt(2 rho - 1); the total mass and particle number are the surface
-    values of m and chi.  Raises ``DomainError`` for a trapped shell
-    (2m/r >= 1) or a density below the stiff floor.
+    Raises ``DomainError`` for a trapped shell (2m/r >= 1) or a density
+    below the stiff floor; otherwise reads chi(r) = integral of
+    4 pi s^2 n (1 - 2m/s)^{-1/2} ds with n = sqrt(2 rho - 1), so N = chi(R)
+    is at hand, and returns the profile.
     """
-    n2, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)
+    _, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)
     if np.any(D <= 0.0):
         raise DomainError("profile contains a trapped shell (2m/r >= 1)")
     if np.any(profile.rho < 1.0 - 1e-9):
         raise DomainError("profile density below the stiff floor")
-    chi = cumulative_simpson_uniform(_chi_jacobians(profile.r, n2, D)[0], profile.dr)
-    return replace(profile, chi=_readonly(chi), M_total=float(profile.m[-1]),
-                   N_total=float(chi[-1]))
+    profile.chi  # the first read integrates it
+    return profile
 
 
 def chi_weight(profile: BackgroundProfile) -> np.ndarray:
     """dchi/dr on the grid (vanishes at the centre)."""
     n2, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)
-    return _chi_jacobians(profile.r, n2, D)[0]
+    return _chi_jacobian(profile.r, n2, D)
 
 
 _SOLVERS = {"picard": solve_tov_picard, "shooting": solve_tov_shooting}

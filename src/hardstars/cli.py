@@ -453,15 +453,17 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
     if emit_j is not None and not 1 <= emit_j <= count:
         raise ConfigError(f"emit_initial_data index {emit_j} outside 1..{count}")
 
-    # flat-operator eigenvalues under the surface condition of this radius
-    R = config.R
+    # flat-operator eigenvalues under the surface condition of this radius,
+    # which must be one a star can have
+    params = config.star_parameters()
+    R = params.R
     flat = dispersion_roots(count, R=R)
     lam_h0 = [(x / R) ** 2 for x in flat]
 
     star = None
     modes = []
     if which in ("full", "both"):
-        star = build_star(config.star_parameters(), solver=config.solver)
+        star = build_star(params, solver=config.solver)
         modes = find_modes(star, n_modes=count)
 
     columns: tuple[str, ...]
@@ -493,7 +495,7 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
 
     if emit_j is not None:
         if star is None:
-            star = build_star(config.star_parameters(), solver=config.solver)
+            star = build_star(params, solver=config.solver)
         if len(modes) < emit_j:
             modes = find_modes(star, n_modes=emit_j)
         coeffs = assemble_coefficients(star, n_chi=_get(config, "n_chi"))
@@ -526,8 +528,10 @@ class _Checks:
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
     """Re-check the documented invariants of every module on one star."""
+    from scipy.special import spherical_jn
+
     from .evolution import assemble_coefficients, evolve, gaussian_pulse
-    from .modes import X1_LIMIT, estimate_period, find_modes, mode_to_initial_data, spherical_j1
+    from .modes import X1_LIMIT, estimate_period, find_modes, mode_to_initial_data
 
     checks = _Checks()
     R = config.R
@@ -644,7 +648,7 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
         f"defect {modes[0].defect:.3e}",
     )
     if R in calibration.FLAT_SHAPE_DISTANCE_MAX:
-        flat = 3.0 * R / x1 * spherical_j1(x1 * star.r / R)
+        flat = 3.0 * R / x1 * spherical_jn(1, x1 * star.r / R)
         dist = float(np.max(np.abs(modes[0].h - flat)) / np.max(np.abs(modes[0].h)))
         ceiling = calibration.FLAT_SHAPE_DISTANCE_MAX[R]
         checks.record(

@@ -89,7 +89,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dgbmv
 
-from .background import FOUR_PI, BackgroundProfile, _chi_jacobians, _readonly, metric_terms
+from .background import FOUR_PI, BackgroundProfile, _chi_jacobian, _readonly, metric_terms
 from .errors import CflViolationError, ConvergenceError, DomainError, InstabilityError
 from .numerics import derivative_uniform
 from .variation import integrating_factor, quadratic_form
@@ -111,7 +111,6 @@ class WaveCoefficients:
     n2: np.ndarray         # n0^2 = 2 rho0 - 1, as metric_terms forms it
     q: np.ndarray          # radial gradient of the lapse potential
     w: np.ndarray          # dchi/dr0 at the nodes (0 at the centre)
-    drdchi: np.ndarray     # dr0/dchi at the nodes (inf at the centre)
     r0_half: np.ndarray    # shell radii at the half nodes
     mass: np.ndarray
     V: np.ndarray          # potential; node 0 stored as 0 and never used
@@ -198,7 +197,6 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         mass = gamma n^3 e / sqrt(1 - 2m/r),  flux = gamma C w e,
         V = -gamma e K / w,  alpha = q(R) - 2/R.
     """
-    profile.require_metric()
     if n_chi < 16:
         raise DomainError(f"n_chi must be at least 16, got {n_chi}")
     B = profile.N_total
@@ -225,7 +223,7 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         raise ConvergenceError("coefficient assembly left the regular domain")
     gamma = 1.0 / math.sqrt(1.0 - 2.0 * profile.M_total / R)
     e = np.exp(I0)
-    w, drdchi = _chi_jacobians(r0, n2, D)
+    w = _chi_jacobian(r0, n2, D)
     mass = gamma * n2 * np.sqrt(n2) * e / np.sqrt(D)
     with np.errstate(divide="ignore"):  # w = 0 at the centre node
         V = -gamma * e * K / w
@@ -234,7 +232,7 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
     rho_h, mor3_h, I_h = spline(r0_half)[:, 1:].T
     n2_h, D_h, _ = metric_terms(r0_half, rho_h, mor3_h)
     C_h = quadratic_form(r0_half, rho_h, mor3_h)[2]
-    flux_half = gamma * C_h * _chi_jacobians(r0_half, n2_h, D_h)[0] * np.exp(I_h)
+    flux_half = gamma * C_h * _chi_jacobian(r0_half, n2_h, D_h) * np.exp(I_h)
     flux_surface = float(gamma * C[-1] * w[-1] * e[-1])
     alpha = float(q[-1] - 2.0 / R)
 
@@ -248,7 +246,6 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         n2=_readonly(n2),
         q=_readonly(q),
         w=_readonly(w),
-        drdchi=_readonly(drdchi),
         r0_half=_readonly(r0_half),
         mass=_readonly(mass),
         V=_readonly(V),

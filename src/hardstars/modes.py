@@ -52,8 +52,9 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
+from scipy.special import spherical_jn
 
-from .background import FOUR_PI, BackgroundProfile, _readonly, chi_weight, metric_terms
+from .background import FOUR_PI, BackgroundProfile, _chi_jacobian, _readonly, metric_terms
 from .errors import ConvergenceError
 from .evolution import WaveCoefficients
 from .numerics import chebyshev_nodes, chebyshev_series, scan_sign_changes
@@ -71,31 +72,12 @@ X1_LIMIT = 2.0815759778181
 TAIL_TOL = 1e-8
 
 
-def spherical_j1(x):
-    """Order-1 spherical Bessel function (series near 0, closed form beyond)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.5
-    xs = x[small]
-    term = xs / 3.0
-    total = term.copy()
-    for k in range(6):
-        term = term * (-xs * xs) / ((2.0 * k + 2.0) * (2.0 * k + 5.0))
-        total += term
-    out[small] = total
-    xl = x[~small]
-    out[~small] = np.sin(xl) / (xl * xl) - np.cos(xl) / xl
-    return float(out[0]) if scalar else out
-
-
 def dispersion_function(x, R: float = 0.0):
     """Surface-condition defect of the small-star model, whose zeros give the
     flat-operator eigenvalues.  At R = 0 it reduces to sin x (x^2-2) + 2x cos x
     (up to a factor x^2)."""
     x = np.asarray(x, dtype=float)
-    return (2.0 - 8.0 * math.pi * R * R) * (-spherical_j1(x)) + np.sin(x)
+    return (2.0 - 8.0 * math.pi * R * R) * (-spherical_jn(1, x)) + np.sin(x)
 
 
 def dispersion_roots(n_roots: int, R: float = 0.0) -> list[float]:
@@ -149,11 +131,10 @@ class _RadialOperator:
     """
 
     def __init__(self, profile: BackgroundProfile):
-        profile.require_metric()
         self._spline = CubicSpline(profile.r, np.column_stack([profile.rho, profile.m_over_r3]))
         R = self.R = profile.R
-        q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))[2]
-        self.kappa = float(chi_weight(profile)[-1]) * (q_R - 2.0 / R)
+        n2_R, D_R, q_R = metric_terms(R, float(profile.rho[-1]), float(profile.m_over_r3[-1]))
+        self.kappa = float(_chi_jacobian(R, n2_R, D_R)) * (q_R - 2.0 / R)
         self.E_centre = R * R * (3.0 * FOUR_PI * float(profile.rho[0])
                                  - float(profile.m_over_r3[0]))
         n2, D, _ = metric_terms(profile.r, profile.rho, profile.m_over_r3)

@@ -5,8 +5,9 @@ names, then the rows at 17 significant digits, so a written file is
 byte-stable across runs and round-trips to the exact floating-point values
 ("inf" for infinities).  ``digest`` hashes the canonical JSON that headers
 carry.  A solved star is a table plus a JSON sidecar.  Its table holds
-``CSV_COLUMNS``, the profile itself (r, m, rho, m/r^3); reading it back
-re-derives chi and the totals through ``derive_metric_fields``.
+``CSV_COLUMNS``, the profile itself (r, rho, m/r^3); reading it back checks
+it through ``derive_metric_fields``, and m, chi and the totals are read off
+those columns as they are for a solved star.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ import numpy as np
 from . import __version__
 from .background import BackgroundProfile, _readonly, derive_metric_fields
 
-CSV_COLUMNS = ("r", "m", "rho", "m_over_r3")
-#: Largest relative gap between m and m_over_r3 r^3 a profile file may hold;
-#: the solvers' output is within 4.1e-15 (R = 0.02-0.2471, grids 401-4001).
-MASS_CONSISTENCY_RTOL = 1e-12
+CSV_COLUMNS = ("r", "rho", "m_over_r3")
 
 
 def digest(text: str) -> str:
@@ -108,7 +106,6 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def profile_metadata(profile: BackgroundProfile) -> dict:
-    profile.require_metric()
     return {
         "R": profile.R,
         "M_total": profile.M_total,
@@ -163,11 +160,11 @@ def read_profile_csv(path: str | Path) -> BackgroundProfile:
 
     Raises ``ValueError`` unless the first line is a ``# {...}`` header with
     format ``hardstars-profile`` and this package's version, the columns
-    are ``CSV_COLUMNS``, every value is finite, r runs from 0 to R > 0 on a
-    uniform grid (every spacing within 1e-9 dr of R/(rows - 1)), and m
-    matches m_over_r3 r^3 to ``MASS_CONSISTENCY_RTOL`` of |m|.  The profile
-    is then completed by ``derive_metric_fields``, whose ``DomainError`` (a
-    ``ValueError``) refuses a trapped shell or a density below the floor.
+    are ``CSV_COLUMNS``, every value is finite, and r runs from 0 to R > 0
+    on a uniform grid (every spacing within 1e-9 dr of R/(rows - 1)).  The
+    profile is then checked by ``derive_metric_fields``, whose
+    ``DomainError`` (a ``ValueError``) refuses a trapped shell or a density
+    below the floor.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -191,18 +188,13 @@ def read_profile_csv(path: str | Path) -> BackgroundProfile:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ValueError(f"{path}: non-finite {CSV_COLUMNS[col]} in data row {row + 1}")
-    r, m, rho, m_over_r3 = (_readonly(col) for col in table.T)
-    grid_n = len(table)
-    if grid_n < 2 or not r[-1] > 0.0:
+    r, rho, m_over_r3 = (_readonly(col) for col in table.T)
+    if len(r) < 2 or not r[-1] > 0.0:
         raise ValueError(f"{path}: need at least two rows reaching a positive radius")
-    dr = r[-1] / (grid_n - 1)
+    dr = r[-1] / (len(r) - 1)
     if np.any(np.abs(np.diff(r) - dr) > 1e-9 * dr):
         raise ValueError(f"{path}: r is not a uniform grid from 0 to R")
-    off = np.abs(m - m_over_r3 * r**3) > MASS_CONSISTENCY_RTOL * np.abs(m)
-    if off.any():
-        row = int(np.argmax(off))
-        raise ValueError(f"{path}: m differs from m_over_r3 r^3 in data row {row + 1}")
     return derive_metric_fields(BackgroundProfile(
-        R=float(r[-1]), grid_n=grid_n, r=r, m=m, rho=rho, m_over_r3=m_over_r3,
+        r=r, rho=rho, m_over_r3=m_over_r3,
         provenance={"solver": "file", "source": str(path)},
     ))

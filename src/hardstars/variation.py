@@ -120,7 +120,6 @@ class _ProfileFactors:
     """
 
     def __init__(self, profile: BackgroundProfile) -> None:
-        profile.require_metric()
         self.profile = profile
         self.dr = profile.dr
 
@@ -280,7 +279,7 @@ def mass_aspect_bound_ratios(
 
 
 def detuned_profile(profile: BackgroundProfile, factor: float = 1.01) -> BackgroundProfile:
-    """Scale density and mass function by ``factor``, re-deriving chi and the totals.
+    """Scale density and mass function by ``factor``; chi and the totals are read afresh.
 
     Scaling both keeps the integral mass-density relation intact (it is
     linear), so the result is admissible initial data, but it is not a solved
@@ -289,14 +288,12 @@ def detuned_profile(profile: BackgroundProfile, factor: float = 1.01) -> Backgro
     """
     if factor < 1.0:
         raise DomainError("detuning factor below 1 would cross the stiff floor")
-    bare = replace(
+    return derive_metric_fields(replace(
         profile,
         rho=_readonly(factor * profile.rho),
-        m=_readonly(factor * profile.m),
         m_over_r3=_readonly(factor * profile.m_over_r3),
         provenance={**profile.provenance, "detuned": factor},
-    )
-    return derive_metric_fields(bare)
+    ))
 
 
 # -------------------------------------------------------------------- audit
@@ -332,7 +329,6 @@ def audit_perturbations(
     redrawn).  The angular-derivative field is an independent draw in the
     same basis.
     """
-    profile.require_metric()
     modes = DEFAULT_AUDIT_MODES
     xi = profile.chi / profile.N_total
     basis = [np.sin((k - 0.5) * math.pi * xi) for k in range(1, modes + 1)]

@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from hardstars.background import FOUR_PI, _chi_jacobians, metric_terms
+from hardstars.background import FOUR_PI, _chi_jacobian, metric_terms
 from hardstars.evolution import WaveCoefficients, _invert_chi
 from hardstars.numerics import cumulative_simpson_uniform
 
@@ -65,12 +65,12 @@ def assemble_coefficients(profile, n_chi):
     eF = np.exp(F)
     V = eF * bracket
     V[0] = 0.0
-    w, drdchi = _chi_jacobians(r0, n2, D)
+    w = _chi_jacobian(r0, n2, D)
     rho_h, mor3_h, F_h = fields_sp(r0_half).T
     n2_h = metric_terms(r0_half, rho_h, mor3_h)[0]
     return WaveCoefficients(
         profile=profile, n_chi=n, dchi=dchi, chi=chi, r0=r0, rho0=rho0, n2=n2, q=q, w=w,
-        drdchi=drdchi, r0_half=r0_half, mass=eF * n2, V=V,
+        r0_half=r0_half, mass=eF * n2, V=V,
         flux_half=16.0 * math.pi**2 * r0_half**4 * n2_h * np.exp(F_h),
         flux_surface=float(16.0 * math.pi**2 * R**4 * n2[-1] * eF[-1]),
         alpha=float(q[-1] - 2.0 / R),

@@ -47,9 +47,10 @@ def constraint_residual(coeffs, u):
     m1 = -FOUR_PI * r0 * r0 * (coeffs.rho0 - 1.0) * u
     rho1 = -coeffs.n2 * psi1
     lhs = derivative_uniform(m1, coeffs.dchi, order=4)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # dr0/dchi = 1/w, +inf at the centre
         rhs = FOUR_PI * (
-            (2.0 * r0 * coeffs.rho0 * u + r0 * r0 * rho1) * coeffs.drdchi
+            (2.0 * r0 * coeffs.rho0 * u + r0 * r0 * rho1) / coeffs.w
             + r0 * r0 * coeffs.rho0 * du
         )
     out = lhs - rhs

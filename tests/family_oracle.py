@@ -30,7 +30,6 @@ class DeformedFamily:
     """Callable family M(lam) for one background profile and shape pair."""
 
     def __init__(self, profile, delta_r, ddelta_dchi):
-        profile.require_metric()
         self.profile = profile
         self.delta_r = delta_r
         self.ddelta_dchi = ddelta_dchi

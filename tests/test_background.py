@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -23,10 +24,12 @@ from hardstars import (
 from hardstars import background as bg
 from hardstars.background import (
     MAX_CONTRACTION_RADIUS,
+    BackgroundProfile,
     chi_weight,
     metric_terms,
 )
-from hardstars.numerics import chebyshev_nodes
+from hardstars.numerics import chebyshev_nodes, cumulative_simpson_uniform
+from hardstars.variation import detuned_profile
 from tov_oracle import MPMATH_STARS, ivp_shooting, mpmath_star
 
 FOUR_PI = 4.0 * math.pi
@@ -296,6 +299,45 @@ def test_totals_and_photon_sphere_margin(star_r01):
     assert 3.0 * star_r01.M_total / star_r01.R < 1.0
 
 
+# the rung centres of the benchmark's static radius ladder
+STATIC_RUNGS = (0.02, 0.04, 0.06, 0.09, 0.115, 0.15, 0.19, 0.235)
+
+
+def test_profile_holds_three_arrays(star_r01):
+    names = [f.name for f in dataclasses.fields(BackgroundProfile)]
+    assert names == ["r", "rho", "m_over_r3", "provenance"]
+    assert np.array_equal(star_r01.m, star_r01.m_over_r3 * star_r01.r ** 3)
+
+
+@pytest.mark.parametrize("grid_n", [16, 401, 4096])
+def test_radius_grid_and_totals_read_off_the_arrays(grid_n):
+    # np.linspace returns its endpoint exactly, so R = r[-1] and the grid
+    # size are the requested ones bit for bit, on both solvers
+    for R in STATIC_RUNGS:
+        params = StarParameters(R=R, grid_n=grid_n)
+        solvers = [solve_tov_shooting]
+        if R <= MAX_CONTRACTION_RADIUS:
+            solvers.append(solve_tov_picard)
+        for solve in solvers:
+            prof = solve(params)
+            where = (R, grid_n, solve.__name__)
+            assert prof.R == params.R and prof.grid_n == params.grid_n, where
+            assert prof.dr == params.R / (params.grid_n - 1), where
+            assert prof.M_total == prof.m[-1] and prof.N_total == prof.chi[-1], where
+
+
+def test_replaced_arrays_re_integrate_chi(star_r01):
+    # chi is read off rho and m/r^3 on first use, so a profile with new
+    # arrays (the detuned control) carries its own chi, not the source's
+    factor = 1.01
+    det = dataclasses.replace(star_r01, rho=factor * star_r01.rho,
+                              m_over_r3=factor * star_r01.m_over_r3)
+    chi = cumulative_simpson_uniform(chi_weight(det), det.dr)
+    assert np.array_equal(det.chi, chi)
+    assert det.N_total == chi[-1] != star_r01.N_total
+    assert np.array_equal(detuned_profile(star_r01, factor).chi, chi)
+
+
 # ------------------------------------------------------------------- family
 
 
@@ -326,3 +368,6 @@ def test_build_star_solver_choice():
 def test_arrays_are_frozen(star_r01):
     with pytest.raises(ValueError):
         star_r01.rho[0] = 2.0
+    for name in ("r", "m_over_r3", "m", "chi"):
+        with pytest.raises(ValueError):
+            getattr(star_r01, name)[0] = 2.0

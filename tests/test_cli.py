@@ -689,6 +689,18 @@ def test_modes_h0_only_needs_no_star(tmp_path):
     assert lams[0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("R", ["0", "-0.5", "5"])
+def test_modes_h0_only_checks_the_radius(tmp_path, capsys, R):
+    # no star is built for the flat roots, but the radius must still be one
+    # a star can have, as it must for --which full and both
+    out = tmp_path / "out"
+    assert run("modes", "--R", R, "--which", "h0", "--output-dir", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not (out / "modes.csv").exists()
+
+
 def test_bad_preset_is_config_error(tmp_path, capsys):
     short_row = tmp_path / "short_row.csv"
     short_row.write_text("chi,u,v\n0,0,0\n1,0\n")
@@ -741,7 +753,7 @@ def profile_lines(tmp_path_factory):
 @pytest.mark.parametrize(
     "case",
     ["missing", "columns", "non-numeric", "no-rows", "non-uniform", "below-floor", "trapped",
-     "mass-mismatch", "old-format", "no-header", "format", "version"],
+     "four-column", "old-format", "no-header", "format", "version"],
 )
 def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case):
     header, names, *rows = profile_lines
@@ -753,17 +765,21 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
         rows = []
     elif case == "non-uniform":
         rows[7] = "0.5" + rows[7][rows[7].index(","):]
-    elif case in ("below-floor", "trapped", "mass-mismatch"):
-        r, m, rho, m_over_r3 = rows[7].split(",")
+    elif case in ("below-floor", "trapped"):
+        r, rho, m_over_r3 = rows[7].split(",")
         if case == "below-floor":
             rho = "0.5"
-        elif case == "trapped":  # 2m/r = 2, with m and m/r^3 still consistent
-            m, m_over_r3 = r, repr(1.0 / float(r) ** 2)
-        else:
-            m = repr(float(m) * (1.0 + 1e-9))
-        rows[7] = ",".join((r, m, rho, m_over_r3))
+        else:  # 2m/r = 2 m/r^3 r^2 = 2
+            m_over_r3 = repr(1.0 / float(r) ** 2)
+        rows[7] = ",".join((r, rho, m_over_r3))
+    elif case == "four-column":
+        # the columns written before a profile file held only r, rho, m/r^3
+        names = "r,m,rho,m_over_r3"
+        star = build_star(StarParameters(R=0.05, grid_n=401))
+        rows = [",".join("%.17g" % x for x in row)
+                for row in zip(star.r, star.m, star.rho, star.m_over_r3)]
     elif case == "old-format":
-        # the ten columns written before a profile file held only r, m, rho, m/r^3
+        # the ten columns of the profile files written before the four-column ones
         names = "r,m,rho,p,n,psi,omega,chi,drdchi,dpsidchi"
         rows = [",".join("%.17g" % x for x in row) for row in _old_format_columns()]
     elif case == "format":
@@ -783,8 +799,7 @@ def test_bad_profile_file_is_config_error(tmp_path, capsys, profile_lines, case)
     assert "cannot use profile" in err
     assert "Traceback" not in err
     reason = {"below-floor": "below the stiff floor", "trapped": "trapped shell",
-              "mass-mismatch": "m differs from m_over_r3 r^3 in data row 8",
-              "old-format": "expected r,m,rho,m_over_r3"}
+              "four-column": "expected r,rho,m_over_r3", "old-format": "expected r,rho,m_over_r3"}
     assert reason.get(case, "") in err
 
 

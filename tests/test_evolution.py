@@ -147,10 +147,7 @@ def flat_coeffs():
     gn = 1201
     r = np.linspace(0.0, R, gn)
     prof = BackgroundProfile(
-        R=R,
-        grid_n=gn,
         r=_readonly(r),
-        m=_readonly(FOUR_PI / 3.0 * r**3),
         rho=_readonly(np.ones(gn)),
         m_over_r3=_readonly(np.full(gn, FOUR_PI / 3.0)),
         provenance={"source": "uniform-density synthetic"},

@@ -30,7 +30,6 @@ from hardstars.modes import (
     find_modes,
     mode_to_initial_data,
     shooting_defect,
-    spherical_j1,
 )
 from hardstars.numerics import scan_sign_changes
 from hardstars.variation import detuned_profile
@@ -115,30 +114,11 @@ def star_r0247_shooting():
 # ----------------------------------------------------------- special function
 
 
-def test_j1_matches_reference():
-    x = np.concatenate(
-        [
-            np.linspace(1e-8, 0.499, 40),
-            np.linspace(0.5, 20.0, 200),
-        ]
-    )
-    ref = spherical_jn(1, x)
-    mine = spherical_j1(x)
-    assert np.max(np.abs(mine - ref)) <= 1e-15
-
-
-def test_j1_series_branch_continuity():
-    # values just below and above the series switchover agree to roundoff
-    lo = spherical_j1(0.5 - 1e-12)
-    hi = spherical_j1(0.5 + 1e-12)
-    assert abs(lo - hi) <= 1e-12
-
-
 def test_j1_recurrence_identity():
     # x j1' + 2 j1 = sin x, the identity behind the boundary reduction
     x = np.linspace(0.3, 12.0, 120)
     j1p = spherical_jn(1, x, derivative=True)
-    gap = x * j1p + 2.0 * spherical_j1(x) - np.sin(x)
+    gap = x * j1p + 2.0 * spherical_jn(1, x) - np.sin(x)
     assert np.max(np.abs(gap)) <= 1e-13
 
 
@@ -211,7 +191,7 @@ def test_fundamental_approaches_limit(star_r002, star_r005, star_r01):
 
 def test_eigenfunction_near_flat_shape(star_r005, modes_r005):
     m = modes_r005[0]
-    flat = 3.0 * star_r005.R / m.x * spherical_j1(m.x * star_r005.r / star_r005.R)
+    flat = 3.0 * star_r005.R / m.x * spherical_jn(1, m.x * star_r005.r / star_r005.R)
     rel = np.max(np.abs(m.h - flat)) / np.max(np.abs(m.h))
     assert rel <= 0.03
 
@@ -230,7 +210,7 @@ def test_eigenfunction_on_nodes_inside_the_series_start():
     assert star.r[1] < 1e-4 * star.R
     m = find_modes(star, n_modes=1)[0]
     assert m.h[1] / star.r[1] == pytest.approx(1.0, abs=1e-6)
-    flat = 3.0 * star.R / m.x * spherical_j1(m.x * star.r / star.R)
+    flat = 3.0 * star.R / m.x * spherical_jn(1, m.x * star.r / star.R)
     assert np.max(np.abs(m.h - flat)) / np.max(np.abs(m.h)) <= 0.03
 
 

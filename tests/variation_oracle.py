@@ -33,7 +33,6 @@ class SimpsonVariations:
     """First and second variation and energy, one Simpson integral per draw."""
 
     def __init__(self, profile) -> None:
-        profile.require_metric()
         p = self.profile = profile
         self.dr = p.dr
         I = integrating_factor(p)
