@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -711,7 +712,9 @@ _COMMANDS = {
 # ------------------------------------------------------------------ parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hardstars",
         description="Static hard stars, their mass variations, linear waves, and modes.",

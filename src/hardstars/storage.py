@@ -3,20 +3,25 @@
 A table is one '#'-prefixed provenance line (a JSON object), the column
 names, then the rows at 17 significant digits, so a written file is
 byte-stable across runs and round-trips to the exact floating-point values
-("inf" for infinities).  ``digest`` hashes the canonical JSON that headers
-carry.  A solved star is a table plus a JSON sidecar.  Its table holds
-``CSV_COLUMNS``, the profile itself (r, rho, m/r^3); reading it back checks
-it through ``derive_metric_fields``, and m, chi and the totals are read off
-those columns as they are for a solved star.
+("inf" for infinities).  A table is read by handing the open file, past
+its names line, to one ``np.loadtxt`` call; a file that call refuses is
+read again line by line, which names the first bad line.  ``digest``
+hashes the canonical JSON that headers carry.  A solved star is a table
+plus a JSON sidecar.  Its table holds ``CSV_COLUMNS``, the profile itself
+(r, rho, m/r^3); reading it back checks it through ``derive_metric_fields``,
+and m, chi and the totals are read off those columns as they are for a
+solved star.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -68,41 +73,74 @@ def _rows(path, lines: Iterator[tuple[int, str]], names: list[str]) -> Iterator[
         yield lineno, line
 
 
-def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+def _read_by_line(fh, path) -> tuple[list[str], np.ndarray]:
+    """``read_table`` from the start of ``fh``, dropping blank and '#' lines in Python.
+
+    The kept lines stream through the width check into one ``np.loadtxt``;
+    on a parse error the file is read again one line at a time to name the
+    first bad line in file order.
+    """
+    lines = _content_lines(fh)
+    _, head = next(lines, (0, ""))
+    names = head.rstrip("\n").split(",")
+    rows = (line for _, line in _rows(path, lines, names))
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"no data rows in {path}")
+    try:
+        return names, np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                 comments=None, ndmin=2)
+    except ValueError:
+        fh.seek(0)
+        lines = _content_lines(fh)
+        next(lines)
+        for lineno, line in _rows(path, lines, names):
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as exc:
+                detail = str(exc).replace(" at row 0,", " at")
+                raise ValueError(f"{path} line {lineno}: {detail}") from None
+        raise
+
+
+def read_table(source: str | Path | TextIO) -> tuple[list[str], np.ndarray]:
     """Column names and the (rows, columns) array of a table.
 
-    Blank and '#' lines are skipped; the first other line holds the names.
-    The data lines stream through a width check into numpy's C reader
-    (``np.loadtxt``), so no token list is built.  Numbers follow its
-    grammar: decimal floats with ASCII digits, "inf" and "nan" in any case,
-    surrounding whitespace allowed, no digit-group underscores.  Raises
-    ``OSError`` if the file cannot be read and ``ValueError`` if it has no
-    rows, a row of the wrong width, or a token that is not a number (naming
-    the first such line).
+    ``source`` is a path, or a file opened from one in text mode, which is
+    read from its start and left open.  Blank and '#' lines are skipped; the
+    first other line holds the names.  The rest of the file goes in one call
+    to numpy's C reader (``np.loadtxt``), which skips blank lines itself.
+    Numbers follow its grammar: decimal floats with ASCII digits, "inf" and
+    "nan" in any case, surrounding whitespace allowed, no digit-group
+    underscores.  Anything that call refuses or reads at the wrong width
+    (a '#' line between rows among them) is read again line by line, which
+    returns the same array or names the first bad line.  Raises ``OSError``
+    if the file cannot be read and ``ValueError`` if it has no rows, a row
+    of the wrong width, or a token that is not a number.
     """
-    with open(path) as fh:
-        lines = _content_lines(fh)
-        _, head = next(lines, (0, ""))
+    opened = isinstance(source, (str, os.PathLike))
+    with open(source) if opened else contextlib.nullcontext(source) as fh:
+        path = source if opened else fh.name
+        fh.seek(0)
+        head = ""
+        for line in iter(fh.readline, ""):
+            if line != "\n" and not line.startswith("#"):
+                head = line
+                break
         names = head.rstrip("\n").split(",")
-        rows = (line for _, line in _rows(path, lines, names))
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"no data rows in {path}")
-        try:
-            return names, np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                                     comments=None, ndmin=2)
-        except ValueError:
-            # read again line by line, only to name the first bad line
-            fh.seek(0)
-            lines = _content_lines(fh)
-            next(lines)
-            for lineno, line in _rows(path, lines, names):
-                try:
-                    np.loadtxt([line], delimiter=",", comments=None)
-                except ValueError as exc:
-                    detail = str(exc).replace(" at row 0,", " at")
-                    raise ValueError(f"{path} line {lineno}: {detail}") from None
-            raise
+        start = fh.tell()
+        while (line := fh.readline()) == "\n":
+            pass
+        if line:  # a data line, so loadtxt reads at least one row or raises
+            fh.seek(start)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                table = None
+            if table is not None and table.shape[1] == len(names):
+                return names, table
+        fh.seek(0)
+        return _read_by_line(fh, path)
 
 
 def profile_metadata(profile: BackgroundProfile) -> dict:
@@ -158,7 +196,8 @@ def write_profile(
 def read_profile_csv(path: str | Path) -> BackgroundProfile:
     """Read a profile CSV written by this module and complete it.
 
-    Raises ``ValueError`` unless the first line is a ``# {...}`` header with
+    The header and the table come from one open file.  Raises
+    ``ValueError`` unless the first line is a ``# {...}`` header with
     format ``hardstars-profile`` and this package's version, the columns
     are ``CSV_COLUMNS``, every value is finite, and r runs from 0 to R > 0
     on a uniform grid (every spacing within 1e-9 dr of R/(rows - 1)).  The
@@ -168,17 +207,17 @@ def read_profile_csv(path: str | Path) -> BackgroundProfile:
     """
     with open(path) as fh:
         first = fh.readline()
-    try:
-        header = json.loads(first[2:]) if first.startswith("# ") else None
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or header.get("format") != "hardstars-profile":
-        raise ValueError(f"{path}: first line is not a hardstars-profile header")
-    if header.get("version") != __version__:
-        raise ValueError(
-            f"{path}: profile version {header.get('version')!r} is not {__version__!r}"
-        )
-    names, table = read_table(path)
+        try:
+            header = json.loads(first[2:]) if first.startswith("# ") else None
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != "hardstars-profile":
+            raise ValueError(f"{path}: first line is not a hardstars-profile header")
+        if header.get("version") != __version__:
+            raise ValueError(
+                f"{path}: profile version {header.get('version')!r} is not {__version__!r}"
+            )
+        names, table = read_table(fh)
     if tuple(names) != CSV_COLUMNS:
         raise ValueError(
             f"unexpected columns in {path}: {','.join(names)} (expected {','.join(CSV_COLUMNS)}; "

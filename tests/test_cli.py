@@ -27,6 +27,7 @@ from hardstars.cli import (
     EXIT_SOLVER,
     EXIT_VERIFY,
     RunConfig,
+    _build_parser,
     build_config,
     main,
 )
@@ -195,12 +196,17 @@ def _drawn_run(draw):
     return command, picked
 
 
+def _drawn_argv(run):
+    command, picked = run
+    return [command] + [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+                        for _, flag, value in picked.values()]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(run=_drawn_run())
 def test_flags_and_config_file_give_one_config(tmp_path_factory, run):
     command, picked = run
-    argv = [command] + [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
-                        for _, flag, value in picked.values()]
+    argv = _drawn_argv(run)
     doc = {key: value for key, (group, _, value) in picked.items() if group == "common"}
     doc["options"] = {key: value for key, (group, _, value) in picked.items() if group == "option"}
     path = tmp_path_factory.getbasetemp() / "drawn_config.json"
@@ -212,6 +218,31 @@ def test_flags_and_config_file_give_one_config(tmp_path_factory, run):
     back = RunConfig.from_dict(json.loads(from_flags.canonical_json()))
     assert back.canonical_json() == from_flags.canonical_json()
     assert back.hash == from_flags.hash
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(earlier=_drawn_run(), later=_drawn_run())
+def test_later_config_keeps_no_earlier_flag_values(earlier, later):
+    # the parser is built once per process, and every parse starts from
+    # the defaults, so a call gives what a freshly built parser gives
+    assert _build_parser() is _build_parser()
+    build_config(_drawn_argv(earlier))
+    got = build_config(_drawn_argv(later))
+    _build_parser.cache_clear()
+    assert got.canonical_json() == build_config(_drawn_argv(later)).canonical_json()
+
+
+def test_parser_works_after_usage_error(capsys):
+    usage_errors = (["evolve", "--T"], ["evolve", "--n-chi", "x"], ["nope"], ["family", "--x", "1"])
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "usage: hardstars" in capsys.readouterr().err
+    config = build_config(["evolve", "--T", "3"])
+    assert config.options["duration"] == 3.0
+    _build_parser.cache_clear()
+    assert config.canonical_json() == build_config(["evolve", "--T", "3"]).canonical_json()
 
 
 # -------------------------------------------------------------- exit codes

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from table_oracle import read_table_by_line
 
-from hardstars import StarParameters, build_star
+from hardstars import StarParameters, build_star, storage
 from hardstars.storage import (
     CSV_COLUMNS,
     read_profile_csv,
@@ -141,6 +142,87 @@ def test_table_round_trip_is_bit_exact(tmp_path_factory, rows, special):
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(table), nan)
     assert np.array_equal(table[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+_CELLS = hs.one_of(
+    hs.floats(width=64),
+    hs.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310, -1.7e-308]),
+).map(lambda x: "%.17g" % x)
+
+
+def _fault_line(text):
+    return lambda lines, k, j: lines.insert(k, text)
+
+
+def _fault_cell(edit):
+    def apply(lines, k, j):
+        if k < len(lines):
+            cells = lines[k].split(",")
+            cells[j % len(cells)] = edit(cells[j % len(cells)])
+            lines[k] = ",".join(cell for cell in cells if cell is not None)
+    return apply
+
+
+# each fault is applied at a drawn data line k and column j
+_FAULTS = {
+    "blank line": _fault_line(""),
+    "comment line": _fault_line("# note"),
+    "whitespace line": _fault_line("  "),
+    "extra value": _fault_cell(lambda cell: cell + ",1"),
+    "dropped value": _fault_cell(lambda cell: None),
+    "trailing comma": _fault_cell(lambda cell: cell + ","),
+    "empty field": _fault_cell(lambda cell: ""),
+    "inline comment": _fault_cell(lambda cell: cell + " # c"),
+    "underscore": _fault_cell(lambda cell: "1_0"),
+    "full-width digit": _fault_cell(lambda cell: "\uff11"),
+    "no data rows": lambda lines, k, j: lines.clear(),
+}
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hs.data())
+def test_read_table_matches_line_by_line_oracle(tmp_path_factory, data):
+    # the one-call reader accepts exactly what the line-by-line reader
+    # accepts, with the same bits, and refuses the rest with its message
+    width = data.draw(hs.integers(1, 4), label="columns")
+    lines = data.draw(hs.lists(hs.lists(_CELLS, min_size=width, max_size=width).map(",".join),
+                               max_size=20), label="rows")
+    for name in data.draw(hs.lists(hs.sampled_from(sorted(_FAULTS)), max_size=3), label="faults"):
+        _FAULTS[name](lines, data.draw(hs.integers(0, len(lines))), data.draw(hs.integers(0, 3)))
+    end = data.draw(hs.sampled_from(["\n", "\r\n"]), label="line end")
+    text = end.join(['# {"k": 1}', ",".join(f"c{j}" for j in range(width)), *lines])
+    if data.draw(hs.booleans(), label="final newline"):
+        text += end
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    path.write_text(text, newline="")
+
+    got, want = _read_outcome(read_table, path), _read_outcome(read_table_by_line, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (names, table), (want_names, want_table) = got, want
+    assert names == want_names
+    assert table.dtype == want_table.dtype and table.shape == want_table.shape
+    assert np.array_equal(table.view(np.uint64), want_table.view(np.uint64), equal_nan=False)
+
+
+def test_read_table_reads_clean_table_in_one_call(star_r005, tmp_path, monkeypatch):
+    path = write_profile_csv(star_r005, tmp_path / "star.csv")
+    names, table = read_table(path)
+    monkeypatch.setattr(storage, "_read_by_line", lambda fh, path: pytest.fail("read by line"))
+    with open(path) as fh:
+        fh.readline()
+        from_handle = read_table(fh)
+    assert from_handle[0] == names
+    assert from_handle[1].tobytes() == table.tobytes()
+    assert read_profile_csv(path).rho.tobytes() == star_r005.rho.tobytes()
 
 
 def test_read_rejects_foreign_or_missing_header(star_r005, tmp_path):
