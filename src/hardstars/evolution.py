@@ -55,19 +55,24 @@ Chebyshev polynomial of the first kind (Hairer, Lubich and Wanner,
 *Geometric Numerical Integration*, treat Stormer-Verlet as this two-step
 method).  T_k(C) is banded with half-bandwidth k, so after k plain steps
 ``evolve`` advances u and w by k = ``STRIDE`` steps with one BLAS ``dgbmv``
-call each.  T_k(C) comes from the three-term recurrence run in
-``np.longdouble`` and rounded to double once.  Built in double, its
-rounding breaks time reversal: 3719 steps forward and back at n_chi 501
-return v with an error of 3.5e-8, against 3.7e-10 when built in
-``np.longdouble``.  What ``np.longdouble`` is depends on the platform: the
-80-bit x87 format on x86-64 Linux, plain double on MSVC builds and arm64
-macOS (where the strides keep only the double accuracy), a slow software
-quad on aarch64 Linux.
+call each.  T_k(C) is built by one squaring, T_k = 2 T_(k/2)^2 - I, of
+rows of T_(k/2)(C) from the three-term recurrence; both run in
+``_BUILD_DTYPE`` (``np.longdouble``), and T_k is rounded to double once.
+The build streams in blocks of 256 rows of T_k, each with a halo of k/2
+rows of T_(k/2) on either side, so no whole T_(k/2) is held in long
+double.  Built in double, the rounding breaks time reversal: 3719 steps
+forward and back at n_chi 501 return v with an error of 1.5e-10 of its
+scale, against 5.5e-13 in ``np.longdouble``.  What ``np.longdouble`` is
+depends on the platform: the 80-bit x87 format on x86-64 Linux, plain
+double on MSVC builds and arm64 macOS (where the strides keep only the
+double accuracy), a slow software quad on aarch64 Linux.
 The stepper is one resumable run, which ``hardstars evolve`` drives across
 all its snapshots.  Each sample (surface displacement, energy, norms,
-constraint residual) is taken after at most k - 1 plain side steps on
-copies of the last stride boundary.  The stepper conserves the energy to
-O(dt^2) uniformly.
+constraint residual) is taken on a copy of the nearer stride boundary, at
+most k/2 plain steps away: forward from the boundary below or backward
+(w -= S u, u -= w) from the one above.  Past the last boundary there is
+none above, so the last window takes up to k - 1 steps forward.  The
+stepper conserves the energy to O(dt^2) uniformly.
 
 Near the centre the shell coordinate degenerates (r0 ~ chi^(1/3)), so mode
 frequencies on the chi grid converge at first order in dchi, not second;
@@ -424,7 +429,9 @@ class EvolutionResult:
 
 
 STRIDE = 32            # steps per Chebyshev stride: the half-bandwidth of T_k(C)
-_BUILD_COLUMNS = 64    # columns of T_k(C) built per longdouble block
+_BUILD_DTYPE = np.longdouble  # T_k(C) is built in this type and rounded to double once
+_BUILD_COLUMNS = 64    # rows of T_(k/2)(C) per recurrence block
+_SQUARE_COLUMNS = 256  # rows of T_k(C) per squaring block
 INSTABILITY_FACTOR = 100.0  # energy growth over its initial value that counts as unstable
 
 
@@ -462,32 +469,23 @@ class _KickDrift:
             form_kick()
             np.add(w, kick, out=w)
 
+    def run_back(self, steps: int) -> None:
+        """``steps`` steps backward in time: each undoes one step of ``run``."""
+        u, w, kick, form_kick = self.u, self.w, self.kick, self._form_kick
+        for _ in range(steps):
+            np.subtract(w, kick, out=w)
+            np.subtract(u, w, out=u)
+            form_kick()
 
-def _chebyshev_band(scaled: np.ndarray, k: int) -> np.ndarray:
-    """The transpose T_k(C)^T = T_k(C^T), C = I + S/2 with S the dt^2-scaled
-    operator bands, in LAPACK (k, k) banded layout and Fortran order.
 
-    ``dgbmv`` with ``trans=1`` applies T_k(C) from it as one dot product of
-    2k + 1 terms per entry, which rounds less than the column-by-column
-    form of ``trans=0``.  Left multiplication by C^T mixes rows only, so
-    the columns of T_(m+1) = 2 C^T T_m - T_(m-1) are built block by block.
-    The recurrence runs in ``np.longdouble`` and T_k is rounded to double
-    once.
-    """
-    n = scaled.shape[1]
-    rows = 2 * k + 3  # band rows -1..2k+1; the outer two stay zero
-    # entries of 2C^T by matrix row, padded so that entry [p, j] of a block
-    # (band row p - 1, matrix row j + p - 1 - k) sits at column j + p
-    pad = k + 1
-    s = scaled.astype(np.longdouble)
-    two_c = np.zeros((3, n + 2 * pad), dtype=np.longdouble)
-    two_c[0, pad + 1:pad + n] = s[0, 1:]    # 2 C[i-1, i]
-    two_c[1, pad:pad + n] = 2.0 + s[1]      # 2 C[i, i]
-    two_c[2, pad:pad + n - 1] = s[2, :-1]   # 2 C[i+1, i]
-    windows = np.lib.stride_tricks.sliding_window_view(two_c, rows, axis=1)
-    band = np.empty((2 * k + 1, n), order="F")
-    for j0 in range(0, n, _BUILD_COLUMNS):
-        cols = slice(j0, min(j0 + _BUILD_COLUMNS, n))
+def _chebyshev_rows(windows: np.ndarray, k: int, lo: int, hi: int, out: np.ndarray) -> None:
+    """Rows lo..hi-1 of T_k(C) into ``out`` (2k + 1, hi - lo), each as its
+    column of T_k(C^T) in band layout, by the three-term recurrence in the
+    build type.  Left multiplication by C^T mixes rows only, so the columns
+    of T_(m+1) = 2 C^T T_m - T_(m-1) are built block by block; ``windows``
+    holds the entries of 2C^T for each column (see ``_chebyshev_band``)."""
+    for j0 in range(lo, hi, _BUILD_COLUMNS):
+        cols = slice(j0, min(j0 + _BUILD_COLUMNS, hi))
         low, diag, up = (np.ascontiguousarray(windows[t, cols].T) for t in range(3))
         prev = np.zeros_like(diag)                   # T_0 = I
         prev[k + 1] = 1.0
@@ -506,7 +504,68 @@ def _chebyshev_band(scaled: np.ndarray, k: int) -> np.ndarray:
             np.add(a, t, out=a)
             np.subtract(a, prev[act], out=prev[act])
             prev, cur = cur, prev
-        band[:, cols] = cur[1:-1]
+        out[:, j0 - lo:cols.stop - lo] = cur[1:-1]
+
+
+def _chebyshev_band(scaled: np.ndarray, k: int) -> np.ndarray:
+    """The transpose T_k(C)^T = T_k(C^T), C = I + S/2 with S the dt^2-scaled
+    operator bands, for even k, in LAPACK (k, k) banded layout and Fortran
+    order.
+
+    ``dgbmv`` with ``trans=1`` applies T_k(C) from it as one dot product of
+    2k + 1 terms per entry, which rounds less than the column-by-column
+    form of ``trans=0``.  Column j of the result is row j of T_k(C), which
+    one squaring gives from the rows of T_h(C), h = k/2, around it:
+    T_k = 2 T_h^2 - I.  The rows of T_h come from the three-term recurrence
+    (``_chebyshev_rows``), and each diagonal of T_k from one batched dot
+    product of h + 1 to 2h + 1 terms per row; both run in ``_BUILD_DTYPE``,
+    and T_k is rounded to double once.  The build streams in blocks of
+    ``_SQUARE_COLUMNS`` rows of T_k, each with h rows of T_h on either side,
+    so no whole T_h is ever held in the build type.
+    """
+    n = scaled.shape[1]
+    h = k // 2
+    # entries of 2C^T by matrix row, padded so that entry [p, j] of a window
+    # (band row p - 1 of column j, matrix row j + p - 1 - h) sits at column j + p
+    pad = h + 1
+    two_c = np.zeros((3, n + 2 * pad), dtype=_BUILD_DTYPE)
+    two_c[0, pad + 1:pad + n] = scaled[0, 1:]    # 2 C[i-1, i]
+    two_c[1, pad:pad + n] = scaled[1]
+    two_c[1, pad:pad + n] += 2.0                 # 2 C[i, i]
+    two_c[2, pad:pad + n - 1] = scaled[2, :-1]   # 2 C[i+1, i]
+    windows = np.lib.stride_tricks.sliding_window_view(two_c, 2 * h + 3, axis=1)
+    block = _SQUARE_COLUMNS
+    width = block + 2 * h
+    # rows j0 - h .. j0 + block + h - 1 of T_h, zero outside the matrix
+    half = np.zeros((2 * h + 1, width), dtype=_BUILD_DTYPE)
+    size = half.itemsize
+    acc = np.empty(block, dtype=_BUILD_DTYPE)
+    band = np.empty((2 * k + 1, n), order="F")
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        if j0:
+            half[:, :2 * h] = half[:, block:]  # the halo the last block shares
+        start = j0 + h if j0 else 0
+        stop = min(j1 + h, n)
+        if start < stop:
+            _chebyshev_rows(windows, h, start, stop, half[:, start - j0 + h:stop - j0 + h])
+        half[:, max(start, stop) - j0 + h:] = 0.0
+        cols = j1 - j0
+        out = acc[:cols, None, None]
+        for d in range(-k, k + 1):
+            # T_k[j, j + d] = 2 sum_a T_h[j, j + a] T_h[j + a, j + d] - [d == 0]
+            a_lo, a_hi = max(-h, d - h), min(h, d + h)
+            # x[i, c] = T_h[j, j + a] and y[i, c] = T_h[j + a, j + d] for
+            # a = a_lo + i, j = j0 + c: y climbs one band row per term
+            x = half[a_lo + h:a_hi + h + 1, h:h + cols]
+            y = np.ndarray((a_hi - a_lo + 1, cols), half.dtype, half,
+                           ((d - a_lo + h) * width + h + a_lo) * size,
+                           ((1 - width) * size, size))
+            np.matmul(x.T[:, None, :], y.T[:, :, None], out=out)
+            acc[:cols] *= 2.0
+            if d == 0:
+                acc[:cols] -= 1.0
+            band[d + k, j0:j1] = acc[:cols]
     return band
 
 
@@ -518,7 +577,14 @@ class _WaveRun:
     the sample series there (time, surface displacement u[-1], energy,
     norms, constraint residual), raises ``InstabilityError`` as ``evolve``
     does, and returns (u, v); u is the run's own buffer, valid until the
-    next call.  T_k(C) is built on first need.
+    next call.  Past the first k plain steps the run is a chain of stride
+    boundaries k, 2k, ..., and a sample s is reached on a copy from the
+    nearer one: forward from the boundary b at or below s when s - b <= k/2
+    or when b is the last boundary, else backward from b + k.  The choice
+    depends on s alone, so the states do not depend on the schedule.  The
+    strides up to a sample run in one loop; T_k(C) is built on first need
+    and dropped after the last stride.  ``side_steps`` counts the plain
+    steps taken on the copies, forward and backward.
     """
 
     def __init__(self, coeffs: WaveCoefficients, u0: np.ndarray, v0: np.ndarray,
@@ -542,11 +608,13 @@ class _WaveRun:
         # scipy's dgbmv wants at least 2k + 1 rows
         self.strides = n_steps // k - 1 if n_steps >= 2 * k and coeffs.n_chi > 2 * k else 0
         self._plain_end = k if self.strides else n_steps
+        self._last = self._plain_end + k * self.strides  # the last stride boundary
         self._main = _KickDrift(self._scaled, u, self._w)
         self._back = u.copy(), self._w.copy()  # x_(n-k) at the first boundary n = k
         self._at = 0            # last plain step, then last stride boundary
         self._side = self._band = None  # made on first need
-        self._side_at: int | None = None
+        self._side_from: tuple[int, int] | None = None  # (boundary, step) of a forward copy
+        self.side_steps = 0
 
     def _record(self, step: int, u: np.ndarray, v: np.ndarray, kick: np.ndarray) -> float:
         e = self.forms.energy(u, v)
@@ -559,19 +627,49 @@ class _WaveRun:
         self.residuals.append(self.forms.residual_sup(u, du))
         return e
 
-    def _stride(self) -> None:
+    def _strides_to(self, boundary: int) -> None:
+        """Stride the chain on to ``boundary`` in one loop."""
+        if boundary <= self._at:
+            return
         k, n = STRIDE, self.coeffs.n_chi
         if self._band is None:
             self._band = _chebyshev_band(self._scaled, k)
-        # x_(n+k) = 2 T_k(C) x_n - x_(n-k), written over x_(n-k)
-        ahead = [dgbmv(n, n, k, k, 2.0, self._band, x, beta=-1.0, y=back, overwrite_y=1, trans=1)
-                 for x, back in zip((self._u, self._w), self._back)]
-        self._back = self._u, self._w
-        self._u, self._w = ahead
-        self._at += k
-        self._side_at = None
-        if self._at + k > self.n_steps:  # the last stride; T_k is 1 MB at n_chi 2000
+        band = self._band
+        u, w = self._u, self._w
+        back_u, back_w = self._back
+        # x_(n+k) = 2 T_k(C) x_n - x_(n-k), written over x_(n-k); dgbmv's
+        # arguments are m, n, kl, ku, alpha, a, x, incx, offx, beta, y,
+        # incy, offy, trans, overwrite_y
+        for _ in range((boundary - self._at) // k):
+            back_u = dgbmv(n, n, k, k, 2.0, band, u, 1, 0, -1.0, back_u, 1, 0, 1, 1)
+            back_w = dgbmv(n, n, k, k, 2.0, band, w, 1, 0, -1.0, back_w, 1, 0, 1, 1)
+            u, w, back_u, back_w = back_u, back_w, u, w
+        self._u, self._w, self._back = u, w, (back_u, back_w)
+        self._at = boundary
+        if boundary == self._last:  # the last stride; T_k is 1 MB at n_chi 2000
             self._band = None
+
+    def _side_state(self, step: int) -> _KickDrift:
+        """The sample state at ``step``, past the plain steps, on the copy."""
+        k, side = STRIDE, self._side
+        below = step - step % k  # the boundaries are the multiples of k
+        if step - below > k // 2 and below < self._last:
+            self._strides_to(below + k)
+            side.load(self._u, self._w)
+            side.run_back(below + k - step)
+            self.side_steps += below + k - step
+            self._side_from = None
+            return side
+        if self._side_from is not None and self._side_from[0] == below:
+            done = self._side_from[1]  # resume the forward copy of the same boundary
+        else:
+            self._strides_to(below)
+            side.load(self._u, self._w)
+            done = below
+        side.run(step - done)
+        self.side_steps += step - done
+        self._side_from = below, step
+        return side
 
     def advance(self, step: int) -> tuple[np.ndarray, np.ndarray]:
         if step <= self._plain_end:
@@ -584,14 +682,7 @@ class _WaveRun:
                 self._at = self._plain_end
                 self._side = _KickDrift(self._scaled, np.empty_like(self._u),
                                         np.empty_like(self._w))
-            while step >= self._at + STRIDE:
-                self._stride()
-            state = self._side
-            if self._side_at is None:
-                state.load(self._u, self._w)
-                self._side_at = self._at
-            state.run(step - self._side_at)
-            self._side_at = step
+            state = self._side_state(step)
         v = (state.w - 0.5 * state.kick) / self.dt
         e, e0 = self._record(step, state.u, v, state.kick), self.e0
         if e0 > 0.0 and (not math.isfinite(e) or e > INSTABILITY_FACTOR * e0):
@@ -624,14 +715,18 @@ def evolve(
     displacement u[-1], and the energy, the norms and the constraint
     residual from the full-step velocity v = (w - S u / 2)/dt and the kick
     S u, and goes on; ``times`` and every series start with the initial
-    state.  Sample states and the final state come from at most k - 1 plain
-    steps on copies of the last stride boundary, so the strides never
-    restart: u, v and each sample's values do not depend on ``samples``.  Raises
+    state.  Sample states and the final state come from plain steps on
+    copies of the nearer stride boundary, at most k/2 forward from the one
+    below or backward from the one above, and up to k - 1 forward past the
+    last boundary.  The strides never restart and the direction depends on
+    the sample step alone, so u, v and each sample's values do not depend
+    on ``samples``.  Raises
     ``InstabilityError`` at the first sample where the discrete energy is
     non-finite or above ``INSTABILITY_FACTOR`` times its initial value.
     ``provenance`` records ``max_dt2_mu``, the exact stability margin
-    (stable below 4), and ``stride`` (k), ``strides`` and ``plain_steps``,
-    with k * strides + plain_steps == n_steps.
+    (stable below 4), ``stride`` (k), ``strides`` and ``plain_steps``, with
+    k * strides + plain_steps == n_steps, and ``side_steps``, the plain
+    steps taken on the sample copies, forward and backward.
     """
     n_steps, dt = _time_step(coeffs, T, cfl)
     run = _WaveRun(coeffs, u0, v0, dt, n_steps)
@@ -657,6 +752,7 @@ def evolve(
             "stride": STRIDE,
             "strides": run.strides,
             "plain_steps": n_steps - STRIDE * run.strides,
+            "side_steps": run.side_steps,
         },
     )
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
@@ -20,12 +20,15 @@ from hardstars.background import (
     build_star,
     derive_metric_fields,
 )
+from hardstars import evolution
 from hardstars.cli import EXIT_OK, main
 from hardstars.errors import CflViolationError, DomainError, InstabilityError
 from hardstars.evolution import (
     INSTABILITY_FACTOR,
     STRIDE,
+    _chebyshev_band,
     _invert_chi,
+    _sample_steps,
     _SampleForms,
     _WaveRun,
     acceleration,
@@ -43,6 +46,7 @@ from hardstars.evolution import (
 from hardstars.modes import find_modes, mode_to_initial_data
 from hardstars.variation import second_variation
 import assembly_oracle
+import band_oracle
 import diagnostics_oracle
 from family_oracle import DeformedFamily
 
@@ -539,6 +543,100 @@ def test_stride_provenance_accounts_for_every_step(co, n_steps):
     u, v, surface, _ = _kick_drift_evolve(co, u0, v0, T, samples=7)
     assert _rel(res.u, u) <= 1e-12
     assert _rel(res.surface, surface) <= 1e-12
+
+
+def _scaled_bands(c, cfl=0.4):
+    dt = cfl_timestep(c, cfl)
+    return dt * dt * c.bands
+
+
+@settings(_PROPERTY, max_examples=25)
+@given(n_chi=st.integers(70, 600), R=st.floats(0.02, 0.2))
+@example(n_chi=257, R=0.05)  # one row in the last squaring block
+@example(n_chi=270, R=0.05)  # the last block ends inside the halo
+@example(n_chi=512, R=0.2)   # whole blocks only
+def test_chebyshev_band_matches_recurrence_oracle(n_chi, R):
+    # one squaring of T_16 against the full recurrence to T_32, both in the
+    # build type: each entry within 2^-52 of its row's largest (measured:
+    # the two differ by at most 1 ulp of an entry)
+    c = assemble_coefficients(build_star(StarParameters(R=R, grid_n=801), solver="shooting"),
+                              n_chi=n_chi)
+    scaled = _scaled_bands(c)
+    band = _chebyshev_band(scaled, STRIDE)
+    ref = band_oracle.chebyshev_band(scaled, STRIDE)
+    assert band.shape == ref.shape and band.flags.f_contiguous
+    assert np.all(np.abs(band - ref) <= 2.0**-52 * np.max(np.abs(ref), axis=0))
+
+
+def test_chebyshev_band_rounds_within_one_ulp(co):
+    # rows at both ends of the matrix and around the squaring blocks (256
+    # rows) against 40-digit rows of T_32(C); measured: 5 of 969 entries
+    # misrounded (4 for the full recurrence), each by 1 ulp
+    scaled = _scaled_bands(co)
+    band = _chebyshev_band(scaled, STRIDE)
+    for j in (1, 2, 3, 16, 17, 31, 32, 33, 100, 255, 256, 257, 272, 300, 468, 484, 499, 500):
+        for col, exact in band_oracle.exact_row(scaled, STRIDE, j).items():
+            nearest = float(exact)
+            assert abs(band[col - j + STRIDE, j] - nearest) <= math.ulp(nearest), (j, col)
+
+
+def test_chebyshev_band_peak_memory(star_r005):
+    # streamed in blocks, the build holds no whole T_16 in the build type:
+    # traced peak 1.66 MB at n_chi 2000, 1.92 MB for the full recurrence
+    scaled = _scaled_bands(assemble_coefficients(star_r005, n_chi=2000))
+    _chebyshev_band(scaled, STRIDE)  # warm up numpy
+    tracemalloc.start()
+    try:
+        _chebyshev_band(scaled, STRIDE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.92e6
+
+
+@pytest.mark.parametrize("samples", [7, 13, 40, 97, 200])
+def test_samples_from_the_nearer_boundary(co, samples):
+    # a sample in the back half of its stride window steps backward from the
+    # next boundary, one in the front half or the last window forward from
+    # the one below; both land on the one-step loop's states
+    k, n_steps = STRIDE, 3001
+    u0, v0 = gaussian_pulse(co)
+    T = (n_steps - 0.5) * cfl_timestep(co, 0.4)
+    res = evolve(co, u0, v0, T=T, samples=samples)
+    assert res.n_steps == n_steps
+    assert res.provenance["strides"] == n_steps // k - 1
+    last = k * (n_steps // k)  # the last stride boundary
+    schedule = _sample_steps(n_steps, samples)
+    offsets = [s % k for s in schedule if k < s < last]
+    assert min(offsets) <= k // 2 < max(offsets)
+    assert 0 < res.provenance["side_steps"] <= samples * k // 2 + k
+    u, v, surface, energies = _kick_drift_evolve(co, u0, v0, T, samples=samples)
+    assert _rel(res.u, u) <= 1e-10
+    assert _rel(res.v, v) <= 1e-9
+    assert _rel(res.surface, surface) <= 1e-10
+    assert _rel(res.energies, energies) <= 1e-11
+    # at most k/2 side steps per sample, k - 1 in the last window, and no
+    # stride past the last boundary
+    wave = _WaveRun(co, u0, v0, res.dt, n_steps)
+    for step in schedule:
+        before = wave.side_steps
+        wave.advance(step)
+        assert wave.side_steps - before <= (k - 1 if step >= last else k // 2)
+        assert wave._at <= last
+    assert wave.side_steps == res.provenance["side_steps"]
+
+
+def test_band_built_in_double(co, monkeypatch):
+    # where np.longdouble is double (MSVC, arm64 macOS) the band is built
+    # and rounded in float64; measured reversal errors there: u 7.5e-12,
+    # v 1.5e-10 of the velocity scale (5.7e-14 and 5.5e-13 in long double)
+    monkeypatch.setattr(evolution, "_BUILD_DTYPE", np.float64)
+    u0, v0 = gaussian_pulse(co, amplitude=1.0)
+    fwd = evolve(co, u0, v0, T=0.05, cfl=0.4, samples=5)
+    back = evolve(co, fwd.u, -fwd.v, T=0.05, cfl=0.4, samples=5)
+    assert np.max(np.abs(back.u - u0)) <= 2e-11
+    vscale = max(1.0, float(np.max(np.abs(fwd.v))))
+    assert np.max(np.abs(back.v + v0)) <= 3e-10 * vscale
 
 
 def test_energy_pieces_nonnegative(co):
