@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 # Dual-route background agreement (fixed-point iteration vs the Chebyshev
 # collocation of the `shooting` solver), sup over nodes of both m and rho,
 # radius 0.1, grid 2001.
@@ -45,9 +47,17 @@ SOLVED_FIRST_VARIATION_MAX = 1e-5
 # of the detuned star: over the default audit draws (50, shooting solve,
 # grid 4001) min|M_dot| / floor is 1.99 at radius 0.02, 1.77 at 0.1,
 # 1.01 at 0.185, 0.99 at 0.186, 0.24 at 0.22 and 0.07 at 0.24.  The floor
-# holds for R <= 0.185, which covers every fixed-point radius
-# (R <= 0.1221).
+# holds for R <= DETUNED_FLOOR_MAX_R, which covers every fixed-point radius
+# (R <= 0.1221), and is refused above it.
+DETUNED_FLOOR_MAX_R = 0.185
+
+
 def detuned_floor(R: float) -> float:
+    if not R <= DETUNED_FLOOR_MAX_R:
+        raise DomainError(
+            f"the detuned floor holds only for R <= {DETUNED_FLOOR_MAX_R}, got R = {R!r}: over "
+            f"the default audit draws min|M_dot| / floor is 1.01 at R = 0.185 and 0.99 at 0.186"
+        )
     return 0.5 * (4.0 * math.pi) * R * R * 0.01
 
 

@@ -17,7 +17,7 @@ from scipy.special import spherical_jn
 
 from hardstars import StarParameters, build_star, modes
 from hardstars.background import FOUR_PI, metric_terms
-from hardstars.errors import ConvergenceError
+from hardstars.errors import ConvergenceError, DomainError
 from hardstars.evolution import assemble_coefficients, evolve
 from hardstars.modes import (
     X1_LIMIT,
@@ -31,7 +31,7 @@ from hardstars.modes import (
     mode_to_initial_data,
     shooting_defect,
 )
-from hardstars.numerics import scan_sign_changes
+from hardstars.numerics import chebyshev_nodes, scan_sign_changes
 from hardstars.variation import detuned_profile
 from shooting_oracle import (
     NdarrayRowRhs,
@@ -42,6 +42,7 @@ from shooting_oracle import (
     rk45_defect,
     second_derivative_uniform,
 )
+from spline_oracle import SplineOperator, spline_initial_data, spline_modes
 
 FLAT_ROOTS = (
     2.0815759778181,
@@ -541,6 +542,52 @@ def test_second_derivative_convergence():
     assert 3.0 <= errs[0] / errs[1] <= 5.5
 
 
+# -------------------------------------------- local reads against the spline
+
+
+@pytest.fixture(scope="module")
+def star_r024_shooting():
+    return build_star(StarParameters(R=0.24, grid_n=2001), solver="shooting")
+
+
+@pytest.fixture(scope="module")
+def star_r0247_grid2001():
+    return build_star(StarParameters(R=0.247, grid_n=2001), solver="shooting")
+
+
+ORACLE_STARS = ["star_r002", "star_r005", "star_r01", "star_r019_shooting",
+                "star_r024_shooting", "star_r0247_grid2001"]
+
+
+def test_modes_import_no_interpolator():
+    assert not any(getattr(v, "__module__", "").startswith("scipy.interpolate")
+                   for v in vars(modes).values())
+
+
+@pytest.mark.parametrize("which", ORACLE_STARS)
+def test_operator_matches_spline_oracle(which, request):
+    # the operator reads rho and m/r^3 from four profile samples; the
+    # retired operator read them from one cubic spline over every knot.
+    # Measured worst over the six stars (grid 2001): coefficients 3.9e-14
+    # of their largest value at the nodes, 4.0e-14 relative next to the
+    # centre and the surface (R = 0.247, where rho falls steepest), x_j
+    # 5.7e-14 relative and Mode.h 1.1e-13 of its peak (modes 1-5)
+    star = request.getfixturevalue(which)
+    op, oracle = _RadialOperator(star), SplineOperator(star)
+    R, dr = star.R, star.dr
+    for N in (24, 40, 64):
+        r = R * chebyshev_nodes(N)[0]
+        for got, want in zip(op.coefficients(r), oracle.coefficients(r)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), N
+    edges = np.array([1e-3 * dr, 0.5 * dr, 1.5 * dr, 2.5 * dr,
+                      R - 2.5 * dr, R - 1.5 * dr, R - 0.5 * dr, np.nextafter(R, 0.0)])
+    for got, want in zip(op.coefficients(edges), oracle.coefficients(edges)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    for m, (x, h) in zip(find_modes(star, 5), spline_modes(star, 5)):
+        assert abs(m.x - x) <= 1.5e-13 * x
+        assert np.max(np.abs(m.h - h)) <= 3e-13 * np.max(np.abs(h))
+
+
 def test_operator_splitting_relative_size(star_r005, star_r01):
     # fixed-shape data: the stellar correction loses two powers of R
     # against the flat operator
@@ -629,3 +676,73 @@ def test_period_discretisation_first_order(star_r005, modes_r005):
     errs = [abs(p - m.period) / m.period for p in periods]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-3
+
+
+@pytest.mark.parametrize("which", ORACLE_STARS)
+def test_initial_data_matches_spline_oracle(which, request):
+    # mode_to_initial_data sums the mode's series at r0; the retired path
+    # sampled a cubic spline of Mode.h.  The gap is the spline's own error
+    # (modes 1-3, n_chi 500 and 2000; measured worst 3.4e-12 sampled and
+    # 5.3e-12 refined, of the peak)
+    star = request.getfixturevalue(which)
+    found = find_modes(star, 3)
+    for n_chi in (500, 2000):
+        co = assemble_coefficients(star, n_chi=n_chi)
+        for m in found:
+            for refine, bound in ((False, 1e-11), (True, 1.5e-11)):
+                got = mode_to_initial_data(co, m, refine=refine)[0]
+                want = spline_initial_data(co, m, refine=refine)
+                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), (n_chi, refine)
+
+
+def test_spline_oracle_gap_is_its_interpolation_error():
+    # the spline of Mode.h errs at fourth order in the profile spacing while
+    # the series is exact at any radius: the gap of mode 3 falls 29x from
+    # grid 1001 to 2001 (measured)
+    gaps = []
+    for grid_n in (1001, 2001):
+        star = build_star(StarParameters(R=0.05, grid_n=grid_n))
+        m = find_modes(star, 3)[2]
+        co = assemble_coefficients(star, n_chi=500)
+        got = mode_to_initial_data(co, m, refine=False)[0]
+        want = spline_initial_data(co, m, refine=False)
+        gaps.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert gaps[0] / gaps[1] >= 10.0
+
+
+def test_initial_data_refuses_another_stars_mode(star_r005, star_r01, modes_r005):
+    # a mode seeds wave data only of its own star; an R = 0.05 mode sampled
+    # on R = 0.1 coefficients would give finite, wrong data
+    with pytest.raises(DomainError, match=r"R = 0\.05 star .* R = 0\.1 star"):
+        mode_to_initial_data(assemble_coefficients(star_r01, n_chi=301), modes_r005[0])
+    # the same star on another profile grid is the same star: the series is
+    # summed at its radii (measured gap 2.4e-12 of the peak against the
+    # coarse star's own mode)
+    coarse = build_star(StarParameters(R=0.05, grid_n=801))
+    co = assemble_coefficients(coarse, n_chi=301)
+    got = mode_to_initial_data(co, modes_r005[0], amplitude=1e-5)[0]
+    own = mode_to_initial_data(co, find_modes(coarse, 1)[0], amplitude=1e-5)[0]
+    assert np.max(np.abs(got - own)) <= 1e-10 * np.max(np.abs(own))
+
+
+def test_operator_and_initial_data_peak_memory():
+    # neither the operator nor the initial data builds anything over every
+    # profile knot.  Traced peaks at grid 4001, n_chi 2000: 189 KB for the
+    # operator with its 24-interval matrices and 145 KB for refined initial
+    # data, against 976 KB and 537 KB when both splined the profile grid
+    # (the reads that tests/spline_oracle.py keeps)
+    star = build_star(StarParameters(R=0.05, grid_n=4001))
+    mode = find_modes(star, 1)[0]
+    co = assemble_coefficients(star, n_chi=2000)
+    cases = (("operator", lambda: _RadialOperator(star).collocation(24), 400),
+             ("initial data", lambda: mode_to_initial_data(co, mode), 300))
+    for name, build, bound_kb in cases:
+        build()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_kb * 1024, name

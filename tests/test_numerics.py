@@ -1,14 +1,16 @@
-"""Quadrature, difference stencils, and root bracketing."""
+"""Quadrature, difference stencils, interpolation, and root bracketing."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
 
 from hardstars.numerics import (
     cumulative_simpson_uniform,
     derivative_uniform,
+    lagrange_uniform,
     scan_sign_changes,
     simpson_uniform,
     simpson_weights,
@@ -102,3 +104,37 @@ def test_scan_sign_changes_finds_cosine_zeros():
     assert len(brackets) == 3
     for (lo, hi), zero in zip(brackets, (0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi)):
         assert lo < zero < hi
+
+
+def test_lagrange_uniform_exact_on_cubics():
+    # every stencil, the one-sided ones at both ends included, reproduces a
+    # cubic; each column is read with the same weights
+    x = np.linspace(0.0, 2.0, 21)
+    dx = 2.0 / 20
+    at = np.array([0.0, 1e-9, 0.03, dx, 0.15, 1.0, 1.93, 1.99, 2.0 - 1e-12, 2.0])
+    cubic = lambda t: 2.0 * t**3 - t**2 + 0.5 * t - 3.0  # noqa: E731
+    got, line = lagrange_uniform(at, dx, cubic(x), 4.0 * x)
+    assert np.max(np.abs(got - cubic(at))) <= 1e-13
+    assert np.max(np.abs(line - 4.0 * at)) <= 1e-14
+    # at the samples themselves only the rounding of x / dx is left
+    y = cubic(x)
+    at_knots = lagrange_uniform(x, dx, y)[0]
+    assert np.max(np.abs(at_knots - y)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(y))
+
+
+def test_lagrange_uniform_fourth_order():
+    # the sup error of sin(3x) between the samples falls 16x per halving of
+    # dx, one-sided end intervals included
+    errs = []
+    for n in (41, 81, 161):
+        x = np.linspace(0.0, 1.0, n)
+        at = np.linspace(0.0, 1.0, 4 * n - 3)[1::2]
+        got = lagrange_uniform(at, 1.0 / (n - 1), np.sin(3.0 * x))[0]
+        errs.append(np.max(np.abs(got - np.sin(3.0 * at))))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 13.0 <= coarse / fine <= 19.0
+
+
+def test_lagrange_uniform_needs_four_samples():
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        lagrange_uniform(np.array([0.5]), 1.0, np.zeros(3))

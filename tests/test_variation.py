@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hardstars import DomainError, StarParameters, build_star, variation
+from hardstars import DomainError, StarParameters, build_star, calibration, variation
 from hardstars.variation import (
     DEFAULT_AUDIT_MODES,
     DEFAULT_AUDIT_SEED,
@@ -185,6 +185,26 @@ def test_criticality_audit_separates_solved_from_detuned(star_r01, detuned_r01):
     det_perts = audit_perturbations(detuned_r01, count=12)
     det = criticality_audit(detuned_r01, det_perts)
     assert np.min(np.abs(det.first_variations)) > 1e-3
+
+
+@pytest.mark.parametrize("R, holds", [(0.185, True), (0.186, False)])
+def test_detuned_floor_refused_where_it_fails(R, holds):
+    # over the default audit draws of a shooting star (grid 4001) the 1%
+    # detuned control clears the floor up to DETUNED_FLOOR_MAX_R and no
+    # further (min|M_dot| / floor measured 1.0067 at 0.185, 0.9911 at
+    # 0.186); above the limit the floor is refused, not returned
+    star = build_star(StarParameters(R=R, grid_n=4001), solver="shooting")
+    det = criticality_audit(detuned_profile(star), audit_perturbations(star, count=50))
+    ratio = float(np.min(np.abs(det.first_variations))) / (0.5 * FOUR_PI * R * R * 0.01)
+    assert (ratio >= 1.0) == holds
+    assert (R <= calibration.DETUNED_FLOOR_MAX_R) == holds
+    if holds:
+        assert calibration.detuned_floor(R) * ratio == pytest.approx(
+            float(np.min(np.abs(det.first_variations))), rel=1e-14)
+    else:
+        with pytest.raises(DomainError, match=r"R <= 0\.185, got R = 0\.186: .* 1\.01 at "
+                                              r"R = 0\.185 and 0\.99 at 0\.186"):
+            calibration.detuned_floor(R)
 
 
 @pytest.fixture(scope="module")
