@@ -35,6 +35,10 @@ R_MAX = 0.2472184
 RHO_CENTRAL_R01 = 1.0235377133674
 RHO_CENTRAL_TOL = 1e-9
 
+# Seed of the audit perturbation draws (variation.audit_perturbations);
+# every ceiling and window of the audit below was measured on its draws.
+DEFAULT_AUDIT_SEED = 20260823
+
 # Criticality audit on a solved star: largest |first variation| over the
 # seeded perturbation set (measured ceiling 2e-10 at radius 0.1).
 SOLVED_FIRST_VARIATION_MAX = 1e-5

@@ -15,9 +15,13 @@ read all come from it, so flags and config files are checked alike.
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 verification failure.
 
-``evolution`` and ``modes`` (and with them scipy) are imported inside the
-commands that use them, so picard ``build``, ``family`` and
-``variation-audit`` start on numpy alone.
+The module itself loads only the standard library and the numpy-free
+``errors``, ``calibration`` and ``plotting``: parsing, ``--help``,
+``--version`` and a flag or config file that fails its checks run without
+numpy.  Each command imports what it runs: ``build``, ``family`` and
+``variation-audit`` load numpy (``background``, ``storage``,
+``variation``) but no scipy, with either solver; ``evolve``, ``modes``
+and ``verify`` load ``evolution`` and ``modes``, and with them scipy.
 """
 
 from __future__ import annotations
@@ -31,18 +35,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__, calibration
-from .background import (
-    FOUR_PI,
-    BackgroundProfile,
-    StarParameters,
-    approximate_profile,
-    build_star,
-    family_scan,
-)
 from .errors import (
     CflViolationError,
     ConfigError,
@@ -52,14 +47,11 @@ from .errors import (
     InstabilityError,
 )
 from .plotting import render_svg
-from .storage import digest, read_profile_csv, read_table, write_document, write_profile, write_table
-from .variation import (
-    DEFAULT_AUDIT_SEED,
-    audit_perturbations,
-    criticality_audit,
-    detuned_profile,
-    mass_aspect_bound_ratios,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .background import BackgroundProfile, StarParameters
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,7 +95,7 @@ class RunConfig:
     solver: str = _common("picard", "--solver", "background solver", ("picard", "shooting"))
     picard_tol: float = 1e-12
     picard_max_iter: int = 200
-    seed: int = _common(DEFAULT_AUDIT_SEED, "--seed", "audit RNG seed")
+    seed: int = _common(calibration.DEFAULT_AUDIT_SEED, "--seed", "audit RNG seed")
     output_dir: str = _common(".", "--output-dir", "artifact directory")
     options: dict = field(default_factory=dict)
 
@@ -127,11 +119,15 @@ class RunConfig:
     @property
     def hash(self) -> str:
         """Digest of everything that shapes the numbers; where they land is excluded."""
+        from .storage import digest
+
         doc = dataclasses.asdict(self)
         doc.pop("output_dir")
         return digest(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
     def star_parameters(self) -> StarParameters:
+        from .background import StarParameters
+
         return StarParameters(
             R=self.R,
             grid_n=int(self.grid_n),
@@ -228,10 +224,14 @@ def _header(config: RunConfig, kind: str) -> dict:
 
 
 def _emit_csv(path: Path, columns: tuple[str, ...], rows, config: RunConfig, kind: str) -> Path:
+    from .storage import write_table
+
     return write_table(path, _header(config, kind), columns, rows)
 
 
 def _emit_json(path: Path, payload: dict, config: RunConfig, kind: str) -> Path:
+    from .storage import write_document
+
     return write_document(path, {**_header(config, kind), **payload})
 
 
@@ -248,6 +248,9 @@ def _resolve_output_dir(config: RunConfig) -> Path:
 
 
 def _cmd_build(config: RunConfig, out: Path) -> int:
+    from .background import build_star
+    from .storage import write_profile
+
     star = build_star(config.star_parameters(), solver=config.solver)
     basename = _get(config, "basename")
     if basename is None:
@@ -261,6 +264,10 @@ def _cmd_build(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_family(config: RunConfig, out: Path) -> int:
+    import numpy as np
+
+    from .background import family_scan
+
     radii = _get(config, "radii")
     if radii is None:
         r_min, r_max = _get(config, "r_min"), _get(config, "r_max")
@@ -282,6 +289,12 @@ def _cmd_family(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
+    import numpy as np
+
+    from .background import FOUR_PI, build_star
+    from .storage import read_profile_csv
+    from .variation import audit_perturbations, criticality_audit
+
     profile = _get(config, "profile")
     if profile is not None:
         try:
@@ -336,8 +349,11 @@ def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
 
 
 def _initial_data(preset: str, star: BackgroundProfile, coeffs):
+    import numpy as np
+
     from .evolution import gaussian_pulse
     from .modes import find_modes, mode_to_initial_data
+    from .storage import read_table
 
     if preset == "gaussian":
         return gaussian_pulse(coeffs)
@@ -382,6 +398,7 @@ def _initial_data(preset: str, star: BackgroundProfile, coeffs):
 
 
 def _cmd_evolve(config: RunConfig, out: Path) -> int:
+    from .background import build_star
     from .evolution import _sample_steps, _time_step, _WaveRun, assemble_coefficients, reconstruct
 
     cfl = _get(config, "cfl")
@@ -446,6 +463,7 @@ def _cmd_evolve(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_modes(config: RunConfig, out: Path) -> int:
+    from .background import build_star
     from .evolution import assemble_coefficients
     from .modes import dispersion_roots, find_modes, mode_to_initial_data
 
@@ -529,10 +547,18 @@ class _Checks:
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
     """Re-check the documented invariants of every module on one star."""
+    import numpy as np
     from scipy.special import spherical_jn
 
+    from .background import approximate_profile, build_star
     from .evolution import assemble_coefficients, evolve, gaussian_pulse
     from .modes import X1_LIMIT, estimate_period, find_modes, mode_to_initial_data
+    from .variation import (
+        audit_perturbations,
+        criticality_audit,
+        detuned_profile,
+        mass_aspect_bound_ratios,
+    )
 
     checks = _Checks()
     R = config.R
@@ -792,6 +818,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # an output directory or artifact path that cannot be made or written
+        detail = f"cannot write {exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"config error: {detail}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, CflViolationError, InstabilityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

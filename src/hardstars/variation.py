@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .background import FOUR_PI, BackgroundProfile, _readonly, derive_metric_fields, metric_terms
+from .calibration import DEFAULT_AUDIT_SEED
 from .errors import ConvergenceError, DomainError
 from .numerics import cumulative_simpson_uniform, derivative_uniform, simpson_weights
 
-DEFAULT_AUDIT_SEED = 20260823
 DEFAULT_AUDIT_MODES = 8
 
 

@@ -57,23 +57,34 @@ _START_SCRIPT = """
 import json, sys
 from hardstars import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+def exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 small = ["--grid-n", "201", "--output-dir", sys.argv[1]]
-steps = {"import": scipy_modules()}
+steps = {"import": (0, loaded("numpy"), loaded("scipy"))}
 for name, argv in {
+    "--version": ["--version"],
+    "--help": ["--help"],
+    "nan": ["build", "--R", "nan", *small],
     "build": ["build", "--R", "0.05", *small],
     "family": ["family", "--radii", "0.02,0.05", *small],
     "variation-audit": ["variation-audit", "--R", "0.05", "--count", "4", *small],
     "shooting": ["build", "--R", "0.05", "--solver", "shooting", *small],
 }.items():
-    steps[name] = (cli.main(argv), scipy_modules())
+    steps[name] = (exit_code(argv), loaded("numpy"), loaded("scipy"))
 print(json.dumps(steps))
 """
 
 
 def test_picard_commands_start_without_scipy(tmp_path):
+    # importing the CLI, --version, --help and a config error load no
+    # numpy; build, family and variation-audit (either solver) no scipy
     src = str(Path(hardstars.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -83,14 +94,23 @@ def test_picard_commands_start_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
-    assert steps["import"] == []
-    for name in ("build", "family", "variation-audit"):
-        code, loaded = steps[name]
+    for name, code in (("import", EXIT_OK), ("--version", EXIT_OK), ("--help", EXIT_OK),
+                       ("nan", EXIT_CONFIG)):
+        assert steps[name] == [code, [], []], name
+    for name in ("build", "family", "variation-audit", "shooting"):
+        code, _, scipy_loaded = steps[name]
         assert code == EXIT_OK, name
-        assert loaded == [], name
-    code, loaded = steps["shooting"]
-    assert code == EXIT_OK
-    assert loaded == []
+        assert scipy_loaded == [], name
+
+
+def test_package_exports_resolve():
+    # the background names load on first access; each is background's own
+    for name in hardstars.__all__:
+        assert hasattr(hardstars, name), name
+    for name in ("BackgroundProfile", "StarParameters", "build_star", "tov_rhs"):
+        assert getattr(hardstars, name) is getattr(background, name)
+    with pytest.raises(AttributeError):
+        hardstars.no_such_name
 
 
 # --------------------------------------------------------------- run config
@@ -483,6 +503,22 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     abs_dir = tmp_path / "abs"
     assert run("build", "--R", "0.05", "--grid-n", "401", "--output-dir", str(abs_dir)) == EXIT_OK
     assert (abs_dir / "profile_R0p05.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["output-dir-is-file", "basename-in-missing-dir"])
+def test_unwritable_artifact_is_config_error(tmp_path, capsys, case):
+    if case == "output-dir-is-file":
+        blocked = tmp_path / "f"
+        blocked.touch()
+        argv = ["--output-dir", str(blocked)]
+    else:
+        blocked = tmp_path / "out" / "sub" / "x.csv"
+        argv = ["--output-dir", str(tmp_path / "out"), "--basename", "sub/x"]
+    code = run("build", "--R", "0.05", "--grid-n", "201", *argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error: ") and str(blocked) in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------- determinism
