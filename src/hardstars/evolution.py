@@ -23,6 +23,13 @@ diverges like -2/r0^2 at the centre.  V < 0 on every node for R up to about
 nodes, r0 > 0.73 R, at R = 0.245).  flux/mass = (4 pi r0^2)^2 exactly, so
 the characteristic speed in chi equals the shell surface area.
 
+``assemble_coefficients`` samples the star at the radius r0 of each node
+and half node.  It reads the profile only locally: on each knot interval of
+the uniform r grid, chi(r) is the cubic through the four nearest samples,
+r0 is that cubic's root (safeguarded Newton), and rho, m/r^3 and I - I(R)
+are read at r0 from the same four-point stencil
+(``numerics.lagrange_uniform``).  No spline over every knot is built.
+
 Boundary conditions: u = 0 at the centre (strongly), and at the surface the
 Robin condition du/dchi = alpha u with alpha = q(R) - 2/R < 0.
 
@@ -61,8 +68,9 @@ rows of T_(k/2)(C) from the three-term recurrence; both run in
 The build streams in blocks of 256 rows of T_k, each with a halo of k/2
 rows of T_(k/2) on either side, so no whole T_(k/2) is held in long
 double.  Built in double, the rounding breaks time reversal: 3719 steps
-forward and back at n_chi 501 return v with an error of 1.5e-10 of its
-scale, against 5.5e-13 in ``np.longdouble``.  What ``np.longdouble`` is
+forward and back at n_chi 501 return v with an error of up to 3.5e-10 of
+its scale, against 1.6e-12 in ``np.longdouble`` (worst over last-bit draws
+of the mass weights).  What ``np.longdouble`` is
 depends on the platform: the 80-bit x87 format on x86-64 Linux, plain
 double on MSVC builds and arm64 macOS (where the strides keep only the
 double accuracy), a slow software quad on aarch64 Linux.
@@ -90,13 +98,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dgbmv
 
 from .background import FOUR_PI, BackgroundProfile, _chi_jacobian, _readonly, metric_terms
 from .errors import CflViolationError, ConvergenceError, DomainError, InstabilityError
-from .numerics import derivative_uniform
+from .numerics import derivative_uniform, lagrange_uniform
 from .variation import integrating_factor, quadratic_form
 
 
@@ -155,91 +162,113 @@ def _operator_bands(c: WaveCoefficients) -> np.ndarray:
     return ab
 
 
-def _invert_chi(chi_spline: PPoly, targets: np.ndarray, R: float) -> np.ndarray:
+#: Largest comoving grid ``assemble_coefficients`` accepts.  An ``evolve``
+#: takes O(n_chi) steps of O(n_chi) work each, and the stride band holds
+#: 2 STRIDE + 1 doubles per node (52 MB at the cap).
+MAX_N_CHI = 100_000
+#: Newton steps allowed per chi inversion.  From the linear start every
+#: target converges in 3-4 on grids of 401-4096 points (R = 0.02-0.2471,
+#: n_chi 16-100000), and in up to 8 on a 16-point grid.
+CHI_NEWTON_MAX_STEPS = 20
+
+
+def _invert_chi(profile: BackgroundProfile, targets: np.ndarray) -> np.ndarray:
     """Radii r in [0, R] with chi(r) = target, for all targets at once.
 
-    Newton on the spline, safeguarded by bisection inside a bracket that
-    starts as the knot interval holding the target.  Targets at or below 0
-    map to 0, targets at or above chi(R) to R.
+    chi is read as ``numerics.lagrange_uniform`` reads it: on each knot
+    interval of the uniform r grid, the cubic through the four profile
+    samples around it.  Each root is found by Newton on that cubic, started
+    by linear interpolation in the knot interval holding the target and
+    safeguarded by bisection inside it; it stops once every step is within
+    4 eps of r.  Targets at or below 0 map to 0, targets at or above chi(R)
+    to R.  Raises ``ConvergenceError`` after ``CHI_NEWTON_MAX_STEPS`` steps.
     """
-    knots = chi_spline.x
-    values = chi_spline(knots)
-    out = np.where(targets <= 0.0, 0.0, R)
-    inside = (targets > 0.0) & (targets < values[-1])
+    chi, n = profile.chi, profile.grid_n
+    out = np.where(targets <= 0.0, 0.0, profile.R)
+    inside = (targets > 0.0) & (targets < chi[-1])
     t = targets[inside]
-    k = np.clip(np.searchsorted(values, t, side="right") - 1, 0, len(knots) - 2)
-    lo, hi = knots[k], knots[k + 1]
-    r = lo + (hi - lo) * (t - values[k]) / (values[k + 1] - values[k])
-    chi_prime = chi_spline.derivative()
-    for _ in range(60):
-        f = chi_spline(r) - t
+    k = np.searchsorted(chi, t, side="right") - 1  # chi[k] <= t < chi[k + 1]
+    i = np.clip(k - 1, 0, n - 4)                   # the stencil chi[i..i+3]
+    # the cubic in u = r/dr - k, u in [0, 1] on the interval, as
+    # chi[k] + u (b1 + u (b2 + u b3)), from its forward differences at i
+    y0, y1, y2, y3 = chi[i], chi[i + 1], chi[i + 2], chi[i + 3]
+    d1, d2, d3 = y1 - y0, y2 - 2.0 * y1 + y0, y3 - 3.0 * (y2 - y1) - y0
+    c = k - i                                      # u = 0 at stencil coordinate c
+    b1 = d1 + (c - 0.5) * d2 + ((3 * c - 6) * c + 2) * d3 / 6.0
+    b2 = 0.5 * d2 + 0.5 * (c - 1) * d3
+    b3 = d3 / 6.0
+    f0 = chi[k] - t
+    lo, hi = np.zeros_like(t), np.ones_like(t)
+    u = -f0 / (chi[k + 1] - chi[k])
+    eps4 = 4.0 * np.finfo(float).eps
+    for _ in range(CHI_NEWTON_MAX_STEPS):
+        f = f0 + u * (b1 + u * (b2 + u * b3))
         below = f < 0.0
-        lo = np.where(below, r, lo)
-        hi = np.where(below, hi, r)
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = r - f / chi_prime(r)
-        # closed bracket: a converged Newton step rounds onto r itself,
+            newton = u - f / (b1 + u * (2.0 * b2 + 3.0 * u * b3))
+        # closed bracket: a converged Newton step rounds onto u itself,
         # which may be a bracket end
         ok = (newton >= lo) & (newton <= hi)
-        r_next = np.where(f == 0.0, r, np.where(ok, newton, 0.5 * (lo + hi)))
-        done = np.all(np.abs(r_next - r) <= 4.0 * np.finfo(float).eps * r)
-        r = r_next
+        u_next = np.where(f == 0.0, u, np.where(ok, newton, 0.5 * (lo + hi)))
+        # the step relative to r / dr = u + k, the radius returned
+        done = np.all(np.abs(u_next - u) <= eps4 * (u_next + k))
+        u = u_next
         if done:
             break
-    out[inside] = r
+    else:
+        raise ConvergenceError(f"chi inversion did not converge in {CHI_NEWTON_MAX_STEPS} "
+                               "Newton steps", iterations=CHI_NEWTON_MAX_STEPS)
+    out[inside] = (u + k) * profile.dr
     return out
 
 
 def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> WaveCoefficients:
     """Sample the wave-equation coefficients on a uniform chi grid.
 
-    The radius of each shell is found by inverting the background chi(r)
-    map (root-finding in r, where everything is smooth); the coefficients
-    are then read from ``variation.quadratic_form`` at the same spline's
-    values of rho, m/r^3 and I - I(R), with e = exp(I - I(R)) and
+    The radius of each node and half node is found by inverting the
+    background chi(r) map (``_invert_chi``, root-finding in r, where
+    everything is smooth); rho, m/r^3 and I - I(R) are read there from the
+    four nearest profile samples (``numerics.lagrange_uniform``, the same
+    cubic the inversion solves), and the coefficients from
+    ``variation.quadratic_form``, with e = exp(I - I(R)) and
     gamma = 1/sqrt(1 - 2M/R):
 
         mass = gamma n^3 e / sqrt(1 - 2m/r),  flux = gamma C w e,
         V = -gamma e K / w,  alpha = q(R) - 2/R.
+
+    Raises ``DomainError`` for n_chi below 16 or above ``MAX_N_CHI``.
     """
-    if n_chi < 16:
-        raise DomainError(f"n_chi must be at least 16, got {n_chi}")
+    if not 16 <= n_chi <= MAX_N_CHI:
+        raise DomainError(f"n_chi must lie in [16, {MAX_N_CHI}], got {n_chi}")
     B = profile.N_total
     R = profile.R
     n = n_chi
     dchi = B / (n - 1)
     chi = np.linspace(0.0, B, n)
 
+    # the nodes and the half nodes in one pass, split only at the end
+    r = _invert_chi(profile, np.concatenate([chi, chi[:-1] + 0.5 * dchi]))
     I = integrating_factor(profile)
-    spline = CubicSpline(profile.r, np.column_stack([profile.chi, profile.rho,
-                                                     profile.m_over_r3, I - I[-1]]))
-
-    # the nodes and the half nodes in one pass, on the chi column alone
-    r0, r0_half = np.split(_invert_chi(PPoly(spline.c[..., 0], spline.x),
-                                       np.concatenate([chi, chi[:-1] + 0.5 * dchi]), R), [n])
-    r0[-1] = R
-
-    rho0, mor3, I0 = spline(r0)[:, 1:].T
-    n2, D, q = metric_terms(r0, rho0, mor3)
-    _, _, C, D_phi, K = quadratic_form(r0, rho0, mor3)
+    rho, mor3, I_r = lagrange_uniform(r, profile.dr, profile.rho, profile.m_over_r3, I - I[-1])
+    n2, D, q = metric_terms(r, rho, mor3)
+    _, _, C, D_phi, K = quadratic_form(r, rho, mor3)
     # the slope and angle coefficients are positive off the centre exactly
     # where n^2 > 0 and 1 - 2m/r > 0
     if np.any(C[1:] <= 0.0) or np.any(D_phi[1:] <= 0.0):
         raise ConvergenceError("coefficient assembly left the regular domain")
     gamma = 1.0 / math.sqrt(1.0 - 2.0 * profile.M_total / R)
-    e = np.exp(I0)
-    w = _chi_jacobian(r0, n2, D)
+    e = np.exp(I_r)
+    w = _chi_jacobian(r, n2, D)
+    flux = gamma * C * w * e
+    r0, r0_half = r[:n], r[n:]
+    n2, D, e, w, K = n2[:n], D[:n], e[:n], w[:n], K[:n]
     mass = gamma * n2 * np.sqrt(n2) * e / np.sqrt(D)
     with np.errstate(divide="ignore"):  # w = 0 at the centre node
         V = -gamma * e * K / w
     V[0] = 0.0
-
-    rho_h, mor3_h, I_h = spline(r0_half)[:, 1:].T
-    n2_h, D_h, _ = metric_terms(r0_half, rho_h, mor3_h)
-    C_h = quadratic_form(r0_half, rho_h, mor3_h)[2]
-    flux_half = gamma * C_h * _chi_jacobian(r0_half, n2_h, D_h) * np.exp(I_h)
-    flux_surface = float(gamma * C[-1] * w[-1] * e[-1])
-    alpha = float(q[-1] - 2.0 / R)
+    alpha = float(q[n - 1] - 2.0 / R)
 
     return WaveCoefficients(
         profile=profile,
@@ -247,15 +276,15 @@ def assemble_coefficients(profile: BackgroundProfile, n_chi: int = 1001) -> Wave
         dchi=dchi,
         chi=_readonly(chi),
         r0=_readonly(r0),
-        rho0=_readonly(rho0),
+        rho0=_readonly(rho[:n]),
         n2=_readonly(n2),
-        q=_readonly(q),
+        q=_readonly(q[:n]),
         w=_readonly(w),
         r0_half=_readonly(r0_half),
         mass=_readonly(mass),
         V=_readonly(V),
-        flux_half=_readonly(flux_half),
-        flux_surface=flux_surface,
+        flux_half=_readonly(flux[n:]),
+        flux_surface=float(flux[n - 1]),
         alpha=alpha,
         cmax=FOUR_PI * R * R,
     )

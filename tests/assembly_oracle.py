@@ -1,13 +1,16 @@
 """Coefficient assembly as it was written before it read the quadratic form
-of the second variation, and before it shared one spline.
+of the second variation, and before it read the profile locally.
 
-chi and the fields (rho, m/r^3, F) each get their own spline, and the nodes
-and the half nodes are inverted in two passes.  The mass and flux weights
-carry e^F, with F the regular radial integral of r (8 pi rho - 2 m/r^3) /
-(1 - 2m/r), and V = e^F times ``potential_bracket``.  ``hardstars.evolution``
-must reproduce the radii, the background fields and alpha bit for bit, and
-the mass, flux and V to the gap between the Simpson errors of F and of the
-integrating factor.
+chi and the fields (rho, m/r^3, F) each get a ``CubicSpline`` over every
+profile knot, and the nodes and the half nodes are inverted on the chi
+spline in two passes (``invert_chi``, safeguarded Newton on the spline).
+The mass and flux weights carry e^F, with F the regular radial integral of
+r (8 pi rho - 2 m/r^3) / (1 - 2m/r), and V = e^F times
+``potential_bracket``.  ``hardstars.evolution`` reads the profile through
+the cubic of its four nearest samples instead, so it must reproduce the
+radii, the background fields and alpha to the gap between that cubic and
+the spline, and the mass, flux and V also to the gap between the Simpson
+errors of F and of the integrating factor.
 """
 
 from __future__ import annotations
@@ -15,11 +18,46 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from hardstars.background import FOUR_PI, _chi_jacobian, metric_terms
-from hardstars.evolution import WaveCoefficients, _invert_chi
+from hardstars.evolution import WaveCoefficients
 from hardstars.numerics import cumulative_simpson_uniform
+
+
+def invert_chi(chi_spline: PPoly, targets: np.ndarray, R: float) -> np.ndarray:
+    """Radii r in [0, R] with chi(r) = target, for all targets at once.
+
+    Newton on the spline, safeguarded by bisection inside a bracket that
+    starts as the knot interval holding the target.  Targets at or below 0
+    map to 0, targets at or above chi(R) to R.
+    """
+    knots = chi_spline.x
+    values = chi_spline(knots)
+    out = np.where(targets <= 0.0, 0.0, R)
+    inside = (targets > 0.0) & (targets < values[-1])
+    t = targets[inside]
+    k = np.clip(np.searchsorted(values, t, side="right") - 1, 0, len(knots) - 2)
+    lo, hi = knots[k], knots[k + 1]
+    r = lo + (hi - lo) * (t - values[k]) / (values[k + 1] - values[k])
+    chi_prime = chi_spline.derivative()
+    for _ in range(60):
+        f = chi_spline(r) - t
+        below = f < 0.0
+        lo = np.where(below, r, lo)
+        hi = np.where(below, hi, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = r - f / chi_prime(r)
+        # closed bracket: a converged Newton step rounds onto r itself,
+        # which may be a bracket end
+        ok = (newton >= lo) & (newton <= hi)
+        r_next = np.where(f == 0.0, r, np.where(ok, newton, 0.5 * (lo + hi)))
+        done = np.all(np.abs(r_next - r) <= 4.0 * np.finfo(float).eps * r)
+        r = r_next
+        if done:
+            break
+    out[inside] = r
+    return out
 
 
 def potential_bracket(r0, rho, mor3):
@@ -55,9 +93,9 @@ def assemble_coefficients(profile, n_chi):
     chi_sp = CubicSpline(r_bg, profile.chi)
     fields_sp = CubicSpline(r_bg, np.column_stack([rho_bg, mor3_bg, F_bg]))
 
-    r0 = _invert_chi(chi_sp, chi, R)
+    r0 = invert_chi(chi_sp, chi, R)
     r0[-1] = R
-    r0_half = _invert_chi(chi_sp, chi[:-1] + 0.5 * dchi, R)
+    r0_half = invert_chi(chi_sp, chi[:-1] + 0.5 * dchi, R)
 
     rho0, mor3, F = fields_sp(r0).T
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -341,6 +341,7 @@ _MALFORMED = {
     "T-flag-nan": (["evolve", "--T", "nan"], None),
     "snapshots-flag-one": (["evolve", "--snapshots", "1"], None),
     "samples-flag-zero": (["evolve", "--samples", "0"], None),
+    "n-chi-flag-huge": (["evolve", "--n-chi", "2000000000"], None),
     "radii-flag-word": (["family", "--radii", "a"], None),
     "radii-flag-nan": (["family", "--radii", "0.05,nan"], None),
 }
@@ -453,6 +454,11 @@ def _trap_wave_grid(monkeypatch):
     monkeypatch.setattr(evolution, "quadratic_form", trapped)
 
 
+def _stall_chi_inversion(monkeypatch):
+    # one Newton step cannot meet the inversion's step test from the linear start
+    monkeypatch.setattr(evolution, "CHI_NEWTON_MAX_STEPS", 1)
+
+
 def _flatten_second_variation(monkeypatch):
     monkeypatch.setattr(variation, "second_variation", lambda *args, **kwargs: 0.0)
 
@@ -479,11 +485,12 @@ _SMALL_EVOLVE = ("evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101", "
     (_no_breakdown, ("build", "--R", "0.2472184", "--solver", "shooting", "--grid-n", "401"),
      "Newton iteration of the collocated hydrostatic system did not converge"),
     (_trap_wave_grid, _SMALL_EVOLVE, "coefficient assembly left the regular domain"),
+    (_stall_chi_inversion, _SMALL_EVOLVE, "chi inversion did not converge"),
     (_flatten_second_variation, ("verify", "--R", "0.05", "--grid-n", "401"),
      "second variation not positive"),
     (_flip_second_norm, _SMALL_EVOLVE, "nonpositive value on a log axis"),
-], ids=["picard-denominator", "shooting-past-largest-star", "assembly-domain", "second-variation",
-        "log-axis"])
+], ids=["picard-denominator", "shooting-past-largest-star", "assembly-domain", "chi-inversion",
+        "second-variation", "log-axis"])
 def test_numerical_breakdown_is_solver_failure(tmp_path, capsys, monkeypatch, breakdown, argv,
                                                message):
     # each breaks down in the middle of a solve on valid input: exit 3, not 2
