@@ -25,7 +25,6 @@ _BACKGROUND_NAMES = (
     "build_star",
     "derive_metric_fields",
     "family_scan",
-    "solve_tov_picard",
     "solve_tov_shooting",
     "tov_rhs",
 )

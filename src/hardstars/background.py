@@ -7,28 +7,29 @@ system
     dm/dr   = 4 pi r^2 rho
     drho/dr = -((2 rho - 1)/(r - 2 m)) (4 pi r^2 (rho - 1) + m/r)
 
-with m(0) = 0 and rho(R) = 1.  Two independent solvers are provided:
+with m(0) = 0 and rho(R) = 1.  ``build_star`` solves it by one route:
 
-* ``solve_tov_picard`` iterates the integral fixed point of the deviation
-  variables mtilde = m - (4 pi/3) r^3, rhotilde = rho - 1 on a uniform grid.
-  The iteration is a contraction for small stars; the update map is applied
-  until the weighted sup norm of the increment falls below ``picard_tol``.
-* ``solve_tov_shooting`` (named after the shooting route it replaced)
-  collocates the system in s = (r/R)^2, with mu = m/r^3 as the mass
-  unknown, on Chebyshev-Gauss-Lobatto nodes (Trefethen, *Spectral Methods
-  in MATLAB*, SIAM 2000, ch. 6-7; Boyd, *Chebyshev and Fourier Spectral
-  Methods*, 2001) and solves it by Newton with the analytic Jacobian,
-  doubling the nodes until the Chebyshev tail is at rounding level.  It
-  reaches every radius up to ``R_MAX`` (the low-density star where two
-  share a radius) and, like the fixed-point route, needs numpy alone.
+* ``solve_tov_shooting`` collocates the system in s = (r/R)^2, with
+  mu = m/r^3 as the mass unknown, on Chebyshev-Gauss-Lobatto nodes
+  (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 6-7; Boyd,
+  *Chebyshev and Fourier Spectral Methods*, 2001) and solves it by Newton
+  with the analytic Jacobian, doubling the nodes until the Chebyshev tail
+  is at rounding level.  It reaches every radius up to ``R_MAX`` (the
+  low-density star where two share a radius).
 
-Both return the same ``BackgroundProfile``; their agreement is the primary
-cross-check of the module.  A profile is three arrays on the grid: r, rho
-and m/r^3, the regular unknowns the solvers solve for.  m/r^3, 0/0 at the
-centre, is stored with its analytic limit so no consumer ever divides by
-zero.  Everything else is read off those arrays: R and the grid size, the
-mass function m = (m/r^3) r^3, the particle coordinate chi (integrated on
-first read) and the totals M = m(R) and N = chi(R).  Every other metric
+``solve_tov_picard`` is the independent reference it is checked against
+(``verify``'s dual-route check): it iterates the integral fixed point of
+the deviation variables mtilde = m - (4 pi/3) r^3, rhotilde = rho - 1 on a
+uniform grid, a contraction for R <= ``MAX_CONTRACTION_RADIUS``, until the
+weighted sup norm of the increment falls below ``PICARD_TOL``.  Both need
+numpy alone and return the same ``BackgroundProfile``.
+
+A profile is three arrays on the grid: r, rho and m/r^3, the regular
+unknowns the solvers solve for.  m/r^3, 0/0 at the centre, is stored with
+its analytic limit so no consumer ever divides by zero.  Everything else
+is read off those arrays: R and the grid size, the mass function
+m = (m/r^3) r^3, the particle coordinate chi (integrated on first read)
+and the totals M = m(R) and N = chi(R).  Every other metric
 quantity is a pointwise function of (r, rho, m/r^3) and is formed where it
 is used: the lapse n = sqrt(2 rho - 1), psi = -ln n, omega = -ln(4 pi r^2 n)
 and dr/dchi = sqrt(1 - 2m/r)/(4 pi r^2 n).
@@ -56,6 +57,10 @@ FOUR_PI = 4.0 * math.pi
 #: Radius bound enforced for the fixed-point solver; inside it the update map
 #: contracts with factor <= 3/4 in the weighted norm used below.
 MAX_CONTRACTION_RADIUS = 0.25 * math.sqrt(3.0 / FOUR_PI)
+#: The fixed-point solver stops once the increment's weighted norm is at most
+#: PICARD_TOL, and fails after PICARD_MAX_ITER sweeps.
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 200
 
 #: Chebyshev intervals of the collocation solver's first try, and its cap.
 #: N = 16 resolves every star up to R = 0.235; R = 0.24-0.2472 need 32.
@@ -81,8 +86,6 @@ class StarParameters:
 
     R: float
     grid_n: int = 4096
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not (0.0 < self.R <= R_MAX):
@@ -91,8 +94,6 @@ class StarParameters:
             )
         if self.grid_n < 16:
             raise DomainError(f"grid_n must be at least 16, got {self.grid_n}")
-        if self.picard_tol <= 0.0 or self.picard_max_iter < 1:
-            raise DomainError("picard_tol must be positive and picard_max_iter >= 1")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -206,7 +207,8 @@ def _pack_profile(r, rho, m_over_r3, provenance) -> BackgroundProfile:
 
 
 def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
-    """Solve the static star by fixed-point iteration of the integral system.
+    """Solve the static star by fixed-point iteration of the integral system:
+    the independent reference the collocation is checked against.
 
     Works in the deviation variables (mtilde, rhotilde).  One sweep maps
 
@@ -217,7 +219,7 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
 
     and the iteration stops when the increment's weighted norm
     (3/(4 pi)) sup|d mtilde / r^3| + 2 sup|d rhotilde| drops below
-    ``picard_tol``.  Quadrature is cumulative Simpson on the uniform grid.
+    ``PICARD_TOL``.  Quadrature is cumulative Simpson on the uniform grid.
     """
     if params.R > MAX_CONTRACTION_RADIUS:
         raise DomainError(
@@ -233,7 +235,7 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
     ratio = np.zeros(n_pts)  # mtilde / r^3 with its centre limit at node 0
 
     last_residual = math.inf
-    for iteration in range(1, params.picard_max_iter + 1):
+    for iteration in range(1, PICARD_MAX_ITER + 1):
         # mass update from the current density deviation
         mt = cumulative_simpson_uniform(FOUR_PI * r2 * rhot, dr)
         new_ratio = np.empty(n_pts)
@@ -257,13 +259,12 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
             np.max(np.abs(new_rhot - rhot))
         )
         rhot, ratio = new_rhot, new_ratio
-        if last_residual <= params.picard_tol:
+        if last_residual <= PICARD_TOL:
             break
     else:
         raise ConvergenceError(
-            f"fixed-point iteration did not reach {params.picard_tol} "
-            f"in {params.picard_max_iter} sweeps",
-            iterations=params.picard_max_iter,
+            f"fixed-point iteration did not reach {PICARD_TOL} in {PICARD_MAX_ITER} sweeps",
+            iterations=PICARD_MAX_ITER,
             residual=last_residual,
         )
 
@@ -274,7 +275,7 @@ def solve_tov_picard(params: StarParameters) -> BackgroundProfile:
         "iterations": iteration,
         "residual": last_residual,
         "grid_n": n_pts,
-        "tol": params.picard_tol,
+        "tol": PICARD_TOL,
     }
     return _pack_profile(r, rho, m_over_r3, provenance)
 
@@ -340,8 +341,8 @@ def _newton(R: float, N: int, rho: np.ndarray,
 
 def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     """Solve the static star by Chebyshev collocation of the hydrostatic
-    system; the name is that of the shooting route it replaced, which
-    ``--solver shooting`` and its configs keep.
+    system; the name is that of the shooting route it replaced, kept because
+    the benchmark calls and traces the solver by it.
 
     In s = (r/R)^2, with mu = m/r^3 and a = R^2, the system reads
 
@@ -358,9 +359,10 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     ``COLLOCATION_N`` and doubles, from the previous solution, while the last
     three Chebyshev coefficients of rho or mu exceed ``TAIL_TOL`` of their
     largest, up to ``COLLOCATION_MAX_N``.  The profile on the grid is the
-    two Chebyshev series summed by Clenshaw's recurrence, with m/r^3 = mu.
+    two Chebyshev series summed by Clenshaw's recurrence, with m/r^3 = mu;
+    the sum misses rho(R) = 1 by up to an ulp, so the surface is set to it.
     """
-    # numpy.polynomial costs about 5 ms to import; the fixed-point commands never load it
+    # numpy.polynomial costs about 5 ms to import; loaded only when a star is solved
     from numpy.polynomial.chebyshev import chebval
 
     R = params.R
@@ -389,6 +391,7 @@ def solve_tov_shooting(params: StarParameters) -> BackgroundProfile:
     r = np.linspace(0.0, R, params.grid_n)
     x = 2.0 * (r / R) ** 2 - 1.0
     rho, mu = (chebval(x, c) for c in series)
+    rho[-1] = 1.0
     provenance = {
         "solver": "shooting",
         "iterations": iterations,
@@ -437,21 +440,10 @@ def chi_weight(profile: BackgroundProfile) -> np.ndarray:
     return _chi_jacobian(profile.r, n2, D)
 
 
-_SOLVERS = {"picard": solve_tov_picard, "shooting": solve_tov_shooting}
-
-
-def build_star(params: StarParameters, solver: str = "picard") -> BackgroundProfile:
-    """Solve and complete a star in one call.
-
-    ``solver`` is "picard" (default; fixed-point iteration, which requires
-    the contraction-regime radius bound) or "shooting" (Chebyshev
-    collocation, valid up to ``R_MAX``).
-    """
-    try:
-        solve = _SOLVERS[solver]
-    except KeyError:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {sorted(_SOLVERS)}") from None
-    return derive_metric_fields(solve(params))
+def build_star(params: StarParameters) -> BackgroundProfile:
+    """Solve a star by Chebyshev collocation (``solve_tov_shooting``, valid up
+    to ``R_MAX``) and check it with ``derive_metric_fields``."""
+    return derive_metric_fields(solve_tov_shooting(params))
 
 
 @dataclass(frozen=True)
@@ -463,14 +455,13 @@ class FamilyRow:
     error: str | None = None
 
 
-def family_scan(R_values: Sequence[float], grid_n: int = 2048,
-                solver: str = "picard") -> list[FamilyRow]:
+def family_scan(R_values: Sequence[float], grid_n: int = 2048) -> list[FamilyRow]:
     """Solve a family of stars with ``build_star``; per-row failures are
     captured, not raised."""
     rows: list[FamilyRow] = []
     for R in R_values:
         try:
-            prof = build_star(StarParameters(R=float(R), grid_n=grid_n), solver)
+            prof = build_star(StarParameters(R=float(R), grid_n=grid_n))
             rows.append(
                 FamilyRow(
                     R=float(R),

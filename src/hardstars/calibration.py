@@ -12,15 +12,15 @@ import math
 
 from .errors import DomainError
 
-# Dual-route background agreement (fixed-point iteration vs the Chebyshev
-# collocation of the `shooting` solver), sup over nodes of both m and rho,
-# radius 0.1, grid 2001.
+# Dual-route background agreement (the fixed-point reference vs the
+# Chebyshev collocation that builds every star), sup over nodes of both m
+# and rho, radius 0.1, grid 2001.
 BACKGROUND_CROSS_CHECK_TOL = 1e-10
 
 # Ceiling on sup|rho - two-term closed form| / R^6 (approximate_profile
 # with order=2), measured 274, 282, 313, 334 at radius 0.02, 0.05, 0.1,
 # 0.12 (grid 4001).  The R^6 coefficient rises with the radius, and the
-# ceiling covers every fixed-point radius (R <= 0.1221).
+# ceiling covers every radius up to `verify`'s dual-route limit (R <= 0.1221).
 CLOSED_FORM_R6_MAX = 400.0
 
 # Largest radius of any static star.  Integrating the hydrostatic system
@@ -51,8 +51,8 @@ SOLVED_FIRST_VARIATION_MAX = 1e-5
 # of the detuned star: over the default audit draws (50, shooting solve,
 # grid 4001) min|M_dot| / floor is 1.99 at radius 0.02, 1.77 at 0.1,
 # 1.01 at 0.185, 0.99 at 0.186, 0.24 at 0.22 and 0.07 at 0.24.  The floor
-# holds for R <= DETUNED_FLOOR_MAX_R, which covers every fixed-point radius
-# (R <= 0.1221), and is refused above it.
+# holds for R <= DETUNED_FLOOR_MAX_R, which covers `verify`'s dual-route
+# limit (R <= 0.1221), and is refused above it.
 DETUNED_FLOOR_MAX_R = 0.185
 
 
@@ -71,7 +71,7 @@ def detuned_floor(R: float) -> float:
 # shooting solve, grid 4001) the ratios span [8.12, 83.1] at radius
 # 0.02, [7.62, 82.9] at 0.1, [5.03, 79.1] at 0.217, [4.99, 79.0] at
 # 0.218, [4.90, 78.8] at 0.22 and [3.66, 74.2] at 0.24.  The window holds
-# for R <= 0.217, which covers every fixed-point radius (R <= 0.1221).
+# for R <= 0.217, which covers `verify`'s dual-route limit (R <= 0.1221).
 EQUIVALENCE_RATIO_WINDOW = (5.0, 120.0)
 
 # Ceilings for the scale-invariant squared mass-aspect ratio per decay

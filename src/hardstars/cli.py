@@ -20,8 +20,8 @@ The module itself loads only the standard library and the numpy-free
 ``--version`` and a flag or config file that fails its checks run without
 numpy.  Each command imports what it runs: ``build``, ``family`` and
 ``variation-audit`` load numpy (``background``, ``storage``,
-``variation``) but no scipy, with either solver; ``evolve``, ``modes``
-and ``verify`` load ``evolution`` and ``modes``, and with them scipy.
+``variation``) but no scipy; ``evolve``, ``modes`` and ``verify`` load
+``evolution`` and ``modes``, and with them scipy.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ class _Opt:
     """One row of the option table.
 
     ``kind`` is float, int, str, a tuple of choices, or list (of floats,
-    comma-separated on the command line).  ``flag`` None: config file only.
-    A value must exceed ``above``; a flag value drops the keys in ``replaces``.
+    comma-separated on the command line).  A value must exceed ``above``; a
+    flag value drops the keys in ``replaces``.
     """
 
     key: str
-    flag: str | None
+    flag: str
     kind: object
     default: object = None
     help: str | None = None
@@ -80,9 +80,9 @@ class _Opt:
     replaces: tuple[str, ...] = ()
 
 
-def _common(default, flag: str, help: str, choices: tuple[str, ...] | None = None):
+def _common(default, flag: str, help: str):
     """A RunConfig field that a flag also sets."""
-    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices})
+    return field(default=default, metadata={"flag": flag, "help": help})
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,6 @@ class RunConfig:
     command: str
     R: float = _common(0.1, "--R", "surface areal radius")
     grid_n: int = _common(2001, "--grid-n", "radial grid nodes")
-    solver: str = _common("picard", "--solver", "background solver", ("picard", "shooting"))
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 200
     seed: int = _common(calibration.DEFAULT_AUDIT_SEED, "--seed", "audit RNG seed")
     output_dir: str = _common(".", "--output-dir", "artifact directory")
     options: dict = field(default_factory=dict)
@@ -128,12 +125,7 @@ class RunConfig:
     def star_parameters(self) -> StarParameters:
         from .background import StarParameters
 
-        return StarParameters(
-            R=self.R,
-            grid_n=int(self.grid_n),
-            picard_tol=self.picard_tol,
-            picard_max_iter=int(self.picard_max_iter),
-        )
+        return StarParameters(R=self.R, grid_n=int(self.grid_n))
 
     @staticmethod
     def from_dict(data: dict) -> RunConfig:
@@ -151,8 +143,7 @@ class RunConfig:
 _KINDS = {"float": float, "int": int, "str": str}
 # the common rows: every RunConfig field but command and options
 _COMMON = {
-    f.name: _Opt(f.name, f.metadata.get("flag"), f.metadata.get("choices") or _KINDS[f.type],
-                 f.default, f.metadata.get("help"))
+    f.name: _Opt(f.name, f.metadata["flag"], _KINDS[f.type], f.default, f.metadata["help"])
     for f in dataclasses.fields(RunConfig)
     if f.name not in ("command", "options")
 }
@@ -251,7 +242,7 @@ def _cmd_build(config: RunConfig, out: Path) -> int:
     from .background import build_star
     from .storage import write_profile
 
-    star = build_star(config.star_parameters(), solver=config.solver)
+    star = build_star(config.star_parameters())
     basename = _get(config, "basename")
     if basename is None:
         # dots in the radius would be eaten by suffix handling
@@ -274,7 +265,7 @@ def _cmd_family(config: RunConfig, out: Path) -> int:
         if not 0.0 < r_min < r_max:
             raise ConfigError("family scan needs 0 < r_min < r_max")
         radii = list(np.linspace(r_min, r_max, _get(config, "count")))
-    rows = family_scan(radii, grid_n=_get(config, "grid_n"), solver=config.solver)
+    rows = family_scan(radii, grid_n=_get(config, "grid_n"))
     columns = ("R", "M_total", "rho_central", "compactness")
     table = [[math.nan if getattr(row, name) is None else getattr(row, name) for name in columns]
              for row in rows]
@@ -302,7 +293,7 @@ def _cmd_variation_audit(config: RunConfig, out: Path) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot use profile {profile}: {exc}") from exc
     else:
-        star = build_star(config.star_parameters(), solver=config.solver)
+        star = build_star(config.star_parameters())
     count, seed = _get(config, "count"), _get(config, "seed")
     perts = audit_perturbations(star, count=count, seed=seed)
     report = criticality_audit(star, perts)
@@ -407,7 +398,7 @@ def _cmd_evolve(config: RunConfig, out: Path) -> int:
     n_snap = _get(config, "snapshots")
     preset = _get(config, "preset")
 
-    star = build_star(config.star_parameters(), solver=config.solver)
+    star = build_star(config.star_parameters())
     coeffs = assemble_coefficients(star, n_chi=_get(config, "n_chi"))
     u, v = _initial_data(preset, star, coeffs)
 
@@ -482,7 +473,7 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
     star = None
     modes = []
     if which in ("full", "both"):
-        star = build_star(params, solver=config.solver)
+        star = build_star(params)
         modes = find_modes(star, n_modes=count)
 
     columns: tuple[str, ...]
@@ -514,7 +505,7 @@ def _cmd_modes(config: RunConfig, out: Path) -> int:
 
     if emit_j is not None:
         if star is None:
-            star = build_star(params, solver=config.solver)
+            star = build_star(params)
         if len(modes) < emit_j:
             modes = find_modes(star, n_modes=emit_j)
         coeffs = assemble_coefficients(star, n_chi=_get(config, "n_chi"))
@@ -550,7 +541,7 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     import numpy as np
     from scipy.special import spherical_jn
 
-    from .background import approximate_profile, build_star
+    from .background import approximate_profile, build_star, solve_tov_picard
     from .evolution import assemble_coefficients, evolve, gaussian_pulse
     from .modes import X1_LIMIT, estimate_period, find_modes, mode_to_initial_data
     from .variation import (
@@ -564,8 +555,9 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     R = config.R
     params = config.star_parameters()
 
-    star = build_star(params, solver="picard")
-    cross = build_star(params, solver="shooting")
+    # the fixed-point reference refuses R > MAX_CONTRACTION_RADIUS, so it runs first
+    cross = solve_tov_picard(params)
+    star = build_star(params)
     gap = max(
         float(np.max(np.abs(star.m - cross.m))),
         float(np.max(np.abs(star.rho - cross.rho))),
@@ -750,8 +742,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, _, rows) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         for row in (*_COMMON.values(), *rows):
-            if row.flag is None:
-                continue
             kwargs = {"dest": row.key, "default": row.default, "help": row.help}
             if isinstance(row.kind, tuple):
                 kwargs["choices"] = row.kind
@@ -765,7 +755,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _flag_values(ns: argparse.Namespace) -> dict:
     """The config the flags give; options whose value is None are left out."""
     data = {"command": ns.command}
-    data.update((row.key, getattr(ns, row.key)) for row in _COMMON.values() if row.flag)
+    data.update((key, getattr(ns, key)) for key in _COMMON)
     rows = _option_rows(ns.command).values()
     options = {row.key: getattr(ns, row.key) for row in rows if getattr(ns, row.key) is not None}
     for row in rows:

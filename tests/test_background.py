@@ -13,11 +13,9 @@ from hardstars import (
     DomainError,
     StarParameters,
     approximate_profile,
-    build_star,
     calibration,
     derive_metric_fields,
     family_scan,
-    solve_tov_picard,
     solve_tov_shooting,
     tov_rhs,
 )
@@ -27,6 +25,7 @@ from hardstars.background import (
     BackgroundProfile,
     chi_weight,
     metric_terms,
+    solve_tov_picard,
 )
 from hardstars.numerics import chebyshev_nodes, cumulative_simpson_uniform
 from hardstars.variation import detuned_profile
@@ -70,19 +69,16 @@ def test_parameter_validation():
         StarParameters(R=-0.1)
     with pytest.raises(DomainError):
         StarParameters(R=0.1, grid_n=4)
-    with pytest.raises(DomainError):
-        StarParameters(R=0.1, picard_tol=0.0)
 
 
 # --------------------------------------------------------- dual-route solvers
 
 
-def test_picard_and_shooting_agree(star_r01):
-    params = StarParameters(R=0.1, grid_n=2001)
-    sho = solve_tov_shooting(params)
-    assert np.max(np.abs(star_r01.rho - sho.rho)) < 1e-11
-    assert np.max(np.abs(star_r01.m - sho.m)) < 1e-12
-    assert abs(star_r01.rho_central - sho.rho_central) < 1e-11
+def test_picard_and_shooting_agree(picard_r01, star_r01):
+    assert star_r01.provenance["solver"] == "shooting"
+    assert np.max(np.abs(picard_r01.rho - star_r01.rho)) < 1e-11
+    assert np.max(np.abs(picard_r01.m - star_r01.m)) < 1e-12
+    assert abs(picard_r01.rho_central - star_r01.rho_central) < 1e-11
 
 
 def test_central_density_pinned_value(star_r01):
@@ -90,18 +86,26 @@ def test_central_density_pinned_value(star_r01):
     assert abs(star_r01.rho_central - 1.0235377133674) < 5e-11
 
 
-def test_picard_invariant_bounds(star_r01):
-    rhot = star_r01.rho - 1.0
-    cap = (16.0 * math.pi / 3.0) * star_r01.R**2
+def test_picard_invariant_bounds(picard_r01):
+    rhot = picard_r01.rho - 1.0
+    cap = (16.0 * math.pi / 3.0) * picard_r01.R**2
     assert np.all(rhot >= -1e-15)
     assert np.all(rhot <= cap + 1e-15)
-    assert star_r01.rho[-1] == 1.0
-    assert np.all(np.diff(star_r01.rho) < 0.0)
+    assert picard_r01.rho[-1] == 1.0
+    assert np.all(np.diff(picard_r01.rho) < 0.0)
     # mean interior density sits between surface and centre values; the upper
     # bound is an equality at r = 0, so allow quadrature-level slack there
-    assert np.all(star_r01.m_over_r3 >= (FOUR_PI / 3.0) * (1.0 - 1e-12))
-    assert np.all(star_r01.m_over_r3 <= (FOUR_PI / 3.0) * star_r01.rho_central * (1.0 + 1e-6))
-    assert abs(star_r01.m_over_r3[1] / star_r01.m_over_r3[0] - 1.0) < 1e-5
+    assert np.all(picard_r01.m_over_r3 >= (FOUR_PI / 3.0) * (1.0 - 1e-12))
+    assert np.all(picard_r01.m_over_r3 <= (FOUR_PI / 3.0) * picard_r01.rho_central * (1.0 + 1e-6))
+    assert abs(picard_r01.m_over_r3[1] / picard_r01.m_over_r3[0] - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("R", [0.02, 0.05, 0.1, 0.15, 0.19, 0.235, 0.24, 0.247, 0.2472])
+def test_collocation_surface_density_is_exactly_one(R):
+    # the Clenshaw sum of the density series misses rho(1) = 1 by up to an
+    # ulp (0.9999999999999999 at R = 0.1); the collocated condition is exact
+    for grid_n in (801, 2001):
+        assert solve_tov_shooting(StarParameters(R=R, grid_n=grid_n)).rho[-1] == 1.0, grid_n
 
 
 def test_largest_star_radius_is_calibrated():
@@ -355,14 +359,6 @@ def test_family_scan_captures_failures():
     rows = family_scan([0.05, 0.4], grid_n=257)
     assert rows[0].error is None
     assert rows[1].error is not None and "DomainError" in rows[1].error
-
-
-def test_build_star_solver_choice():
-    a = build_star(StarParameters(R=0.05, grid_n=257), solver="picard")
-    b = build_star(StarParameters(R=0.05, grid_n=257), solver="shooting")
-    assert np.max(np.abs(a.rho - b.rho)) < 1e-11
-    with pytest.raises(ValueError):
-        build_star(StarParameters(R=0.05, grid_n=257), solver="magic")
 
 
 def test_arrays_are_frozen(star_r01):

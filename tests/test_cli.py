@@ -75,7 +75,6 @@ for name, argv in {
     "build": ["build", "--R", "0.05", *small],
     "family": ["family", "--radii", "0.02,0.05", *small],
     "variation-audit": ["variation-audit", "--R", "0.05", "--count", "4", *small],
-    "shooting": ["build", "--R", "0.05", "--solver", "shooting", *small],
 }.items():
     steps[name] = (exit_code(argv), loaded("numpy"), loaded("scipy"))
 print(json.dumps(steps))
@@ -84,7 +83,7 @@ print(json.dumps(steps))
 
 def test_picard_commands_start_without_scipy(tmp_path):
     # importing the CLI, --version, --help and a config error load no
-    # numpy; build, family and variation-audit (either solver) no scipy
+    # numpy; build, family and variation-audit no scipy
     src = str(Path(hardstars.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -97,7 +96,7 @@ def test_picard_commands_start_without_scipy(tmp_path):
     for name, code in (("import", EXIT_OK), ("--version", EXIT_OK), ("--help", EXIT_OK),
                        ("nan", EXIT_CONFIG)):
         assert steps[name] == [code, [], []], name
-    for name in ("build", "family", "variation-audit", "shooting"):
+    for name in ("build", "family", "variation-audit"):
         code, _, scipy_loaded = steps[name]
         assert code == EXIT_OK, name
         assert scipy_loaded == [], name
@@ -124,7 +123,7 @@ def test_run_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"command": "orbit"})
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"command": "build", "solver": "euler"})
+        RunConfig.from_dict({"command": "build", "solver": "shooting"})
 
 
 def test_run_config_hash_ignores_output_location():
@@ -145,15 +144,16 @@ def test_canonical_json_is_stable():
 
 
 # Config hashes of the README examples; every artifact header carries one.
+# They change whenever a RunConfig field is added or removed.
 _PINNED_HASHES = {
-    "build --R 0.1 --grid-n 2001": "d4c75fd0a2f6",
-    "family --radii 0.02,0.05,0.1": "791b58eaeff9",
-    "family --r-min 0.02 --r-max 0.12 --count 6": "ebfe3fb5f802",
-    "variation-audit --R 0.1 --count 50": "85aaf366625b",
-    "evolve --R 0.05 --n-chi 501 --T 10 --preset gaussian": "caccca22b7b1",
-    "modes --R 0.05 --count 3 --which both": "6e7be7f899b2",
-    "modes --R 0.05 --count 1 --emit-initial-data 1": "94044d8b74ec",
-    "verify --R 0.05": "f93dde19fba8",
+    "build --R 0.1 --grid-n 2001": "ed437f5360e0",
+    "family --radii 0.02,0.05,0.1": "24e852660b2a",
+    "family --r-min 0.02 --r-max 0.12 --count 6": "dda76e8ae2b6",
+    "variation-audit --R 0.1 --count 50": "294cbabff5b8",
+    "evolve --R 0.05 --n-chi 501 --T 10 --preset gaussian": "f571fd871813",
+    "modes --R 0.05 --count 3 --which both": "45bf55b3d755",
+    "modes --R 0.05 --count 1 --emit-initial-data 1": "17124b69f7d4",
+    "verify --R 0.05": "bc443ef377b5",
 }
 
 
@@ -171,7 +171,6 @@ _texts = st.text(max_size=12)
 _COMMON_FLAGS = {
     "R": ("--R", _floats),
     "grid_n": ("--grid-n", _ints),
-    "solver": ("--solver", st.sampled_from(["picard", "shooting"])),
     "seed": ("--seed", _ints),
     "output_dir": ("--output-dir", _texts),
 }
@@ -344,7 +343,14 @@ _MALFORMED = {
     "n-chi-flag-huge": (["evolve", "--n-chi", "2000000000"], None),
     "radii-flag-word": (["family", "--radii", "a"], None),
     "radii-flag-nan": (["family", "--radii", "0.05,nan"], None),
+    # the background has one solver; the keys that chose and tuned another are gone
+    "solver-key": (["build"], {"solver": "shooting"}),
+    "picard_tol-key": (["build"], {"picard_tol": 1e-12}),
+    "picard_max_iter-key": (["build"], {"picard_max_iter": 200}),
+    "solver-flag": (["build", "--solver", "picard"], None),
 }
+# cases the argument parser refuses itself (exit 2), with the line it prints
+_PARSER_REFUSED = {"solver-flag": "unrecognized arguments: --solver picard"}
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
@@ -355,9 +361,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         argv += ["--config", str(cfg)]
-    assert main(argv) == EXIT_CONFIG
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert _PARSER_REFUSED.get(case, "config error") in err
     assert "Traceback" not in err
 
 
@@ -380,7 +390,7 @@ def test_radius_outside_domain_is_config_error(tmp_path, capsys):
 def test_radius_past_largest_star_is_config_error(tmp_path, capsys, R):
     # above calibration.R_MAX no static star exists, so the radius is refused
     # before the collocation's Newton iteration can fail to converge
-    code = run("build", "--R", R, "--solver", "shooting", "--output-dir", str(tmp_path))
+    code = run("build", "--R", R, "--output-dir", str(tmp_path))
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error: radius must lie in (0, 0.2472184]")
@@ -395,7 +405,7 @@ def test_shooting_builds_just_below_largest_radius(tmp_path):
     # 20-digit mpmath puts its rho_c 6.2e-13 high and the build's 1.4e-13 low
     assert calibration.R_MAX > 0.2472
     for R in (0.247, 0.2471, 0.2472):
-        argv = ("build", "--R", repr(R), "--solver", "shooting", "--grid-n", "801")
+        argv = ("build", "--R", repr(R), "--grid-n", "801")
         assert run(*argv, "--output-dir", str(tmp_path)) == EXIT_OK, R
         star = read_profile_csv(tmp_path / f"profile_R{repr(R).replace('.', 'p')}.csv")
         assert star.R == R
@@ -406,21 +416,14 @@ def test_shooting_builds_just_below_largest_radius(tmp_path):
         assert np.max(np.abs(star.m - m)) <= 2e-14, R
 
 
-def test_solver_stall_is_solver_failure(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "command": "build",
-                "R": 0.1,
-                "grid_n": 301,
-                "picard_max_iter": 2,
-                "output_dir": str(tmp_path),
-            }
-        )
-    )
-    assert run("build", "--config", str(cfg)) == EXIT_SOLVER
-    assert "solver failure" in capsys.readouterr().err
+def test_solver_stall_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # one Newton step cannot meet the collocation's step test from the closed form
+    monkeypatch.setattr(background, "NEWTON_MAX_STEPS", 1)
+    code = run("build", "--R", "0.1", "--grid-n", "301", "--output-dir", str(tmp_path))
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "did not converge in 1 steps" in err
+    assert "Traceback" not in err
 
 
 def test_bad_cfl_is_solver_failure(tmp_path):
@@ -480,9 +483,10 @@ _SMALL_EVOLVE = ("evolve", "--R", "0.05", "--grid-n", "401", "--n-chi", "101", "
 
 
 @pytest.mark.parametrize("breakdown, argv, message", [
-    (_grow_picard_mass, ("build", "--R", "0.1", "--grid-n", "401"),
+    # verify runs the fixed-point reference, which the other commands never call
+    (_grow_picard_mass, ("verify", "--R", "0.05", "--grid-n", "401"),
      "denominator vanished during fixed-point sweep"),
-    (_no_breakdown, ("build", "--R", "0.2472184", "--solver", "shooting", "--grid-n", "401"),
+    (_no_breakdown, ("build", "--R", "0.2472184", "--grid-n", "401"),
      "Newton iteration of the collocated hydrostatic system did not converge"),
     (_trap_wave_grid, _SMALL_EVOLVE, "coefficient assembly left the regular domain"),
     (_stall_chi_inversion, _SMALL_EVOLVE, "chi inversion did not converge"),
@@ -611,11 +615,11 @@ def test_variation_audit_from_profile_file(tmp_path):
     assert doc["max_abs_M_dot"] < 1e-6
 
 
-@pytest.mark.parametrize("R, solver", [("0.09", "picard"), ("0.19", "shooting")])
-def test_audit_of_built_profile_matches_direct_audit(tmp_path, R, solver):
+@pytest.mark.parametrize("R", ["0.09", "0.19"])
+def test_audit_of_built_profile_matches_direct_audit(tmp_path, R):
     # the profile file re-derives the star bit for bit, so the audit of a
     # `build` output is the audit of the solve itself, draw by draw
-    star_args = ("--R", R, "--solver", solver, "--grid-n", "4001", "--seed", "7")
+    star_args = ("--R", R, "--grid-n", "4001", "--seed", "7")
     assert run("build", *star_args, "--output-dir", str(tmp_path)) == EXIT_OK
     profile = tmp_path / f"profile_R{R.replace('.', 'p')}.csv"
     reports = []

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from table_oracle import read_table_by_line
 
-from hardstars import StarParameters, build_star, storage
+from hardstars import StarParameters, build_star, derive_metric_fields, storage
+from hardstars.background import solve_tov_picard
 from hardstars.storage import (
     CSV_COLUMNS,
     read_profile_csv,
@@ -38,14 +39,16 @@ def test_csv_round_trip_is_exact(tmp_path):
     # the file holds the profile itself, and R, m, chi and the totals are
     # read off it as off the solve, so every field comes back bit for bit
     derived = ("R", "grid_n", "m", "chi", "M_total", "N_total")
-    for R, solver in ((0.05, "picard"), (0.19, "shooting"), (0.2471, "shooting")):
-        star = build_star(StarParameters(R=R, grid_n=4001), solver)
+    stars = [build_star(StarParameters(R=R, grid_n=4001)) for R in (0.05, 0.19, 0.2471)]
+    stars.append(derive_metric_fields(solve_tov_picard(StarParameters(R=0.05, grid_n=4001))))
+    for star in stars:
         back = read_profile_csv(write_profile_csv(star, tmp_path / "star.csv"))
         names = [f.name for f in dataclasses.fields(star) if f.name != "provenance"]
         assert names == list(CSV_COLUMNS)
         for name in (*names, *derived):
             a, b = getattr(star, name), getattr(back, name)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (R, name)
+            where = (star.R, star.provenance["solver"], name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), where
 
 
 def test_csv_is_byte_deterministic(star_r005, tmp_path):
@@ -58,13 +61,15 @@ def test_csv_is_byte_deterministic(star_r005, tmp_path):
     assert set(meta) == {"format", "hash", "version"}
 
 
-def test_json_sidecar_contents(star_r005, tmp_path):
+def test_json_sidecar_contents(star_r005, picard_r005, tmp_path):
     path = write_profile_json(star_r005, tmp_path / "star.json")
     meta = json.loads(path.read_text())
     assert meta["R"] == star_r005.R
     assert meta["grid_n"] == star_r005.grid_n
-    assert meta["provenance"]["solver"] == "picard"
+    assert meta["provenance"]["solver"] == "shooting"
     assert meta["M_total"] == star_r005.M_total
+    path = write_profile_json(picard_r005, tmp_path / "picard.json")
+    assert json.loads(path.read_text())["provenance"]["solver"] == "picard"
 
 
 def test_write_profile_pair(star_r005, tmp_path):

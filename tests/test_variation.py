@@ -193,7 +193,7 @@ def test_detuned_floor_refused_where_it_fails(R, holds):
     # detuned control clears the floor up to DETUNED_FLOOR_MAX_R and no
     # further (min|M_dot| / floor measured 1.0067 at 0.185, 0.9911 at
     # 0.186); above the limit the floor is refused, not returned
-    star = build_star(StarParameters(R=R, grid_n=4001), solver="shooting")
+    star = build_star(StarParameters(R=R, grid_n=4001))
     det = criticality_audit(detuned_profile(star), audit_perturbations(star, count=50))
     ratio = float(np.min(np.abs(det.first_variations))) / (0.5 * FOUR_PI * R * R * 0.01)
     assert (ratio >= 1.0) == holds
@@ -209,14 +209,15 @@ def test_detuned_floor_refused_where_it_fails(R, holds):
 
 @pytest.fixture(scope="module")
 def shooting_r019():
-    return build_star(StarParameters(R=0.19, grid_n=2001), solver="shooting")
+    return build_star(StarParameters(R=0.19, grid_n=2001))
 
 
 @pytest.mark.parametrize("name", ["picard", "shooting", "detuned"])
-def test_criticality_audit_matches_per_draw_functions(star_r01, shooting_r019, detuned_r01, name):
+def test_criticality_audit_matches_per_draw_functions(picard_r01, shooting_r019, detuned_r01,
+                                                      name):
     # the audit shares the profile factors and each draw's slope; the bits
     # must be those of the public one-draw functions
-    profile = {"picard": star_r01, "shooting": shooting_r019, "detuned": detuned_r01}[name]
+    profile = {"picard": picard_r01, "shooting": shooting_r019, "detuned": detuned_r01}[name]
     perts = audit_perturbations(profile, count=20)
     report = criticality_audit(profile, perts)
     firsts = [first_variation(profile, p.rdot) for p in perts]
@@ -276,14 +277,14 @@ def test_equivalence_ratio_consistency(star_r01):
 
 
 @pytest.mark.parametrize("name", ["picard", "shooting", "detuned"])
-def test_criticality_audit_matches_simpson_oracle(star_r01, shooting_r019, detuned_r01, name):
+def test_criticality_audit_matches_simpson_oracle(picard_r01, shooting_r019, detuned_r01, name):
     # the folded weight vectors sum in another order than the cumulative
     # Simpson rule: relative roundoff, except on a solved star's M_dot,
     # which cancels to truncation error and is bounded by its bulk scale.
     # The oracle's sequential cumulative sum alone is off by up to 1.7e-15
     # of that scale against math.fsum of the same terms, the dot product by
     # 4e-16, so the bound is 1e-14 (45 eps).
-    profile = {"picard": star_r01, "shooting": shooting_r019, "detuned": detuned_r01}[name]
+    profile = {"picard": picard_r01, "shooting": shooting_r019, "detuned": detuned_r01}[name]
     perts = audit_perturbations(profile, count=50)
     report = criticality_audit(profile, perts)
     oracle = SimpsonVariations(profile)
